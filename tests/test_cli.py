@@ -143,3 +143,16 @@ def test_curve_unknown_formula_exits_2(capsys):
 def test_curve_bad_arity_exits_2(capsys):
     code, _, _ = run_cli(capsys, "curve", "odd_theta", "4", "5")
     assert code == 2
+
+
+REFERENCES = ROOT / "perfbench" / "references"
+
+
+@pytest.mark.parametrize(
+    "stem", sorted(p.stem for p in (ROOT / "worksheets").glob("*.ws"))
+)
+def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(capsys, "worksheet", "run", f"worksheets/{stem}.ws", "--json")
+    assert code == 0
+    assert out.encode("utf-8") == (REFERENCES / f"{stem}.json").read_bytes()
