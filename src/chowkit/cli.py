@@ -4,10 +4,10 @@
     chowkit schubert pdeg --gr K,N "EXPR" DIM
     chowkit schubert mult --gr K,N "EXPR"
     chowkit chern tau H2 HK K2 E
-    chowkit curve <formula> <args>...
+    chowkit curve <builtin> <value>... [<name>=<value>]...
 
-Exit codes: 0 success, 1 assertion failures under --strict, 2 parse or
-runtime errors.  All values print as exact integers or rationals.
+Exit codes: 0 success, 1 assertion failures under --strict, 2 bad arguments,
+parse or runtime errors.  All values print as exact integers or rationals.
 """
 
 from __future__ import annotations
@@ -17,24 +17,18 @@ import json
 import sys
 from fractions import Fraction
 
-from . import curves
 from .grassmann import GrassmannContext, plucker_degree
-from .surface import triple_point_count
-from .worksheet import (
-    WorksheetRuntimeError,
-    WorksheetSyntaxError,
-    evaluate,
-    parse,
-)
+from .worksheet import WorksheetSyntaxError, evaluate, parse
+from .worksheet.builtins import BUILTINS, Record
 from .worksheet.evaluate import Evaluator, render
 
 
 def _parse_gr(spec: str) -> GrassmannContext:
     try:
         k, n = (int(x) for x in spec.split(","))
-        return GrassmannContext(k, n)
     except ValueError as exc:
-        raise SystemExit(f"error: bad --gr value {spec!r}: {exc}")
+        raise ValueError(f"bad --gr value {spec!r}: {exc}")
+    return GrassmannContext(k, n)
 
 
 def _schubert_expr(text: str, ctx: GrassmannContext):
@@ -57,14 +51,9 @@ def _run_worksheets(args) -> int:
     hard_error = False
     for path in args.files:
         try:
-            text = open(path, encoding="utf-8").read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            hard_error = True
-            continue
-        try:
-            report = evaluate(parse(text))
-        except (WorksheetSyntaxError, WorksheetRuntimeError) as exc:
+            with open(path, encoding="utf-8") as f:
+                report = evaluate(parse(f.read()))
+        except (OSError, ValueError) as exc:  # syntax, runtime and decoding errors
             print(f"{path}: error: {exc}", file=sys.stderr)
             hard_error = True
             continue
@@ -99,59 +88,37 @@ def _print_report(path, report):
     print(f"  {passed}/{len(report.assertions)} assertions passed")
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _run_builtin(name: str, tokens) -> int:
+    """Call a worksheet builtin with command-line values and print the result.
 
-
-def _run_curve(args) -> int:
-    name = args.formula
-    vals = args.args
-    try:
-        if name == "odd_theta":
-            (g,) = map(int, vals)
-            print(curves.odd_theta_count(g))
-        elif name == "hurwitz":
-            gs, gt, n = map(int, vals)
-            print(curves.hurwitz_ramification(gs, gt, n))
-        elif name == "coincidences":
-            e, f = map(_fraction, vals)
-            print(curves.correspondence_coincidences(e, f))
-        elif name == "secant_pluecker":
-            d, g = map(int, vals)
-            print(curves.secant_plucker_degree(d, g))
-        elif name == "degmult":
-            (c,) = map(int, vals)
-            print(curves.degeneration_multiplicity(c))
-        elif name == "salmon_cayley":
-            n1, n2, n3, i12, i13, i23 = map(int, vals)
-            deg, m1, m2, m3 = curves.salmon_cayley(
-                curves.TripleScrollInput(n1, n2, n3, i12, i13, i23)
-            )
-            print(f"degree={deg} m1={m1} m2={m2} m3={m3}")
-        elif name == "residual":
-            total = _fraction(vals[0])
-            rest = list(map(_fraction, vals[1:]))
-            if len(rest) % 2:
-                raise ValueError("parts come as multiplicity degree pairs")
-            parts = list(zip(rest[::2], rest[1::2]))
-            print(curves.residual_degree(total, parts))
-        elif name == "pluecker":
-            kwargs = {}
-            for item in vals:
-                key, _, value = item.partition("=")
-                kwargs[key] = _fraction(value)
-            data = curves.plucker_solve(curves.PlueckerData(**kwargs))
-            print(
-                f"d={data.d} m={data.m} nodes={data.nodes} cusps={data.cusps}"
-                f" bitangents={data.bitangents} flexes={data.flexes}"
-                f" genus={data.genus}"
-            )
-        else:
-            print(f"error: unknown curve formula {name!r}", file=sys.stderr)
-            return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    Positional values fill the builtin's argument groups in order and
+    `name=value` tokens fill its named arguments.
+    """
+    builtin = BUILTINS.get(name)
+    if builtin is None:
+        print(f"error: unknown curve formula {name!r}", file=sys.stderr)
         return 2
+    values, named = [], {}
+    for token in tokens:
+        key, eq, text = token.partition("=")
+        try:
+            value = Fraction(text if eq else token)
+        except (ValueError, ZeroDivisionError):
+            print(f"error: {name}: not an exact number: {token!r}", file=sys.stderr)
+            return 2
+        if eq:
+            named[key] = value
+        else:
+            values.append(value)
+    try:
+        out = builtin.call(builtin.split(values), named)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        print(f"error: {name}: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(out, Record):
+        print(" ".join(f"{k}={render(v)}" for k, v in out.fields.items()))
+    else:
+        print(render(out))
     return 0
 
 
@@ -184,7 +151,9 @@ def main(argv=None) -> int:
     for field in ("H2", "HK", "K2", "e"):
         tau.add_argument(field)
 
-    curve = sub.add_parser("curve", help="classical curve formulas")
+    curve = sub.add_parser(
+        "curve", help="call a worksheet builtin that needs no worksheet context"
+    )
     curve.add_argument("formula")
     curve.add_argument("args", nargs="*")
 
@@ -193,35 +162,21 @@ def main(argv=None) -> int:
     if args.command == "worksheet":
         return _run_worksheets(args)
     if args.command == "schubert":
-        ctx = _parse_gr(args.gr)
         try:
+            ctx = _parse_gr(args.gr)
             value = _schubert_expr(args.expr, ctx)
             if args.sch_command == "pdeg":
                 print(render(plucker_degree(value, args.dim)))
             else:
                 print(render(value))
-        except (WorksheetSyntaxError, WorksheetRuntimeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    if args.command == "chern":
-        try:
-            print(
-                render(
-                    triple_point_count(
-                        _fraction(args.H2),
-                        _fraction(args.HK),
-                        _fraction(args.K2),
-                        _fraction(args.e),
-                    )
-                )
-            )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
+    if args.command == "chern":
+        return _run_builtin("tau", [args.H2, args.HK, args.K2, args.e])
     if args.command == "curve":
-        return _run_curve(args)
+        return _run_builtin(args.formula, args.args)
     return 2
 
 

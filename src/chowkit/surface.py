@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 
 from .linexpr import LinExpr
 
@@ -160,40 +162,6 @@ def ring_product(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
 
 
 @dataclass
-class ChernPolynomial:
-    """Truncated total Chern class 1 + c1 t + c2 t^2.
-
-    c1 is a divisor-span SurfaceClass, c2 a degree-2 value (LinExpr).
-    """
-
-    ring: SurfaceRing
-    c1: SurfaceClass
-    c2: LinExpr
-
-    @staticmethod
-    def of_line_bundle(L: SurfaceClass) -> "ChernPolynomial":
-        return ChernPolynomial(L.ring, L, LinExpr(0))
-
-    def __mul__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        return chern_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        return self.ring is other.ring and self.c1 == other.c1 and self.c2 == other.c2
-
-    def __str__(self):
-        return f"1 + ({self.c1})t + ({self.c2})t^2"
-
-
-def chern_mul(p: ChernPolynomial, q: ChernPolynomial) -> ChernPolynomial:
-    if p.ring is not q.ring:
-        raise RingMismatch("Chern polynomials over different rings")
-    cross = p.ring.pair(p.c1.c1, q.c1.c1)
-    return ChernPolynomial(p.ring, p.c1 + q.c1, p.c2 + q.c2 + cross)
-
-
-@dataclass
 class BundleSpec:
     """Rank-r bundle known through c1 (divisor class) and c2 (degree-2)."""
 
@@ -210,8 +178,12 @@ class BundleSpec:
     def ring(self) -> SurfaceRing:
         return self.c1.ring
 
-    def chern(self) -> ChernPolynomial:
-        return ChernPolynomial(self.ring, self.c1, self.c2)
+    def __mul__(self, other: "BundleSpec") -> "BundleSpec":
+        """The direct sum, whose total Chern class is the product
+        (1 + c1 + c2)(1 + c1' + c2') truncated at degree two."""
+        c1 = self.c1 + other.c1
+        cross = self.ring.pair(self.c1.c1, other.c1.c1)
+        return BundleSpec(self.rank + other.rank, c1, self.c2 + other.c2 + cross)
 
     def __eq__(self, other):
         if not isinstance(other, BundleSpec):
@@ -256,13 +228,7 @@ def sym_power(E: BundleSpec, n: int) -> BundleSpec:
 
 
 def whitney_sum(bundles) -> BundleSpec:
-    bundles = list(bundles)
-    ring = bundles[0].ring
-    rank = sum(E.rank for E in bundles)
-    total = ChernPolynomial(ring, ring.zero(), LinExpr(0))
-    for E in bundles:
-        total = chern_mul(total, E.chern())
-    return BundleSpec(rank, total.c1, total.c2)
+    return reduce(mul, bundles)
 
 
 def jet_chern(L: SurfaceClass, n: int, omega: BundleSpec) -> BundleSpec:

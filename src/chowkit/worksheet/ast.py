@@ -8,26 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Names callable in worksheet expressions.
-BUILTINS = frozenset(
-    {
-        "integrate",
-        "pdeg",
-        "jet2_c2",
-        "tau",
-        "genus",
-        "hurwitz",
-        "coincidences",
-        "salmon_cayley",
-        "secant_pluecker",
-        "odd_theta",
-        "degmult",
-        "residual",
-        "pluecker",
-        "glue_genus",
-    }
-)
-
 
 @dataclass(frozen=True)
 class Pos:

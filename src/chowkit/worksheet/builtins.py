@@ -1,0 +1,184 @@
+"""The builtin functions of the worksheet language, in one table.
+
+`BUILTINS` maps each name to its argument groups, the function it calls
+and the field names of the record it returns.  The parser, the evaluator
+and the `chowkit curve` command all read this table.
+
+Entries call the kernels through their module (`curves.odd_theta_count`)
+at call time, so a wrapper installed on a module attribute sees the call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from typing import Callable
+
+from .. import curves, grassmann, lattice, surface
+from ..grassmann import SchubertElement
+from ..lattice import ClassExpr
+from ..linexpr import LinExpr
+from ..surface import SurfaceClass
+
+
+@dataclass
+class Record:
+    """Immutable bag of named exact values (e.g. a solved Pluecker set)."""
+
+    fields: dict
+
+    def __str__(self):
+        inner = ", ".join(f"{k}={v}" for k, v in self.fields.items())
+        return f"{{{inner}}}"
+
+
+# -- argument kinds: each checks a value and returns what the function takes
+
+
+def integer(v) -> int:
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    raise ValueError(f"expected an integer, got {v}")
+
+
+def _kind(what, test):
+    def kind(v):
+        if test(v):
+            return v
+        raise ValueError(f"expected {what}, got {v}")
+
+    return kind
+
+
+scalar = _kind("a scalar value", lambda v: isinstance(v, (Fraction, LinExpr)))
+schubert_class = _kind("a Schubert class", lambda v: isinstance(v, SchubertElement))
+lattice_class = _kind("a lattice class", lambda v: isinstance(v, ClassExpr))
+divisor = _kind(
+    "a divisor class", lambda v: isinstance(v, SurfaceClass) and v.is_divisor
+)
+
+
+def _args(kind, names: str):
+    """One argument group; a group of one name ending in '...' takes any number."""
+    return tuple((name, kind) for name in names.split())
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """One builtin: its argument groups, its function and its record fields."""
+
+    groups: tuple  # positional argument groups, separated by ';' in a call
+    run: Callable
+    fields: tuple = ()  # record field names, when `run` returns a tuple
+    named: tuple = ()  # names of the scalar arguments given as name=value
+    needs_surface: bool = False  # `run` also takes the active surface first
+
+    @property
+    def signature(self) -> str:
+        """The arguments as a worksheet writes them, e.g. `(total; part...)`."""
+        if self.named:
+            return "{" + ", ".join(f"{n}=..." for n in self.named) + "}"
+        return "(" + "; ".join(", ".join(n for n, _ in g) for g in self.groups) + ")"
+
+    def call(self, groups, named: dict, active_surface=None):
+        """Check and convert the arguments, call the function, wrap a record.
+
+        `groups` holds the values of each ';'-separated group; empty ones are dropped.
+        """
+        for key in named:
+            if key not in self.named:
+                raise ValueError(f"unknown argument {key!r}, expected {self.signature}")
+        groups = [g for g in groups if g]
+        if len(groups) != len(self.groups) or any(
+            len(values) != len(group) and not group[0][0].endswith("...")
+            for values, group in zip(groups, self.groups)
+        ):
+            raise ValueError(f"wrong number of arguments, expected {self.signature}")
+        args = [  # extra values of a '...' group take its one kind
+            group[min(i, len(group) - 1)][1](v)
+            for values, group in zip(groups, self.groups)
+            for i, v in enumerate(values)
+        ]
+        kwargs = {k: scalar(v) for k, v in named.items()}
+        if self.needs_surface:
+            if active_surface is None:
+                raise ValueError("no surface declared")
+            args.insert(0, active_surface)
+        out = self.run(*args, **kwargs)
+        return Record(dict(zip(self.fields, out))) if self.fields else out
+
+    def split(self, values: list) -> list:
+        """Fill the groups in order from a flat list; a call has at most two."""
+        n = len(self.groups[0]) if len(self.groups) == 2 else len(values)
+        return [values[:n], values[n:]]
+
+
+def _pdeg(x, dim):
+    out = grassmann.plucker_degree(x, dim)
+    return out.as_fraction() if isinstance(out, LinExpr) and out.is_constant else out
+
+
+def _jet2_c2(active, D):
+    ring = active.ring
+    if "K" not in ring.basis:
+        raise ValueError("surface must declare a canonical divisor named K")
+    omega = surface.cotangent_bundle(ring.divisor("K"), active.euler)
+    c2 = surface.jet_chern(D, 2, omega).c2
+    return c2.as_fraction() if c2.is_constant else c2
+
+
+_CHARACTERS = tuple(f.name for f in fields(curves.PlueckerData))
+
+
+def _pluecker(**chars):
+    # unmentioned singularities on a given side default to absent
+    if "d" in chars:
+        chars.setdefault("nodes", 0)
+        chars.setdefault("cusps", 0)
+    elif "m" in chars:
+        chars.setdefault("bitangents", 0)
+        chars.setdefault("flexes", 0)
+    data = curves.plucker_solve(curves.PlueckerData(**chars))
+    return tuple(getattr(data, c) for c in _CHARACTERS)
+
+
+BUILTINS = {
+    "integrate": Builtin(
+        (_args(schubert_class, "x"),), lambda x: grassmann.integrate(x)
+    ),
+    "pdeg": Builtin((_args(schubert_class, "x") + _args(integer, "dim"),), _pdeg),
+    "jet2_c2": Builtin((_args(divisor, "D"),), _jet2_c2, needs_surface=True),
+    "tau": Builtin(
+        (_args(scalar, "H2 HK K2 e"),), lambda *a: surface.triple_point_count(*a)
+    ),
+    "genus": Builtin(
+        (_args(lattice_class, "C"),), lambda c: lattice.adjunction_genus(c)
+    ),
+    "glue_genus": Builtin(
+        (_args(scalar, "p1 p2 inter"),), lambda *a: lattice.genus_additivity(*a)
+    ),
+    "hurwitz": Builtin(
+        (_args(integer, "g_source g_target n"),),
+        lambda *a: curves.hurwitz_ramification(*a),
+    ),
+    "coincidences": Builtin(
+        (_args(scalar, "e f"),), lambda *a: curves.correspondence_coincidences(*a)
+    ),
+    "salmon_cayley": Builtin(
+        (_args(integer, "n1 n2 n3"), _args(integer, "i12 i13 i23")),
+        lambda *a: curves.salmon_cayley(curves.TripleScrollInput(*a)),
+        fields=("degree", "m1", "m2", "m3"),
+    ),
+    "secant_pluecker": Builtin(
+        (_args(integer, "d g"),), lambda *a: curves.secant_plucker_degree(*a)
+    ),
+    "odd_theta": Builtin((_args(integer, "g"),), lambda g: curves.odd_theta_count(g)),
+    "degmult": Builtin(
+        (_args(integer, "contacts"),), lambda c: curves.degeneration_multiplicity(c)
+    ),
+    "residual": Builtin(
+        (_args(scalar, "total"), _args(scalar, "part...")),
+        lambda total, *parts: curves.residual_degree(total, [(1, p) for p in parts]),
+    ),
+    "pluecker": Builtin((), _pluecker, fields=_CHARACTERS, named=_CHARACTERS),
+}

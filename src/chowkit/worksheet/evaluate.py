@@ -10,22 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .. import curves
-from ..grassmann import (
-    GrassmannContext,
-    SchubertElement,
-    integrate,
-    plucker_degree,
-)
-from ..lattice import ClassExpr, RuledLattice, adjunction_genus, genus_additivity
+from ..grassmann import GrassmannContext, SchubertElement
+from ..lattice import ClassExpr, RuledLattice
 from ..linexpr import LinExpr, solve_linear
-from ..surface import (
-    SurfaceClass,
-    SurfaceRing,
-    cotangent_bundle,
-    jet_chern,
-    triple_point_count,
-)
+from ..surface import SurfaceRing
 from .ast import (
     Assert,
     BasisDecl,
@@ -50,6 +38,7 @@ from .ast import (
     WorksheetProgram,
     _fmt_expr,
 )
+from .builtins import BUILTINS, Record
 
 
 class WorksheetRuntimeError(ValueError):
@@ -57,22 +46,6 @@ class WorksheetRuntimeError(ValueError):
         super().__init__(f"{pos}: {message}")
         self.message = message
         self.pos = pos
-
-
-@dataclass
-class Record:
-    """Immutable bag of named exact values (e.g. a solved Pluecker set)."""
-
-    fields: dict
-
-    def get(self, name: str):
-        if name not in self.fields:
-            raise KeyError(name)
-        return self.fields[name]
-
-    def __str__(self):
-        inner = ", ".join(f"{k}={render(v)}" for k, v in self.fields.items())
-        return f"{{{inner}}}"
 
 
 def render(value) -> str:
@@ -282,14 +255,13 @@ class Evaluator:
                 raise WorksheetRuntimeError(
                     f"cannot access field {e.name!r} on {render(base)}", e.pos
                 )
-            try:
-                return base.get(e.name)
-            except KeyError:
+            if e.name not in base.fields:
                 raise WorksheetRuntimeError(
                     f"record has no field {e.name!r}"
                     f" (has: {', '.join(base.fields)})",
                     e.pos,
                 )
+            return base.fields[e.name]
         if isinstance(e, Call):
             return self.call(e)
         raise WorksheetRuntimeError(f"cannot evaluate {e!r}", getattr(e, "pos", Pos(0, 0)))
@@ -324,145 +296,15 @@ class Evaluator:
             return v
         raise WorksheetRuntimeError(f"expected a scalar value, got {render(v)}", pos)
 
-    def int_arg(self, v, pos) -> int:
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return int(v)
-        raise WorksheetRuntimeError(f"expected an integer, got {render(v)}", pos)
-
     # -- builtin functions --------------------------------------------
 
     def call(self, e: Call):
-        args = [self.eval(a) for a in e.args]
-        args2 = [self.eval(a) for a in e.args2] if e.args2 is not None else None
+        groups = [[self.eval(a) for a in g] for g in (e.args, e.args2 or ())]
         kwargs = {k: self.eval(v) for k, v in e.kwargs}
         try:
-            return self.dispatch(e, args, args2, kwargs)
-        except WorksheetRuntimeError:
-            raise
+            return BUILTINS[e.func].call(groups, kwargs, self.surface)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise WorksheetRuntimeError(f"{e.func}: {exc}", e.pos)
-
-    def dispatch(self, e: Call, args, args2, kwargs):
-        name, pos = e.func, e.pos
-
-        def arity(k, group2=None):
-            if len(args) != k or (
-                group2 is None and args2 is not None
-            ) or (group2 is not None and len(args2 or ()) != group2):
-                raise WorksheetRuntimeError(
-                    f"{name}: wrong number of arguments", pos
-                )
-
-        if name == "integrate":
-            arity(1)
-            if not isinstance(args[0], SchubertElement):
-                raise WorksheetRuntimeError("integrate needs a Schubert class", pos)
-            return integrate(args[0])
-        if name == "pdeg":
-            arity(2)
-            if not isinstance(args[0], SchubertElement):
-                raise WorksheetRuntimeError("pdeg needs a Schubert class", pos)
-            out = plucker_degree(args[0], self.int_arg(args[1], pos))
-            if isinstance(out, LinExpr) and out.is_constant:
-                out = out.as_fraction()
-            return out
-        if name == "jet2_c2":
-            arity(1)
-            if self.surface is None:
-                raise WorksheetRuntimeError("no surface declared", pos)
-            if not isinstance(args[0], SurfaceClass) or not args[0].is_divisor:
-                raise WorksheetRuntimeError("jet2_c2 needs a divisor class", pos)
-            ring = self.surface.ring
-            if "K" not in ring.basis:
-                raise WorksheetRuntimeError(
-                    "surface must declare a canonical divisor named K", pos
-                )
-            omega = cotangent_bundle(ring.divisor("K"), self.surface.euler)
-            c2 = jet_chern(args[0], 2, omega).c2
-            return c2.as_fraction() if c2.is_constant else c2
-        if name == "tau":
-            arity(4)
-            return triple_point_count(*(self.scalar_value(a, pos) for a in args))
-        if name == "genus":
-            arity(1)
-            if not isinstance(args[0], ClassExpr):
-                raise WorksheetRuntimeError("genus needs a lattice class", pos)
-            return adjunction_genus(args[0])
-        if name == "glue_genus":
-            arity(3)
-            return genus_additivity(*args)
-        if name == "hurwitz":
-            arity(3)
-            return curves.hurwitz_ramification(
-                *(self.int_arg(a, pos) for a in args)
-            )
-        if name == "coincidences":
-            arity(2)
-            return curves.correspondence_coincidences(*args)
-        if name == "salmon_cayley":
-            arity(3, 3)
-            n1, n2, n3 = (self.int_arg(a, pos) for a in args)
-            i12, i13, i23 = (self.int_arg(a, pos) for a in args2)
-            deg, m1, m2, m3 = curves.salmon_cayley(
-                curves.TripleScrollInput(n1, n2, n3, i12, i13, i23)
-            )
-            return Record({"degree": deg, "m1": m1, "m2": m2, "m3": m3})
-        if name == "secant_pluecker":
-            arity(2)
-            return curves.secant_plucker_degree(
-                *(self.int_arg(a, pos) for a in args)
-            )
-        if name == "odd_theta":
-            arity(1)
-            return curves.odd_theta_count(self.int_arg(args[0], pos))
-        if name == "degmult":
-            arity(1)
-            return curves.degeneration_multiplicity(self.int_arg(args[0], pos))
-        if name == "residual":
-            if len(args) != 1 or args2 is None:
-                raise WorksheetRuntimeError(
-                    "residual takes residual(total; part, part, ...)", pos
-                )
-            return curves.residual_degree(args[0], [(1, p) for p in args2])
-        if name == "pluecker":
-            if args or args2:
-                raise WorksheetRuntimeError(
-                    "pluecker takes named arguments in braces", pos
-                )
-            known = {
-                "d",
-                "m",
-                "nodes",
-                "cusps",
-                "bitangents",
-                "flexes",
-                "genus",
-            }
-            bad = set(kwargs) - known
-            if bad:
-                raise WorksheetRuntimeError(
-                    f"pluecker: unknown characters {sorted(bad)}", pos
-                )
-            # unmentioned singularities on a given side default to absent
-            if "d" in kwargs:
-                kwargs.setdefault("nodes", 0)
-                kwargs.setdefault("cusps", 0)
-            elif "m" in kwargs:
-                kwargs.setdefault("bitangents", 0)
-                kwargs.setdefault("flexes", 0)
-            data = curves.plucker_solve(curves.PlueckerData(**kwargs))
-            return Record(
-                {
-                    "d": data.d,
-                    "m": data.m,
-                    "nodes": data.nodes,
-                    "cusps": data.cusps,
-                    "bitangents": data.bitangents,
-                    "flexes": data.flexes,
-                    "genus": data.genus,
-                }
-            )
-        raise WorksheetRuntimeError(f"unknown function {name!r}", pos)
 
 
 def evaluate(program: WorksheetProgram) -> EvaluationReport:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
-    BUILTINS,
     Assert,
     BasisDecl,
     BinOp,
@@ -35,6 +34,7 @@ from .ast import (
     WorksheetProgram,
     pretty_print,
 )
+from .builtins import BUILTINS
 
 KEYWORDS = {
     "let",
@@ -251,10 +251,6 @@ class _Parser:
         return names
 
     # -- blocks -------------------------------------------------------
-
-    def sections(self):
-        """Yield lists of tokens is too low level; instead parse section
-        boundaries: caller parses items; this handles separators."""
 
     def block_sep(self):
         """Skip `;` / newline separators inside a brace block."""

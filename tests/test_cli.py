@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from chowkit.cli import main
+from chowkit.worksheet import evaluate, parse
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
@@ -111,7 +112,9 @@ def test_curve_subcommands(capsys):
         (["curve", "coincidences", "72", "540"], "612"),
         (["curve", "secant_pluecker", "6", "4"], "21"),
         (["curve", "degmult", "3"], "8"),
-        (["curve", "residual", "624", "2", "108", "4", "90", "8", "4"], "16"),
+        (["curve", "residual", "624", "216", "360", "32"], "16"),
+        (["curve", "tau", "6", "0", "0", "24"], "210"),
+        (["curve", "glue_genus", "3", "4", "2"], "8"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -132,6 +135,28 @@ def test_curve_pluecker(capsys):
     assert code == 0
     assert "bitangents=96" in out
     assert "genus=4" in out
+
+
+def test_curve_pluecker_matches_worksheet(capsys):
+    code, out, _ = run_cli(capsys, "curve", "pluecker", "d=6", "nodes=6")
+    assert code == 0
+    assert out == "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4\n"
+    record = evaluate(parse("let P = pluecker{d=6, nodes=6}\n")).bindings[0][1]
+    fields = out.split()
+    assert record == "{" + ", ".join(fields) + "}"
+
+
+def test_curve_unknown_argument_exits_2(capsys):
+    code, _, err = run_cli(capsys, "curve", "pluecker", "q=3")
+    assert code == 2
+    assert err.startswith("error: pluecker: unknown argument 'q'")
+
+
+def test_curve_missing_argument_exits_2(capsys):
+    code, _, err = run_cli(capsys, "curve", "odd_theta")
+    assert code == 2
+    assert err.startswith("error: odd_theta: wrong number of arguments")
+    assert "expected (g)" in err
 
 
 def test_curve_unknown_formula_exits_2(capsys):
@@ -156,3 +181,23 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "worksheet", "run", f"worksheets/{stem}.ws", "--json")
     assert code == 0
     assert out.encode("utf-8") == (REFERENCES / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "coincidences", "1/0", "2"],
+        ["chern", "tau", "1/0", "0", "0", "0"],
+        ["schubert", "mult", "--gr", "3,x", "s[1]"],
+        ["schubert", "mult", "--gr", "5,3", "s[1]"],
+        ["worksheet", "run", "NOT_UTF8"],
+    ],
+    ids=["zero-denominator", "tau-zero-denominator", "bad-gr", "k-above-n", "not-utf8"],
+)
+def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):
+    bad = tmp_path / "latin1.ws"
+    bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+    argv = [str(bad) if a == "NOT_UTF8" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from chowkit.linexpr import LinExpr
 from chowkit.surface import (
     BundleSpec,
-    ChernPolynomial,
     RingMismatch,
     SurfaceRing,
-    chern_mul,
     cotangent_bundle,
     jet_chern,
     k3_genus4_ring,
@@ -41,11 +39,11 @@ def test_ring_mismatch_rejected():
         ring_product(r1.divisor("H"), r2.divisor("H"))
 
 
-def test_chern_mul_truncates_at_degree_two():
+def test_whitney_product_truncates_at_degree_two():
     ring = k3_genus4_ring()
     H = ring.divisor("H")
-    p = ChernPolynomial.of_line_bundle(H)
-    sq = chern_mul(p, p)
+    p = BundleSpec(1, H, 0)
+    sq = p * p
     assert sq.c1 == H + H
     assert sq.c2 == 6
 

@@ -1,6 +1,7 @@
 """Worksheet language: parsing, evaluation, round-trips, determinism."""
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,10 @@ from chowkit.worksheet import (
     parse,
     pretty_print,
 )
+from chowkit.worksheet.builtins import BUILTINS
 
-WORKSHEETS = sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "worksheets").glob("*.ws")
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKSHEETS = sorted((ROOT / "worksheets").glob("*.ws"))
 
 
 def run(text):
@@ -112,6 +113,16 @@ def test_duplicate_binding_rejected():
 def test_unknown_function_rejected():
     with pytest.raises(WorksheetSyntaxError):
         parse("let x = frobnicate(3)\n")
+
+
+def test_readme_lists_the_builtin_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Builtins", 1)[1]
+    block = section.split("```")[1]
+    listed = re.findall(r"^(\w+)[({]", block, re.MULTILINE)
+    assert sorted(listed) == sorted(BUILTINS)
+    for name, builtin in BUILTINS.items():
+        assert name + builtin.signature in block
 
 
 def test_runtime_error_for_schubert_without_context():
