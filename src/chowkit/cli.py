@@ -20,7 +20,7 @@ from fractions import Fraction
 from .grassmann import GrassmannContext, plucker_degree
 from .worksheet import WorksheetSyntaxError, evaluate, parse
 from .worksheet.builtins import BUILTINS, Record
-from .worksheet.evaluate import Evaluator, render
+from .worksheet.evaluate import Evaluator
 
 
 def _parse_gr(spec: str) -> GrassmannContext:
@@ -116,9 +116,9 @@ def _run_builtin(name: str, tokens) -> int:
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
     if isinstance(out, Record):
-        print(" ".join(f"{k}={render(v)}" for k, v in out.fields.items()))
+        print(" ".join(f"{k}={v}" for k, v in out.fields.items()))
     else:
-        print(render(out))
+        print(out)
     return 0
 
 
@@ -166,9 +166,9 @@ def main(argv=None) -> int:
             ctx = _parse_gr(args.gr)
             value = _schubert_expr(args.expr, ctx)
             if args.sch_command == "pdeg":
-                print(render(plucker_degree(value, args.dim)))
+                print(plucker_degree(value, args.dim))
             else:
-                print(render(value))
+                print(value)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+from .linexpr import Combination
 from .partitions import (
     complement_in_box,
     fits_in_box,
@@ -25,10 +26,6 @@ from .partitions import (
     partitions_in_box,
     weight,
 )
-
-
-class ContextMismatch(ValueError):
-    """Two Schubert elements from different Grassmannians were combined."""
 
 
 class GradingError(ValueError):
@@ -63,7 +60,7 @@ class GrassmannContext:
         return (self.cols,) * self.rows
 
 
-class SchubertElement:
+class SchubertElement(Combination):
     """Formal linear combination of box-bounded Schubert classes.
 
     Coefficients are exact rationals by default but any commutative
@@ -71,82 +68,33 @@ class SchubertElement:
     coefficients for genuinely symbolic identities).
     """
 
-    def __init__(self, ctx: GrassmannContext, terms=None):
-        self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = partition(lam)
-                if not fits_in_box(lam, ctx.rows, ctx.cols):
-                    raise ValueError(f"{lam} does not fit the {ctx.rows}x{ctx.cols} box")
-                if c:
-                    self.terms[lam] = self.terms.get(lam, 0) + c
-        self.terms = {lam: c for lam, c in self.terms.items() if c}
+    __slots__ = ()
+    unit = ()
+
+    @property
+    def ctx(self) -> GrassmannContext:
+        return self.space
 
     @staticmethod
     def sigma(ctx: GrassmannContext, lam) -> "SchubertElement":
-        return SchubertElement(ctx, {partition(lam): Fraction(1)})
+        return SchubertElement(ctx, {lam: Fraction(1)})
 
-    def _check(self, other: "SchubertElement"):
-        if self.ctx != other.ctx:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
+    def _key(self, lam) -> tuple:
+        lam, ctx = partition(lam), self.space
+        if not fits_in_box(lam, ctx.rows, ctx.cols):
+            raise ValueError(f"{lam} does not fit the {ctx.rows}x{ctx.cols} box")
+        return lam
 
-    def __add__(self, other):
-        if not isinstance(other, SchubertElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, 0) + c
-        return SchubertElement(self.ctx, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        return SchubertElement(
-            self.ctx, {lam: scalar * c for lam, c in self.terms.items()}
-        )
-
-    def scale(self, scalar):
-        return self.__rmul__(scalar)
+    def _label(self, lam) -> str:
+        return f"s[{','.join(map(str, lam))}]"
 
     def __mul__(self, other):
         if isinstance(other, SchubertElement):
             return multiply(self, other)
-        return self.__rmul__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, SchubertElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return Combination.__mul__(self, other)
 
     def is_pure(self, codim: int) -> bool:
         return all(weight(lam) == codim for lam in self.terms)
-
-    def __repr__(self):
-        return f"<SchubertElement {self} in Gr({self.ctx.k},{self.ctx.n})>"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam in sorted(self.terms):
-            c = self.terms[lam]
-            s = f"s[{','.join(map(str, lam))}]"
-            if c == 1:
-                bits.append(s)
-            elif isinstance(c, Fraction) and c == -1:
-                bits.append(f"-{s}")
-            else:
-                bits.append(f"{c}*{s}")
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 def pieri(e: SchubertElement, a: int) -> SchubertElement:
@@ -160,7 +108,7 @@ def pieri(e: SchubertElement, a: int) -> SchubertElement:
     for lam, c in e.terms.items():
         for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols):
             out[mu] = out.get(mu, 0) + c
-    return SchubertElement(ctx, out)
+    return SchubertElement._make(ctx, out)
 
 
 def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int):
@@ -240,7 +188,7 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
                 m = lr_coefficient(lam, mu, nu)
                 if m:
                     out[nu] = out.get(nu, 0) + m * c
-    return SchubertElement(ctx, out)
+    return SchubertElement._make(ctx, out)
 
 
 def integrate(e: SchubertElement):

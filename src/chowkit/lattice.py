@@ -12,10 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linexpr import (
+    Combination,
     InconsistentSystem,
     LinExpr,
     NonlinearError,
+    SpaceMismatch,
     UnderdeterminedSystem,
+    collapse,
     solve_linear,
 )
 
@@ -23,7 +26,7 @@ __all__ = [
     "RuledLattice",
     "ClassExpr",
     "LinearConstraint",
-    "LatticeMismatch",
+    "SpaceMismatch",
     "NonIntegralGenus",
     "intersect",
     "solve_unknowns",
@@ -33,10 +36,6 @@ __all__ = [
     "UnderdeterminedSystem",
     "NonlinearError",
 ]
-
-
-class LatticeMismatch(ValueError):
-    pass
 
 
 class NonIntegralGenus(ValueError):
@@ -78,8 +77,6 @@ class RuledLattice:
         return ClassExpr(self, coeffs)
 
     def generator(self, name: str) -> "ClassExpr":
-        if name not in self.basis:
-            raise ValueError(f"unknown basis class {name!r}")
         return ClassExpr(self, {name: 1})
 
     def substitute(self, assignment: dict):
@@ -97,82 +94,23 @@ class RuledLattice:
         return head + ")"
 
 
-class ClassExpr:
+class ClassExpr(Combination):
     """Linear combination of basis classes; coefficients may hold unknowns."""
 
-    def __init__(self, lattice: RuledLattice, coeffs):
-        self.lattice = lattice
-        self.coeffs = {}
-        for name, c in coeffs.items():
-            if name not in lattice.basis:
-                raise ValueError(f"unknown basis class {name!r}")
-            c = LinExpr.coerce(c)
-            if c:
-                self.coeffs[name] = c
+    __slots__ = ()
 
-    def _check(self, other: "ClassExpr"):
-        if self.lattice is not other.lattice:
-            raise LatticeMismatch("classes live on different lattices")
+    def _key(self, name):
+        if name not in self.space.basis:
+            raise ValueError(f"unknown basis class {name!r}")
+        return name
 
-    def __add__(self, other):
-        if not isinstance(other, ClassExpr):
-            return NotImplemented
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            coeffs[n] = coeffs.get(n, LinExpr(0)) + c
-        return ClassExpr(self.lattice, coeffs)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        return ClassExpr(
-            self.lattice, {n: scalar * c for n, c in self.coeffs.items()}
-        )
+    def _rank(self, name):
+        return self.space.basis.index(name)
 
     def __mul__(self, other):
         if isinstance(other, ClassExpr):
             return intersect(self, other)
-        return self.__rmul__(other)
-
-    def substitute(self, assignment: dict) -> "ClassExpr":
-        return ClassExpr(
-            self.lattice, {n: c.substitute(assignment) for n, c in self.coeffs.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassExpr):
-            return NotImplemented
-        return self.lattice is other.lattice and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for n in self.lattice.basis:
-            if n not in self.coeffs:
-                continue
-            c = self.coeffs[n]
-            if c.is_constant:
-                f = c.as_fraction()
-                if f == 1:
-                    bits.append(("+", n))
-                elif f == -1:
-                    bits.append(("-", n))
-                elif f < 0:
-                    bits.append(("-", f"{-f}*{n}"))
-                else:
-                    bits.append(("+", f"{f}*{n}"))
-            else:
-                bits.append(("+", f"({c})*{n}"))
-        out = bits[0][1] if bits[0][0] == "+" else f"-{bits[0][1]}"
-        for sign, t in bits[1:]:
-            out += f" {sign} {t}"
-        return out
+        return Combination.__mul__(self, other)
 
 
 def intersect(a: ClassExpr, b: ClassExpr, lat: RuledLattice | None = None):
@@ -182,13 +120,13 @@ def intersect(a: ClassExpr, b: ClassExpr, lat: RuledLattice | None = None):
     LinExpr.  Unknown*unknown products are rejected as nonlinear.
     """
     a._check(b)
-    if lat is not None and lat is not a.lattice:
-        raise LatticeMismatch("classes do not belong to the given lattice")
+    if lat is not None and lat is not a.space:
+        raise SpaceMismatch("classes do not belong to the given lattice")
     total = LinExpr(0)
-    for n1, c1 in a.coeffs.items():
-        for n2, c2 in b.coeffs.items():
-            total = total + c1 * c2 * a.lattice.gram_entry(n1, n2)
-    return total.as_fraction() if total.is_constant else total
+    for n1, c1 in a.terms.items():
+        for n2, c2 in b.terms.items():
+            total = total + c1 * c2 * a.space.gram_entry(n1, n2)
+    return collapse(total)
 
 
 class LinearConstraint:
@@ -228,10 +166,10 @@ def solve_unknowns(constraints, lat: RuledLattice, partial: bool = False) -> dic
 
 def adjunction_genus(C: ClassExpr, lat: RuledLattice | None = None) -> Fraction:
     """Arithmetic genus 1 + (C^2 + C.K)/2; must come out integral."""
-    lat = lat or C.lattice
+    lat = lat or C.space
     if lat.canonical is None:
         raise ValueError("lattice has no canonical class")
-    val = intersect(C, C) + intersect(C, lat.canonical)
+    val = collapse(intersect(C, C) + intersect(C, lat.canonical))
     if isinstance(val, LinExpr):
         raise ValueError("genus requires fully numeric intersection data")
     if val % 2 != 0:

@@ -1,9 +1,12 @@
-"""Linear expressions in named unknowns over exact rationals.
+"""Sparse exact linear combinations, and linear expressions in named unknowns.
 
-Shared by the lattice solver (unknown Gram entries and class coefficients),
-the symbolic surface ring (pairing symbols like ``H.K``), and the worksheet
-``solve`` blocks.  Products of two non-constant expressions are rejected:
-every system the workbench handles is linear after expansion.
+`Combination` is the one sparse linear combination behind every algebra
+class: Schubert classes, lattice classes, surface classes and `LinExpr`
+itself.  `LinExpr` is shared by the lattice solver (unknown Gram entries and
+class coefficients), the symbolic surface ring (pairing symbols like
+``H.K``), and the worksheet ``solve`` blocks.  Products of two non-constant
+expressions are rejected: every system the workbench handles is linear
+after expansion.
 """
 
 from __future__ import annotations
@@ -24,29 +27,178 @@ class UnderdeterminedSystem(ValueError):
     """Raised when a linear system does not pin every unknown."""
 
 
+class SpaceMismatch(ValueError):
+    """Two combinations from different spaces were combined."""
+
+
 def _as_fraction(x):
     if isinstance(x, Rational):
         return Fraction(x)
     raise TypeError(f"expected a rational scalar, got {x!r}")
 
 
-class LinExpr:
-    """const + sum(coeff[name] * name), coefficients exact rationals."""
+ONE = 1  # the key of a LinExpr's constant term and of a surface's unit class
 
-    __slots__ = ("const", "coeffs")
+
+def collapse(x):
+    """A LinExpr without unknowns as its Fraction; any other value unchanged."""
+    if isinstance(x, LinExpr) and x.is_constant:
+        return x.const
+    return x
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: collapse(c) for k, c in terms.items() if c}
+
+
+class Combination:
+    """sum(coefficient * key) over `terms`, a dict without zero coefficients.
+
+    `space` is what the keys belong to (a Grassmannian, a lattice, a surface
+    ring, or None for a LinExpr); only combinations of one space combine.
+    A coefficient is an exact rational, or a LinExpr that still holds
+    unknowns.  Subclasses check keys (`_key`), order them for printing
+    (`_rank`), label them (`_label`), and name the key a scalar stands for
+    (`unit`, None when a scalar other than 0 is not a class).
+    """
+
+    __slots__ = ("space", "terms")
+    unit = None
+
+    def __init__(self, space, terms=None):
+        self.space = space
+        summed = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            summed[key] = summed.get(key, 0) + c
+        self.terms = _nonzero(summed)
+
+    @classmethod
+    def _make(cls, space, terms: dict):
+        """A combination of keys already known to be valid."""
+        out = cls.__new__(cls)
+        out.space = space
+        out.terms = _nonzero(terms)
+        return out
+
+    def _rank(self, key):
+        return key
+
+    def _label(self, key):
+        """Printed after the coefficient; None prints the coefficient alone."""
+        return str(key)
+
+    def _check(self, other: "Combination"):
+        if other.space != self.space:
+            raise SpaceMismatch(f"{type(self).__name__}s live on different spaces")
+
+    def _operand(self, other):
+        """`other` as a combination of this space, or None when it is not one."""
+        if isinstance(other, Rational) and self.unit is not None:
+            return self._make(self.space, {self.unit: Fraction(other)})
+        if type(other) is not type(self):
+            return None
+        self._check(other)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._make(self.space, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def scale(self, k):
+        """k times this combination; k may be a LinExpr."""
+        return self._make(self.space, {key: k * c for key, c in self.terms.items()})
+
+    def __mul__(self, k):
+        if isinstance(k, (Rational, LinExpr)):
+            return self.scale(k)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def substitute(self, assignment: dict):
+        """Put in the values of solved unknowns: they sit in the coefficients,
+        and in a LinExpr also in the keys."""
+        terms = {}
+        for key, c in self.terms.items():
+            if isinstance(c, LinExpr):
+                c = c.substitute(assignment)
+            elif isinstance(self, LinExpr) and key in assignment:
+                key, c = ONE, c * _as_fraction(assignment[key])
+            terms[key] = terms.get(key, 0) + c
+        return self._make(self.space, terms)
+
+    def __eq__(self, other):
+        if isinstance(other, Rational):  # a scalar is that multiple of the unit
+            return self.terms == ({self.unit: other} if other else {})
+        if not isinstance(other, Combination):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    def __hash__(self):
+        if self.terms.keys() <= {self.unit}:  # equal to a scalar: hash like it
+            return hash(self.terms.get(self.unit, 0))
+        return hash((self.space, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        parts = []
+        for key in sorted(self.terms, key=self._rank):
+            c, label = self.terms[key], self._label(key)
+            if isinstance(c, LinExpr):
+                sign, text = "+", f"({c})"
+            else:
+                sign, c = "-" if c < 0 else "+", abs(c)
+                text = "" if c == 1 and label is not None else str(c)
+            if label is not None:
+                text = f"{text}*{label}" if text else label
+            parts.append((sign, text))
+        if not parts:
+            return "0"
+        head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return head + "".join(f" {sign} {text}" for sign, text in parts[1:])
+
+
+class LinExpr(Combination):
+    """const + sum(coeff[name] * name), coefficients exact rationals.
+
+    The keys are the unknowns' names and ONE, the key of the constant.
+    """
+
+    __slots__ = ()
+    unit = ONE
 
     def __init__(self, const=0, coeffs=None):
-        self.const = _as_fraction(const)
-        self.coeffs = {}
-        if coeffs:
-            for name, c in coeffs.items():
-                c = _as_fraction(c)
-                if c:
-                    self.coeffs[name] = c
+        terms = {name: _as_fraction(c) for name, c in (coeffs or {}).items()}
+        terms[ONE] = _as_fraction(const)
+        self.space = None
+        self.terms = _nonzero(terms)
 
     @staticmethod
     def unknown(name: str) -> "LinExpr":
-        return LinExpr(0, {name: 1})
+        return LinExpr._make(None, {name: Fraction(1)})
 
     @staticmethod
     def coerce(x) -> "LinExpr":
@@ -55,101 +207,48 @@ class LinExpr:
         return LinExpr(x)
 
     @property
+    def const(self) -> Fraction:
+        return self.terms.get(ONE, Fraction(0))
+
+    @property
+    def coeffs(self) -> dict:
+        return {name: c for name, c in self.terms.items() if name != ONE}
+
+    @property
     def is_constant(self) -> bool:
-        return not self.coeffs
+        return self.terms.keys() <= {ONE}
 
     def as_fraction(self) -> Fraction:
-        if self.coeffs:
+        if not self.is_constant:
             names = ", ".join(sorted(self.coeffs))
             raise ValueError(f"expression still depends on unknowns: {names}")
         return self.const
 
-    def substitute(self, assignment: dict) -> "LinExpr":
-        const = self.const
-        coeffs = {}
-        for name, c in self.coeffs.items():
-            if name in assignment:
-                const += c * _as_fraction(assignment[name])
-            else:
-                coeffs[name] = c
-        return LinExpr(const, coeffs)
+    def _rank(self, key):
+        return (key == ONE, key)
 
-    def __add__(self, other):
-        if not isinstance(other, (LinExpr, Rational)):
-            return NotImplemented
-        other = LinExpr.coerce(other)
-        coeffs = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
-        return LinExpr(self.const + other.const, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinExpr(-self.const, {n: -c for n, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, (LinExpr, Rational)):
-            return NotImplemented
-        return self + (-LinExpr.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _label(self, key):
+        return None if key == ONE else key
 
     def __mul__(self, other):
-        if not isinstance(other, (LinExpr, Rational)):
-            return NotImplemented
-        other = LinExpr.coerce(other)
-        if self.coeffs and other.coeffs:
-            raise NonlinearError(
-                "product of two expressions with unknowns is not linear"
-            )
-        if other.coeffs:
-            self, other = other, self
-        k = other.const
-        return LinExpr(self.const * k, {n: c * k for n, c in self.coeffs.items()})
+        if isinstance(other, LinExpr):
+            if other.is_constant:
+                other = other.const
+            elif self.is_constant:
+                return other.scale(self.const)
+            else:
+                raise NonlinearError(
+                    "product of two expressions with unknowns is not linear"
+                )
+        return Combination.__mul__(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, LinExpr):
-            other = other.as_fraction()
-        other = _as_fraction(other)
+        other = _as_fraction(collapse(other))
         if other == 0:
             raise ZeroDivisionError("division by zero")
-        return self * (Fraction(1) / other)
-
-    def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = LinExpr(other)
-        if not isinstance(other, LinExpr):
-            return NotImplemented
-        return self.const == other.const and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.const, frozenset(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs) or self.const != 0
-
-    def __repr__(self):
-        return f"LinExpr({self})"
-
-    def __str__(self):
-        parts = []
-        for name in sorted(self.coeffs):
-            c = self.coeffs[name]
-            term = name if abs(c) == 1 else f"{abs(c)}*{name}"
-            parts.append((c < 0, term))
-        if self.const or not parts:
-            parts.append((self.const < 0, str(abs(self.const))))
-        out = []
-        for i, (neg, term) in enumerate(parts):
-            if i == 0:
-                out.append(f"-{term}" if neg else term)
-            else:
-                out.append(f"- {term}" if neg else f"+ {term}")
-        return " ".join(out)
+        return self.scale(Fraction(1) / other)
 
 
 def solve_linear(equations, unknowns=None) -> dict:
@@ -160,15 +259,15 @@ def solve_linear(equations, unknowns=None) -> dict:
     """
     equations = [LinExpr.coerce(e) for e in equations]
     if unknowns is None:
-        unknowns = sorted({n for e in equations for n in e.coeffs})
+        unknowns = sorted({n for e in equations for n in e.terms if n != ONE})
     else:
         unknowns = list(unknowns)
     rows = []
     for e in equations:
-        stray = set(e.coeffs) - set(unknowns)
+        stray = e.terms.keys() - {ONE, *unknowns}
         if stray:
             raise ValueError(f"equation mentions undeclared unknowns: {sorted(stray)}")
-        rows.append([e.coeffs.get(n, Fraction(0)) for n in unknowns] + [-e.const])
+        rows.append([e.terms.get(n, Fraction(0)) for n in unknowns] + [-e.const])
 
     ncols = len(unknowns)
     pivot_of = {}

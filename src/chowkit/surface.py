@@ -10,17 +10,16 @@ symbols with rational coefficients; products of degree > 2 vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb
 from operator import mul
 
-from .linexpr import LinExpr
+from .linexpr import ONE, Combination, LinExpr, collapse
 
 
-class RingMismatch(ValueError):
-    pass
+POINT = 2  # the key of the point class in a SurfaceClass
 
 
 class SurfaceRing:
@@ -55,18 +54,7 @@ class SurfaceRing:
         return SurfaceRing(basis, gram)
 
     def divisor(self, name: str) -> "SurfaceClass":
-        if name not in self.basis:
-            raise ValueError(f"unknown divisor {name!r}")
-        return SurfaceClass(self, c1={name: Fraction(1)})
-
-    def zero(self) -> "SurfaceClass":
-        return SurfaceClass(self)
-
-    def one(self) -> "SurfaceClass":
-        return SurfaceClass(self, c0=Fraction(1))
-
-    def point(self, coeff=1) -> "SurfaceClass":
-        return SurfaceClass(self, c2=LinExpr.coerce(coeff))
+        return SurfaceClass(self, {name: Fraction(1)})
 
     def pair(self, u: dict, v: dict) -> LinExpr:
         """Intersection number of two divisor vectors."""
@@ -77,88 +65,58 @@ class SurfaceRing:
         return out
 
 
-@dataclass
-class SurfaceClass:
-    """Graded element: c0 * 1 + (divisor span) + c2 * point."""
+class SurfaceClass(Combination):
+    """Graded element: c0 * 1 + (divisor span) + c2 * point.
 
-    ring: SurfaceRing
-    c0: Fraction = Fraction(0)
-    c1: dict = field(default_factory=dict)
-    c2: LinExpr = field(default_factory=lambda: LinExpr(0))
+    The keys are ONE for the unit, the divisor names, and POINT.
+    """
 
-    def __post_init__(self):
-        self.c0 = Fraction(self.c0)
-        self.c1 = {k: Fraction(v) for k, v in self.c1.items() if v}
-        self.c2 = LinExpr.coerce(self.c2)
+    __slots__ = ()
+    unit = ONE
 
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise RingMismatch("classes live on different surface rings")
+    @property
+    def c0(self):
+        return self.terms.get(ONE, Fraction(0))
 
-    def __add__(self, other):
-        if not isinstance(other, SurfaceClass):
-            return NotImplemented
-        self._check(other)
-        c1 = dict(self.c1)
-        for k, v in other.c1.items():
-            c1[k] = c1.get(k, Fraction(0)) + v
-        return SurfaceClass(self.ring, self.c0 + other.c0, c1, self.c2 + other.c2)
+    @property
+    def c1(self) -> dict:
+        return {k: v for k, v in self.terms.items() if k != ONE and k != POINT}
 
-    def __sub__(self, other):
-        return self + (-1) * other
+    @property
+    def c2(self) -> LinExpr:
+        return LinExpr.coerce(self.terms.get(POINT, 0))
 
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return SurfaceClass(
-            self.ring,
-            scalar * self.c0,
-            {k: scalar * v for k, v in self.c1.items()},
-            scalar * self.c2,
-        )
+    @property
+    def is_divisor(self) -> bool:
+        return ONE not in self.terms and POINT not in self.terms
+
+    def _key(self, key):
+        if key != ONE and key != POINT and key not in self.space.basis:
+            raise ValueError(f"unknown divisor {key!r}")
+        return key
+
+    def _rank(self, key):
+        return (key != ONE, key == POINT, str(key))  # unit, divisors, point
+
+    def _label(self, key):
+        return None if key == ONE else "pt" if key == POINT else key
 
     def __mul__(self, other):
         if isinstance(other, SurfaceClass):
             return ring_product(self, other)
-        return self.__rmul__(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, SurfaceClass):
-            return NotImplemented
-        return (
-            self.ring is other.ring
-            and self.c0 == other.c0
-            and self.c1 == other.c1
-            and self.c2 == other.c2
-        )
-
-    @property
-    def is_divisor(self) -> bool:
-        return self.c0 == 0 and not self.c2
-
-    def __str__(self):
-        bits = []
-        if self.c0:
-            bits.append(str(self.c0))
-        for k in sorted(self.c1):
-            v = self.c1[k]
-            bits.append(k if v == 1 else f"{v}*{k}")
-        if self.c2:
-            bits.append(f"({self.c2})*pt")
-        return " + ".join(bits) if bits else "0"
+        return Combination.__mul__(self, other)
 
 
 def ring_product(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
     """Graded product; everything of degree >= 3 vanishes."""
     a._check(b)
-    ring = a.ring
-    c0 = a.c0 * b.c0
-    c1 = {}
-    for k, v in a.c1.items():
-        c1[k] = c1.get(k, Fraction(0)) + b.c0 * v
-    for k, v in b.c1.items():
-        c1[k] = c1.get(k, Fraction(0)) + a.c0 * v
-    c2 = a.c0 * b.c2 + b.c0 * a.c2 + ring.pair(a.c1, b.c1)
-    return SurfaceClass(ring, c0, c1, c2)
+    a0, b0 = a.c0, b.c0
+    terms = {k: a0 * v for k, v in b.terms.items()}
+    for k, v in a.terms.items():
+        if k != ONE:
+            terms[k] = terms.get(k, 0) + b0 * v
+    terms[POINT] = terms.get(POINT, 0) + a.space.pair(a.c1, b.c1)
+    return SurfaceClass._make(a.space, terms)
 
 
 @dataclass
@@ -176,7 +134,7 @@ class BundleSpec:
 
     @property
     def ring(self) -> SurfaceRing:
-        return self.c1.ring
+        return self.c1.space
 
     def __mul__(self, other: "BundleSpec") -> "BundleSpec":
         """The direct sum, whose total Chern class is the product
@@ -184,11 +142,6 @@ class BundleSpec:
         c1 = self.c1 + other.c1
         cross = self.ring.pair(self.c1.c1, other.c1.c1)
         return BundleSpec(self.rank + other.rank, c1, self.c2 + other.c2 + cross)
-
-    def __eq__(self, other):
-        if not isinstance(other, BundleSpec):
-            return NotImplemented
-        return self.rank == other.rank and self.c1 == other.c1 and self.c2 == other.c2
 
 
 def tensor_line(E: BundleSpec, L: SurfaceClass) -> BundleSpec:
@@ -217,7 +170,7 @@ def sym_power(E: BundleSpec, n: int) -> BundleSpec:
         raise ValueError("negative symmetric power")
     ring = E.ring
     if n == 0:
-        return BundleSpec(1, ring.zero(), LinExpr(0))
+        return BundleSpec(1, SurfaceClass(ring), LinExpr(0))
     s1 = comb(n + 1, 2)
     A = sum(i * i for i in range(n + 1))
     B = sum(i * (n - i) for i in range(n + 1))
@@ -246,15 +199,13 @@ def jet_chern(L: SurfaceClass, n: int, omega: BundleSpec) -> BundleSpec:
 
 def cotangent_bundle(K: SurfaceClass, euler) -> BundleSpec:
     """Omega with c1 = K and c2 = euler characteristic times the point."""
-    return BundleSpec(2, K, LinExpr.coerce(euler))
+    return BundleSpec(2, K, euler)
 
 
 def triple_point_count(H2, HK, K2, e):
     """Expected hyperplane sections with a triple point, for a smooth
     linearly normal surface in P^4: 5 K^2 + 20 H.K + 15 H^2 + 5 e."""
-    out = 5 * LinExpr.coerce(K2) + 20 * LinExpr.coerce(HK) \
-        + 15 * LinExpr.coerce(H2) + 5 * LinExpr.coerce(e)
-    return out.as_fraction() if out.is_constant else out
+    return collapse(5 * K2 + 20 * HK + 15 * H2 + 5 * e)
 
 
 def k3_genus4_ring() -> SurfaceRing:

@@ -17,7 +17,7 @@ from typing import Callable
 from .. import curves, grassmann, lattice, surface
 from ..grassmann import SchubertElement
 from ..lattice import ClassExpr
-from ..linexpr import LinExpr
+from ..linexpr import LinExpr, collapse
 from ..surface import SurfaceClass
 
 
@@ -113,18 +113,12 @@ class Builtin:
         return [values[:n], values[n:]]
 
 
-def _pdeg(x, dim):
-    out = grassmann.plucker_degree(x, dim)
-    return out.as_fraction() if isinstance(out, LinExpr) and out.is_constant else out
-
-
 def _jet2_c2(active, D):
     ring = active.ring
     if "K" not in ring.basis:
         raise ValueError("surface must declare a canonical divisor named K")
     omega = surface.cotangent_bundle(ring.divisor("K"), active.euler)
-    c2 = surface.jet_chern(D, 2, omega).c2
-    return c2.as_fraction() if c2.is_constant else c2
+    return collapse(surface.jet_chern(D, 2, omega).c2)
 
 
 _CHARACTERS = tuple(f.name for f in fields(curves.PlueckerData))
@@ -146,7 +140,10 @@ BUILTINS = {
     "integrate": Builtin(
         (_args(schubert_class, "x"),), lambda x: grassmann.integrate(x)
     ),
-    "pdeg": Builtin((_args(schubert_class, "x") + _args(integer, "dim"),), _pdeg),
+    "pdeg": Builtin(
+        (_args(schubert_class, "x") + _args(integer, "dim"),),
+        lambda x, dim: grassmann.plucker_degree(x, dim),
+    ),
     "jet2_c2": Builtin((_args(divisor, "D"),), _jet2_c2, needs_surface=True),
     "tau": Builtin(
         (_args(scalar, "H2 HK K2 e"),), lambda *a: surface.triple_point_count(*a)

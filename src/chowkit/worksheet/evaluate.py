@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 from ..grassmann import GrassmannContext, SchubertElement
 from ..lattice import ClassExpr, RuledLattice
-from ..linexpr import LinExpr, solve_linear
+from ..linexpr import Combination, LinExpr, collapse, solve_linear
 from ..surface import SurfaceRing
 from .ast import (
     Assert,
@@ -48,12 +49,7 @@ class WorksheetRuntimeError(ValueError):
         self.pos = pos
 
 
-def render(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
 @dataclass
@@ -112,23 +108,21 @@ class Evaluator:
         return self.report
 
     def statement(self, s):
-        if isinstance(s, Let):
+        if isinstance(s, (Let, Input)):
             value = self.eval(s.expr)
             self.bind(s.name, value)
-        elif isinstance(s, Input):
-            value = self.eval(s.expr)
-            self.bind(s.name, value)
-            self.report.notes.append(
-                f'input {s.name} = {render(value)} from "{s.citation}"'
-            )
+            if isinstance(s, Input):
+                self.report.notes.append(
+                    f'input {s.name} = {value} from "{s.citation}"'
+                )
         elif isinstance(s, Assert):
             left = self.eval(s.left)
             right = self.eval(s.right)
             self.report.assertions.append(
                 AssertionResult(
                     expression=f"{_fmt_expr(s.left)} == {_fmt_expr(s.right)}",
-                    expected=render(right),
-                    actual=render(left),
+                    expected=str(right),
+                    actual=str(left),
                     passed=left == right,
                 )
             )
@@ -150,10 +144,8 @@ class Evaluator:
             raise WorksheetRuntimeError(f"cannot execute {s!r}", s.pos)
 
     def bind(self, name: str, value):
-        if name in self.env:
-            raise ValueError(f"duplicate binding of {name!r}")
         self.env[name] = value
-        self.report.bindings.append((name, render(value)))
+        self.report.bindings.append((name, str(value)))
 
     def surface_decl(self, s: SurfaceDecl):
         gram = {}
@@ -202,30 +194,21 @@ class Evaluator:
                 self.bind("K", value)
 
     def solve_block(self, s: SolveBlock):
-        eqs = []
-        for left, right in s.constraints:
-            lv = LinExpr.coerce(self.scalar_value(self.eval(left), s.pos))
-            rv = LinExpr.coerce(self.scalar_value(self.eval(right), s.pos))
-            eqs.append(lv - rv)
+        eqs = [self.scalar(left) - self.scalar(right) for left, right in s.constraints]
         try:
             assignment = solve_linear(eqs)
         except ValueError as exc:
             raise WorksheetRuntimeError(str(exc), s.pos)
         for name in sorted(assignment):
-            value = assignment[name]
-            self.env[name] = value
-            self.report.bindings.append((name, render(value)))
+            self.bind(name, assignment[name])
         self.substitute_everywhere(assignment)
 
     def substitute_everywhere(self, assignment: dict):
         for lat in self.lattices:
             lat.substitute(assignment)
         for name, value in list(self.env.items()):
-            if isinstance(value, LinExpr):
-                v = value.substitute(assignment)
-                self.env[name] = v.as_fraction() if v.is_constant else v
-            elif isinstance(value, ClassExpr):
-                self.env[name] = value.substitute(assignment)
+            if isinstance(value, Combination):
+                self.env[name] = collapse(value.substitute(assignment))
 
     # -- expressions --------------------------------------------------
 
@@ -253,7 +236,7 @@ class Evaluator:
             base = self.eval(e.base)
             if not isinstance(base, Record):
                 raise WorksheetRuntimeError(
-                    f"cannot access field {e.name!r} on {render(base)}", e.pos
+                    f"cannot access field {e.name!r} on {base}", e.pos
                 )
             if e.name not in base.fields:
                 raise WorksheetRuntimeError(
@@ -268,33 +251,18 @@ class Evaluator:
 
     def binop(self, op, a, b, pos):
         try:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                out = a * b
-                if isinstance(out, LinExpr) and out.is_constant:
-                    out = out.as_fraction()
-                return out
-            if op == "/":
-                if isinstance(b, Fraction) and b == 0:
-                    raise ZeroDivisionError("division by zero")
-                return a / b
-        except WorksheetRuntimeError:
-            raise
+            if op == "/" and isinstance(b, Fraction) and b == 0:
+                raise ZeroDivisionError("division by zero")
+            return collapse(OPERATORS[op](a, b))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise WorksheetRuntimeError(str(exc), pos)
-        raise WorksheetRuntimeError(f"unknown operator {op!r}", pos)
 
     def scalar(self, e):
         """Evaluate to an exact scalar or a linear expression in unknowns."""
-        return self.scalar_value(self.eval(e), getattr(e, "pos", Pos(0, 0)))
-
-    def scalar_value(self, v, pos):
+        v = self.eval(e)
         if isinstance(v, (Fraction, LinExpr)):
             return v
-        raise WorksheetRuntimeError(f"expected a scalar value, got {render(v)}", pos)
+        raise WorksheetRuntimeError(f"expected a scalar value, got {v}", e.pos)
 
     # -- builtin functions --------------------------------------------
 

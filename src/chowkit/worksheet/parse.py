@@ -52,6 +52,10 @@ KEYWORDS = {
     "euler",
 }
 
+# Nesting levels allowed in one expression, which parsing and evaluation recurse
+# through: each (sub-)expression, field access and chained operator is one.
+MAX_DEPTH = 100
+
 _PUNCT = ["==", "(", ")", "{", "}", "[", "]", ",", ";", ".", "=", "+", "-", "*", "/"]
 
 
@@ -141,6 +145,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -172,6 +177,11 @@ class _Parser:
                 f"expected keyword {word!r}, got {self.cur.text!r}", self.cur.pos
             )
         return self.advance()
+
+    def nest(self, t: Token):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", t.pos)
 
     def skip_newlines(self):
         while self.at("NEWLINE"):
@@ -367,17 +377,24 @@ class _Parser:
         return self.expr()
 
     def expr(self):
+        depth = self.depth
+        self.nest(self.cur)
         node = self.term()
         while self.cur.kind in ("+", "-"):
             op = self.advance()
+            self.nest(op)
             node = BinOp(op.kind, node, self.term(), pos=op.pos)
+        self.depth = depth
         return node
 
     def term(self):
+        depth = self.depth
         node = self.factor()
         while self.cur.kind in ("*", "/"):
             op = self.advance()
+            self.nest(op)
             node = BinOp(op.kind, node, self.factor(), pos=op.pos)
+        self.depth = depth
         return node
 
     def factor(self):
@@ -426,6 +443,7 @@ class _Parser:
     def postfix(self, node):
         while self.at("."):
             dot = self.advance()
+            self.nest(dot)
             node = FieldAccess(node, self.ident("field name"), pos=dot.pos)
         return node
 
@@ -497,10 +515,7 @@ def _validate(program: WorksheetProgram):
                 check_expr(v)
 
     for s in program.statements:
-        if isinstance(s, Let):
-            check_expr(s.expr)
-            declare(s.name, s.pos)
-        elif isinstance(s, Input):
+        if isinstance(s, (Let, Input)):
             check_expr(s.expr)
             declare(s.name, s.pos)
         elif isinstance(s, Assert):
@@ -518,10 +533,7 @@ def _validate(program: WorksheetProgram):
         elif isinstance(s, LatticeDecl):
             declare(s.name, s.pos)
             for item in s.items:
-                if isinstance(item, BasisDecl):
-                    for n in item.names:
-                        declare(n, item.pos)
-                elif isinstance(item, UnknownDecl):
+                if isinstance(item, (BasisDecl, UnknownDecl)):
                     for n in item.names:
                         declare(n, item.pos)
                 elif isinstance(item, GramEntry):

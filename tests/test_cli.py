@@ -191,13 +191,29 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["schubert", "mult", "--gr", "3,x", "s[1]"],
         ["schubert", "mult", "--gr", "5,3", "s[1]"],
         ["worksheet", "run", "NOT_UTF8"],
+        ["worksheet", "run", "DEEP_PARENS"],
+        ["worksheet", "run", "LONG_SUM"],
     ],
-    ids=["zero-denominator", "tau-zero-denominator", "bad-gr", "k-above-n", "not-utf8"],
+    ids=[
+        "zero-denominator",
+        "tau-zero-denominator",
+        "bad-gr",
+        "k-above-n",
+        "not-utf8",
+        "nested-parentheses",
+        "flat-sum",
+    ],
 )
 def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):
-    bad = tmp_path / "latin1.ws"
-    bad.write_bytes("# caf\xe9\n".encode("latin-1"))
-    argv = [str(bad) if a == "NOT_UTF8" else a for a in argv]
+    files = {
+        "NOT_UTF8": "# caf\xe9\n".encode("latin-1"),
+        "DEEP_PARENS": ("let x = " + "(" * 3000 + "1" + ")" * 3000 + "\n").encode(),
+        "LONG_SUM": ("let x = " + " + ".join(["1"] * 5000) + "\n").encode(),
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.ws").write_bytes(content)
+    argv = [str(tmp_path / f"{a}.ws") if a in files else a for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err
+    assert "Traceback" not in err

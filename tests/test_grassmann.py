@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowkit.grassmann import (
-    ContextMismatch,
     GradingError,
     GrassmannContext,
     SchubertElement,
@@ -21,7 +20,7 @@ from chowkit.grassmann import (
     pieri,
     plucker_degree,
 )
-from chowkit.linexpr import LinExpr
+from chowkit.linexpr import LinExpr, SpaceMismatch
 from chowkit.partitions import complement_in_box, partitions_in_box, weight
 
 G24 = GrassmannContext(2, 4)
@@ -86,7 +85,7 @@ def test_duality_requires_complementary_weight():
 
 
 def test_context_mismatch_rejected():
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(SpaceMismatch):
         multiply(sig(G24, 1), sig(G35, 1))
 
 
@@ -117,6 +116,12 @@ def test_symbolic_coefficients_stay_linear():
     prod = multiply(e, sig(G35, 1) * sig(G35, 1) * sig(G35, 1))
     top = prod.terms[(2, 2, 2)]
     assert top.coeffs == {"a": Fraction(1), "b": Fraction(2)}
+
+
+def test_symbolic_coefficients_print_in_parentheses():
+    a = LinExpr.unknown("a")
+    assert str((a + 1) * sig(G24, 1)) == "(a + 1)*s[1]"
+    assert str(sig(G24, 2) - a * sig(G24, 1, 1)) == "(-a)*s[1,1] + s[2]"
 
 
 ctxs = st.sampled_from([G24, G25, G35, GrassmannContext(2, 6)])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from chowkit.lattice import (
     InconsistentSystem,
-    LatticeMismatch,
     LinearConstraint,
     NonIntegralGenus,
     RuledLattice,
@@ -18,7 +17,7 @@ from chowkit.lattice import (
     intersect,
     solve_unknowns,
 )
-from chowkit.linexpr import LinExpr
+from chowkit.linexpr import LinExpr, SpaceMismatch
 
 
 def secant_scroll():
@@ -80,6 +79,15 @@ def test_adjunction_genus_values():
     assert adjunction_genus(l) == 22
 
 
+def test_adjunction_genus_when_unknowns_cancel():
+    lat = RuledLattice(("l", "F"))
+    lat.set_gram("l", "l", lat.add_unknown("x"))
+    lat.set_gram("l", "F", 1)
+    lat.set_gram("F", "F", 0)
+    lat.canonical = lat.cls({"l": -1})
+    assert adjunction_genus(lat.generator("l")) == 1
+
+
 def test_adjunction_requires_even_self_plus_canonical():
     lat = RuledLattice(("C",))
     lat.set_gram("C", "C", 2)
@@ -114,7 +122,7 @@ def test_solver_error_taxonomy():
 def test_lattice_mismatch():
     a = secant_scroll()
     b = secant_scroll()
-    with pytest.raises(LatticeMismatch):
+    with pytest.raises(SpaceMismatch):
         intersect(a.generator("l"), b.generator("l"))
 
 

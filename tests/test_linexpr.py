@@ -23,6 +23,13 @@ def test_basic_arithmetic():
     assert (e - e).is_constant
 
 
+def test_equal_to_a_scalar_hashes_like_it():
+    a = LinExpr.unknown("a")
+    for e, k in [(LinExpr(3), 3), (a + 3 - a, Fraction(3)), (a - a, 0)]:
+        assert e == k
+        assert hash(e) == hash(k)
+
+
 def test_nonlinear_product_rejected():
     a = LinExpr.unknown("a")
     with pytest.raises(NonlinearError):

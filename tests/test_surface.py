@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowkit.linexpr import LinExpr
+from chowkit.linexpr import LinExpr, SpaceMismatch
 from chowkit.surface import (
     BundleSpec,
-    RingMismatch,
     SurfaceRing,
     cotangent_bundle,
     jet_chern,
@@ -35,7 +34,7 @@ def test_k3_ring_pairing():
 def test_ring_mismatch_rejected():
     r1 = k3_genus4_ring()
     r2 = k3_genus4_ring()
-    with pytest.raises(RingMismatch):
+    with pytest.raises(SpaceMismatch):
         ring_product(r1.divisor("H"), r2.divisor("H"))
 
 

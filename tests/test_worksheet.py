@@ -57,6 +57,30 @@ def test_schubert_literals_and_pdeg():
     assert run(text).all_passed
 
 
+def test_solve_substitutes_into_schubert_classes():
+    text = (
+        "grassmannian (3, 5)\n"
+        "unknown a\n"
+        "let x = a*s[1,1,1] + 16*s[2,1]\n"
+        "solve { a == 120 }\n"
+        "assert pdeg(x, 3) == 152\n"
+    )
+    assert run(text).all_passed
+
+
+@pytest.mark.parametrize(
+    "space, zero",
+    [
+        ("grassmannian (3, 5)", "s[1] - s[1]"),
+        ("surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }", "2*H - H - H"),
+        ("lattice L { basis l, F; l.l = 1, l.F = 1, F.F = 0 }", "l - l"),
+    ],
+    ids=["schubert", "surface", "lattice"],
+)
+def test_zero_class_equals_zero(space, zero):
+    assert run(f"{space}\nassert {zero} == 0\n").all_passed
+
+
 def test_surface_block_and_jets():
     text = (
         "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n"
