@@ -5,10 +5,13 @@ n-dimensional vector space; the class s[lam] has codimension |lam| and
 lam lives in the k x (n-k) box.  Partitions leaving the box multiply to
 zero silently (ring truncation).
 
-Products use the Littlewood-Richardson rule, counted by direct
-enumeration of LR skew tableaux; `pieri` is implemented independently
-and doubles as an oracle in the test suite (together with Giambelli
-determinants evaluated through iterated Pieri products).
+Products use the Littlewood-Richardson rule in one pass per term pair:
+the content's rows are added as horizontal strips under the lattice-word
+condition, with equal intermediate states merged, so every nu comes out
+at once and nothing leaves the box.  `lr_coefficient` reads one nu from
+the same strip product.  `pieri` is implemented independently and doubles
+as an oracle in the test suite (together with Giambelli determinants
+evaluated through iterated Pieri products).
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .linexpr import Combination
-from .partitions import (
-    complement_in_box,
-    fits_in_box,
-    partition,
-    partitions_in_box,
-    weight,
-)
+from .partitions import complement_in_box, fits_in_box, partition, weight
 
 
 class GradingError(ValueError):
@@ -111,83 +108,121 @@ def pieri(e: SchubertElement, a: int) -> SchubertElement:
     return SchubertElement._make(ctx, out)
 
 
-def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int):
+def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int) -> list:
     """Partitions mu in the box with mu/lam a horizontal strip of size a."""
     lam = tuple(lam) + (0,) * (rows - len(lam))
+    mu = list(lam)
+    out = []
 
-    def rec(i, remaining, prev_mu):
-        if i == rows:
-            if remaining == 0:
-                yield ()
+    def rec(i, remaining):
+        if remaining == 0:
+            n = rows
+            while n and not mu[n - 1]:
+                n -= 1
+            out.append(tuple(mu[:n]))
             return
-        low = lam[i]
-        # strip condition: mu[i] <= lam[i-1]; box: mu[i] <= cols; order: <= prev
-        high = min(prev_mu, cols if i == 0 else lam[i - 1])
-        for mu_i in range(low, high + 1):
-            add = mu_i - lam[i]
-            if add > remaining:
-                break
-            for rest in rec(i + 1, remaining - add, mu_i):
-                yield (mu_i,) + rest
+        # strip condition: mu[i] <= lam[i-1]; box: mu[0] <= cols
+        high = cols if i == 0 else lam[i - 1]
+        if remaining > high - lam[-1]:
+            return  # rows i.. hold at most high - lam[rows-1] more cells
+        for add in range(min(high - lam[i], remaining) + 1):
+            mu[i] = lam[i] + add
+            rec(i + 1, remaining - add)
+        mu[i] = lam[i]
 
-    for mu in rec(0, a, cols):
-        yield partition(mu)
+    rec(0, a)
+    return out
+
+
+def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
+    """{nu: c^nu_{lam,mu}} over the partitions nu inside `outer`.
+
+    `outer` lists the row lengths nu may not exceed: the k x (n-k) box for
+    a product, nu itself for one coefficient; lam and mu have at most
+    len(outer) rows.  Shapes only grow, so pruning at `outer` is exact.
+
+    The factor with fewer rows is the content: starting from the other
+    one, strip i adds mu[i] cells labelled i as a horizontal strip.  The
+    reading word (right to left, top to bottom) stays a lattice word iff,
+    for every row r, the i's in rows <= r number at most the (i-1)'s in
+    rows < r.  A state is the shape and those (i-1) counts; equal states
+    merge by adding their counts, so every nu comes out of one pass.
+    """
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    rows = len(outer)
+    last = rows - 1
+    states = {(tuple(lam) + (0,) * (rows - len(lam)), None): 1}
+    for label, size in enumerate(mu, 1):
+        final = label == len(mu)
+        merged = {}
+        for (shape, ceiling), count in states.items():
+            if ceiling is not None and size > ceiling[last]:
+                continue  # too few (i-1)s above the last row
+            new = list(shape)
+            below = [0] * rows  # cells of this strip in rows < r
+            floor = shape[last]
+
+            def rec(r, left):
+                if left == 0:
+                    if final:
+                        key = (tuple(new), None)
+                    else:
+                        key = (tuple(new), tuple(below[:r]) + (size,) * (rows - r))
+                    merged[key] = merged.get(key, 0) + count
+                    return
+                top = outer[r]
+                if r and shape[r - 1] < top:
+                    top = shape[r - 1]
+                if left > top - floor:
+                    return  # rows r.. hold at most top - shape[last] more cells
+                high = top - shape[r]
+                if ceiling is not None and ceiling[r] - below[r] < high:
+                    high = ceiling[r] - below[r]
+                if high > left:
+                    high = left
+                if r < last:
+                    for add in range(high + 1):
+                        new[r] = shape[r] + add
+                        below[r + 1] = below[r] + add
+                        rec(r + 1, left - add)
+                    new[r] = shape[r]
+                elif high == left:
+                    new[r] = shape[r] + left
+                    rec(rows, 0)
+                    new[r] = shape[r]
+
+            rec(0, size)
+        states = merged
+    out = {}
+    for (shape, _), c in states.items():
+        n = rows
+        while n and not shape[n - 1]:
+            n -= 1
+        out[shape[:n]] = c
+    return out
 
 
 @lru_cache(maxsize=None)
 def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """Number of LR skew tableaux of shape nu/lam and content mu."""
-    if weight(nu) != weight(lam) + weight(mu):
+    """c^nu_{lam,mu}: the coefficient of s[nu] in s[lam]*s[mu]."""
+    lam, mu, nu = partition(lam), partition(mu), partition(nu)
+    if weight(nu) != weight(lam) + weight(mu) or max(len(lam), len(mu)) > len(nu):
         return 0
-    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
-    if any(lam[i] > nu[i] for i in range(len(nu))):
-        return 0
-    nvals = len(mu)
-    # cells in reverse reading order: rows top to bottom, right to left
-    cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, lam[r] - 1, -1)]
-    tableau = {}
-    counts = [0] * (nvals + 1)
-
-    def place(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = 1
-        hi = nvals
-        above = tableau.get((r - 1, c))
-        if above is not None:
-            lo = above + 1
-        right = tableau.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word condition
-            tableau[(r, c)] = v
-            counts[v] += 1
-            total += place(idx + 1)
-            counts[v] -= 1
-            del tableau[(r, c)]
-        return total
-
-    return place(0)
+    return _lr_product(lam, mu, nu).get(nu, 0)
 
 
 def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     """Littlewood-Richardson product, truncated to the box."""
     e1._check(e2)
     ctx = e1.ctx
+    box = (ctx.cols,) * ctx.rows
     out = {}
     for lam, c1 in e1.terms.items():
         for mu, c2 in e2.terms.items():
             c = c1 * c2
-            for nu in partitions_in_box(ctx.rows, ctx.cols, weight(lam) + weight(mu)):
-                m = lr_coefficient(lam, mu, nu)
-                if m:
-                    out[nu] = out.get(nu, 0) + m * c
+            for nu, m in _lr_product(lam, mu, box).items():
+                out[nu] = out.get(nu, 0) + m * c
     return SchubertElement._make(ctx, out)
 
 

@@ -417,10 +417,12 @@ class _Parser:
             if t.text == "s" and self.tokens[self.i + 1].kind == "[":
                 self.advance()
                 self.advance()
-                parts = [int(self.expect("INT", "expected partition part").text)]
-                while self.at(","):
-                    self.advance()
+                parts = []
+                if not self.at("]"):  # s[] is the unit class
                     parts.append(int(self.expect("INT", "expected partition part").text))
+                    while self.at(","):
+                        self.advance()
+                        parts.append(int(self.expect("INT", "expected partition part").text))
                 self.expect("]", "expected ']' closing Schubert class")
                 return self.postfix(SchubertLit(tuple(parts), pos=t.pos))
             if t.text in KEYWORDS:

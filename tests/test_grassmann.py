@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -21,15 +22,33 @@ from chowkit.grassmann import (
     plucker_degree,
 )
 from chowkit.linexpr import LinExpr, SpaceMismatch
-from chowkit.partitions import complement_in_box, partitions_in_box, weight
+from chowkit.partitions import (
+    complement_in_box,
+    conjugate,
+    fits_in_box,
+    partitions_in_box,
+    weight,
+)
 
 G24 = GrassmannContext(2, 4)
 G25 = GrassmannContext(2, 5)
 G35 = GrassmannContext(3, 5)
+G48 = GrassmannContext(4, 8)
+STAIRCASE = (5, 4, 3, 2, 1)
 
 
 def sig(ctx, *lam):
     return SchubertElement.sigma(ctx, lam)
+
+
+def hook_count(lam):
+    """Standard Young tableaux of shape lam, by the hook-length formula."""
+    conj = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return factorial(weight(lam)) // hooks
 
 
 def test_context_basics():
@@ -50,8 +69,10 @@ def test_hyperplane_cube_gr35():
 
 
 def test_hyperplane_powers_integrate_to_degree():
-    # deg Gr(2,4) = 2, deg Gr(2,5) = 5, deg Gr(3,5) = 5
-    for ctx, expected in [(G24, 2), (G25, 5), (G35, 5)]:
+    # deg Gr(2,4) = 2, deg Gr(2,5) = 5, deg Gr(3,5) = 5, and deg Gr(k,2k)
+    # is the number of standard tableaux of the k x k box
+    boxes = [(GrassmannContext(k, 2 * k), hook_count((k,) * k)) for k in range(1, 6)]
+    for ctx, expected in [(G24, 2), (G25, 5), (G35, 5)] + boxes:
         e = sig(ctx, 1)
         acc = e
         for _ in range(ctx.dimension - 1):
@@ -155,8 +176,11 @@ def test_pieri_agrees_with_multiply(ctx, a, seed):
     assert via_pieri.terms == via_lr.terms
 
 
-@settings(max_examples=60, deadline=None)
-@given(ctxs, st.integers(0, 10 ** 9))
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([G24, G25, G35, GrassmannContext(2, 6), G48, GrassmannContext(3, 7)]),
+    st.integers(0, 10 ** 9),
+)
 def test_giambelli_oracle_matches_lr_multiply(ctx, seed):
     # determinantal expansion through Pieri only, checked against LR
     rng = random.Random(seed)
@@ -186,3 +210,32 @@ def test_duality_orthogonality_full_scan():
             continue
         want = 1 if mu == complement_in_box(lam, 3, 2) else 0
         assert duality_pair(lam, mu, G35) == want
+
+
+def staircase_square(k):
+    ctx = GrassmannContext(k, 2 * k)
+    return multiply(sig(ctx, *STAIRCASE), sig(ctx, *STAIRCASE)).terms
+
+
+def test_staircase_square_satisfies_hook_length_identity():
+    # sum_nu c^nu f^nu = C(|lam|+|mu|, |lam|) f^lam f^mu; nothing is
+    # truncated in the 10 x 10 box
+    total = sum(c * hook_count(nu) for nu, c in staircase_square(10).items())
+    assert total == comb(30, 15) * hook_count(STAIRCASE) ** 2
+
+
+def test_truncated_staircase_square_is_the_restricted_square():
+    big, small = staircase_square(10), staircase_square(7)
+    assert small == {nu: c for nu, c in big.items() if fits_in_box(nu, 7, 7)}
+    assert len(small) < len(big)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_lr_coefficient_matches_multiply(seed):
+    rng = random.Random(seed)
+    lam = random_partition(G48, rng)
+    mu = random_partition(G48, rng)
+    product = multiply(sig(G48, *lam), sig(G48, *mu)).terms
+    for nu in partitions_in_box(4, 4, weight(lam) + weight(mu)):
+        assert lr_coefficient(lam, mu, nu) == product.get(nu, 0)

@@ -68,6 +68,20 @@ def test_solve_substitutes_into_schubert_classes():
     assert run(text).all_passed
 
 
+def test_unit_schubert_class_reads_back():
+    # the unit class prints as s[]; the parser reads that form back
+    text = (
+        "grassmannian (3, 5)\n"
+        "let x = s[1] + 1\n"
+        "assert s[1] + 1 == s[] + s[1]\n"
+        "assert x * s[2,1] == s[] * s[2,1] + s[1] * s[2,1]\n"
+    )
+    report = run(text)
+    assert report.all_passed
+    assert report.bindings[0][1] == "s[] + s[1]"
+    assert parse(pretty_print(parse(text))) == parse(text)
+
+
 @pytest.mark.parametrize(
     "space, zero",
     [
