@@ -133,6 +133,47 @@ def test_missing_expression_position():
     assert "missing expression" in str(exc.value)
 
 
+LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("let a = 1\nassert b == 1\n", "line 2, column 8: use of undeclared name 'b'"),
+        ("let x = 1\nunknown y\nlet x = 2\n", "line 3, column 1: duplicate binding of 'x'"),
+        ("let H = 1\nsurface { H; H.H = 1; euler = 1 }\n", "line 2, column 1: duplicate binding of 'H'"),
+        ("let L = 1\nlattice L { basis l }\n", "line 2, column 1: duplicate binding of 'L'"),
+        (LATTICE + "\n  class l = F }\n", "line 2, column 3: duplicate binding of 'l'"),
+        ("let x = x\n", "line 1, column 9: use of undeclared name 'x'"),
+        ("let y = 2 * frob(1)\n", "line 1, column 13: unknown function 'frob'"),
+        (LATTICE + "class G = G }\n", "line 1, column 62: use of undeclared name 'G'"),
+        (
+            LATTICE + "class H = l + K; canonical = -2*l }\n",
+            "line 1, column 66: use of undeclared name 'K'",
+        ),
+        ('let a = 1\ninput n = 5 from "no end\n', "line 2, column 18: unterminated string literal"),
+        ("let a = 1\nlet b = a $ 2\n", "line 2, column 11: unexpected character '$'"),
+    ],
+    ids=[
+        "undeclared",
+        "duplicate-let",
+        "duplicate-surface-basis",
+        "duplicate-lattice-name",
+        "duplicate-lattice-class",
+        "self-reference",
+        "unknown-function",
+        "class-self-reference",
+        "K-before-canonical",
+        "unterminated-string",
+        "unexpected-character",
+    ],
+)
+def test_error_message_and_position(text, message):
+    with pytest.raises(WorksheetSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_unbalanced_bracket_reported():
     with pytest.raises(WorksheetSyntaxError):
         parse("let x = s[2,1\n")
