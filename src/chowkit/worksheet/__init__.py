@@ -1,8 +1,9 @@
-from .ast import WorksheetProgram, pretty_print
+from .ast import WorksheetError, WorksheetProgram, pretty_print
 from .evaluate import EvaluationReport, WorksheetRuntimeError, evaluate
 from .parse import WorksheetSyntaxError, parse
 
 __all__ = [
+    "WorksheetError",
     "WorksheetProgram",
     "EvaluationReport",
     "WorksheetRuntimeError",

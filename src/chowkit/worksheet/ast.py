@@ -18,6 +18,15 @@ class Pos:
         return f"line {self.line}, column {self.col}"
 
 
+class WorksheetError(ValueError):
+    """An error in a worksheet, tagged with the source position it concerns."""
+
+    def __init__(self, message: str, pos: Pos):
+        super().__init__(f"{pos}: {message}")
+        self.message = message
+        self.pos = pos
+
+
 def _pos_field():
     return field(default=Pos(0, 0), compare=False, repr=False)
 

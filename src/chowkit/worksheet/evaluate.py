@@ -36,17 +36,15 @@ from .ast import (
     SolveBlock,
     SurfaceDecl,
     UnknownDecl,
+    WorksheetError,
     WorksheetProgram,
     _fmt_expr,
 )
 from .builtins import BUILTINS, Record
 
 
-class WorksheetRuntimeError(ValueError):
-    def __init__(self, message: str, pos: Pos):
-        super().__init__(f"{pos}: {message}")
-        self.message = message
-        self.pos = pos
+class WorksheetRuntimeError(WorksheetError):
+    """An error met while evaluating a parsed worksheet."""
 
 
 OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
@@ -216,8 +214,6 @@ class Evaluator:
         if isinstance(e, IntLit):
             return Fraction(e.value)
         if isinstance(e, Name):
-            if e.name not in self.env:
-                raise WorksheetRuntimeError(f"undefined name {e.name!r}", e.pos)
             return self.env[e.name]
         if isinstance(e, SchubertLit):
             if self.grassmann is None:

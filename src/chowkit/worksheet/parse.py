@@ -4,10 +4,18 @@ The grammar is line oriented: one statement per line, `#` comments,
 block constructs (`surface`, `lattice`, `solve`) in braces where both
 newlines and `;` separate sections and `,` separates items inside a
 section.  See the grammar section of the README.
+
+`tokenize` matches one regular expression at each offset.  The parser
+checks scope as it reads: every name is bound once (by `let`, `input`,
+`unknown`, a surface basis, a lattice, its `basis`, `unknown` and
+`class` items, and `canonical`, which binds `K`) and is in scope from the
+end of its binding on.  A worksheet that parses therefore uses no
+undeclared name and calls no unknown function.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ast import (
@@ -31,6 +39,7 @@ from .ast import (
     SolveBlock,
     SurfaceDecl,
     UnknownDecl,
+    WorksheetError,
     WorksheetProgram,
     pretty_print,
 )
@@ -56,14 +65,25 @@ KEYWORDS = {
 # through: each (sub-)expression, field access and chained operator is one.
 MAX_DEPTH = 100
 
-_PUNCT = ["==", "(", ")", "{", "}", "[", "]", ",", ";", ".", "=", "+", "-", "*", "/"]
+# One named group per token kind; blanks and comments match without a group.
+# `==` is tried before `=`.  `[^\W\d]` also admits numerals such as `²`, so
+# `tokenize` checks that a NAME starts with a letter or `_`.
+_TOKEN = re.compile(
+    r"""
+      [ \t\r]+
+    | \#[^\n]*
+    | (?P<NEWLINE> \n )
+    | (?P<STRING>  "[^"\n]*" )
+    | (?P<INT>     \d+ )
+    | (?P<NAME>    [^\W\d][\w']* )
+    | (?P<PUNCT>   == | [(){}\[\],;.=+\-*/] )
+    """,
+    re.VERBOSE,
+)
 
 
-class WorksheetSyntaxError(ValueError):
-    def __init__(self, message: str, pos: Pos):
-        super().__init__(f"{pos}: {message}")
-        self.message = message
-        self.pos = pos
+class WorksheetSyntaxError(WorksheetError):
+    """A lexical, grammar or scope error, found before evaluation starts."""
 
 
 @dataclass(frozen=True)
@@ -75,69 +95,37 @@ class Token:
 
 def tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, line_start = 1, 0
     depth = 0  # inside ( ) or [ ]: newlines are plain whitespace
-    n = len(text)
-    while i < n:
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
         c = text[i]
-        pos = Pos(line, col)
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+        if m is None or (m.lastgroup == "NAME" and not (c.isalpha() or c == "_")):
+            pos = Pos(line, i - line_start + 1)
+            if c == '"':
+                raise WorksheetSyntaxError("unterminated string literal", pos)
+            raise WorksheetSyntaxError(f"unexpected character {c!r}", pos)
+        kind, start, i = m.lastgroup, i, m.end()
+        if kind is None:  # blanks or a comment
             continue
-        if c == "\n":
+        pos = Pos(line, start - line_start + 1)
+        if kind == "NEWLINE":
             if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
                 tokens.append(Token("NEWLINE", "\n", pos))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise WorksheetSyntaxError("unterminated string literal", pos)
-                j += 1
-            if j >= n:
-                raise WorksheetSyntaxError("unterminated string literal", pos)
-            tokens.append(Token("STRING", text[i + 1 : j], pos))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                if p in "([":
-                    depth += 1
-                elif p in ")]":
-                    depth = max(0, depth - 1)
-                tokens.append(Token(p, p, pos))
-                col += len(p)
-                i += len(p)
-                break
+            line, line_start = line + 1, i
+        elif kind == "STRING":
+            tokens.append(Token("STRING", m.group()[1:-1], pos))
+        elif kind == "PUNCT":
+            p = m.group()
+            if p in ("(", "["):
+                depth += 1
+            elif p in (")", "]"):
+                depth = max(0, depth - 1)
+            tokens.append(Token(p, p, pos))
         else:
-            raise WorksheetSyntaxError(f"unexpected character {c!r}", pos)
-    tokens.append(Token("EOF", "", Pos(line, col)))
+            tokens.append(Token(kind, m.group(), pos))
+    tokens.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -146,6 +134,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.scope = set()  # names bound so far; each is bound once
 
     @property
     def cur(self) -> Token:
@@ -203,14 +192,10 @@ class _Parser:
         t = self.cur
         if self.at_keyword("let"):
             self.advance()
-            name = self.ident("binding name")
-            self.expect("=", "expected '=' after binding name")
-            return Let(name, self.expr_required(), pos=t.pos)
+            return Let(*self.binding("binding name", t.pos), pos=t.pos)
         if self.at_keyword("input"):
             self.advance()
-            name = self.ident("input name")
-            self.expect("=", "expected '=' after input name")
-            expr = self.expr_required()
+            name, expr = self.binding("input name", t.pos)
             self.expect_keyword("from")
             cite = self.expect("STRING", "expected citation string").text
             return Input(name, expr, cite, pos=t.pos)
@@ -229,13 +214,15 @@ class _Parser:
             return GrassmannianDecl(k, n, pos=t.pos)
         if self.at_keyword("unknown"):
             self.advance()
-            return UnknownDecl(tuple(self.name_list("unknown name")), pos=t.pos)
+            names = self.declare(self.name_list("unknown name"), t.pos)
+            return UnknownDecl(names, pos=t.pos)
         if self.at_keyword("surface"):
             self.advance()
             return self.surface_block(t.pos)
         if self.at_keyword("lattice"):
             self.advance()
             name = self.ident("lattice name")
+            self.declare([name], t.pos)
             return self.lattice_block(name, t.pos)
         if self.at_keyword("solve"):
             self.advance()
@@ -253,12 +240,32 @@ class _Parser:
         self.advance()
         return t.text
 
-    def name_list(self, what: str):
-        names = [self.ident(what)]
+    def declare(self, names, pos: Pos) -> tuple:
+        """Bring `names` into scope for the rest of the worksheet."""
+        for name in names:
+            if name in self.scope:
+                raise WorksheetSyntaxError(f"duplicate binding of {name!r}", pos)
+            self.scope.add(name)
+        return tuple(names)
+
+    def binding(self, what: str, pos: Pos):
+        """Read `NAME = EXPR`; NAME is in scope after EXPR, not inside it."""
+        name = self.ident(what)
+        self.expect("=", f"expected '=' after {what}")
+        expr = self.expr_required()
+        self.declare([name], pos)
+        return name, expr
+
+    def comma_list(self, read) -> list:
+        """Read one or more items with `read`, separated by `,`."""
+        items = [read()]
         while self.at(","):
             self.advance()
-            names.append(self.ident(what))
-        return names
+            items.append(read())
+        return items
+
+    def name_list(self, what: str) -> list:
+        return self.comma_list(lambda: self.ident(what))
 
     # -- blocks -------------------------------------------------------
 
@@ -273,33 +280,24 @@ class _Parser:
     def surface_block(self, pos: Pos) -> SurfaceDecl:
         self.expect("{", "expected '{' after 'surface'")
         self.block_sep()
-        basis = []
         gram = []
         euler = None
         # first section: comma-separated divisor names (optional 'basis')
         if self.at_keyword("basis"):
             self.advance()
         basis = self.name_list("divisor name")
-        while True:
-            if not self.block_sep():
-                break
-            if self.at("}"):
-                break
+        while self.block_sep() and not self.at("}"):
             if self.at_keyword("euler"):
                 self.advance()
                 self.expect("=", "expected '=' after 'euler'")
                 euler = self.expr_required()
-                continue
-            while True:
-                gram.append(self.gram_entry())
-                if self.at(","):
-                    self.advance()
-                else:
-                    break
+            else:
+                gram += self.comma_list(self.gram_entry)
         self.expect("}", "expected '}' closing surface block")
         if euler is None:
             raise WorksheetSyntaxError("surface block must declare euler = ...", pos)
-        return SurfaceDecl(tuple(basis), tuple(gram), euler, pos=pos)
+        # the divisors are bound once the block is read, as evaluation binds them
+        return SurfaceDecl(self.declare(basis, pos), tuple(gram), euler, pos=pos)
 
     def gram_entry(self) -> GramEntry:
         t = self.cur
@@ -317,28 +315,22 @@ class _Parser:
             t = self.cur
             if self.at_keyword("basis"):
                 self.advance()
-                items.append(BasisDecl(tuple(self.name_list("class name")), pos=t.pos))
+                names = self.declare(self.name_list("class name"), t.pos)
+                items.append(BasisDecl(names, pos=t.pos))
             elif self.at_keyword("unknown"):
                 self.advance()
-                items.append(
-                    UnknownDecl(tuple(self.name_list("unknown name")), pos=t.pos)
-                )
+                names = self.declare(self.name_list("unknown name"), t.pos)
+                items.append(UnknownDecl(names, pos=t.pos))
             elif self.at_keyword("class"):
                 self.advance()
-                cname = self.ident("class name")
-                self.expect("=", "expected '=' after class name")
-                items.append(ClassDecl(cname, self.expr_required(), pos=t.pos))
+                items.append(ClassDecl(*self.binding("class name", t.pos), pos=t.pos))
             elif self.at_keyword("canonical"):
                 self.advance()
                 self.expect("=", "expected '=' after 'canonical'")
                 items.append(CanonicalDecl(self.expr_required(), pos=t.pos))
+                self.declare(["K"], t.pos)
             else:
-                while True:
-                    items.append(self.gram_entry())
-                    if self.at(","):
-                        self.advance()
-                    else:
-                        break
+                items += self.comma_list(self.gram_entry)
             if not self.block_sep() and not self.at("}"):
                 raise WorksheetSyntaxError(
                     f"expected ';' or '}}' in lattice block, got {self.cur.text!r}",
@@ -419,10 +411,7 @@ class _Parser:
                 self.advance()
                 parts = []
                 if not self.at("]"):  # s[] is the unit class
-                    parts.append(int(self.expect("INT", "expected partition part").text))
-                    while self.at(","):
-                        self.advance()
-                        parts.append(int(self.expect("INT", "expected partition part").text))
+                    parts = self.comma_list(self.partition_part)
                 self.expect("]", "expected ']' closing Schubert class")
                 return self.postfix(SchubertLit(tuple(parts), pos=t.pos))
             if t.text in KEYWORDS:
@@ -430,10 +419,13 @@ class _Parser:
                     f"keyword {t.text!r} cannot be used in an expression", t.pos
                 )
             self.advance()
-            if self.at("("):
-                return self.postfix(self.call(t))
-            if self.at("{"):
-                return self.postfix(self.brace_call(t))
+            if self.at("(") or self.at("{"):
+                if t.text not in BUILTINS:
+                    raise WorksheetSyntaxError(f"unknown function {t.text!r}", t.pos)
+                call = self.call(t) if self.at("(") else self.brace_call(t)
+                return self.postfix(call)
+            if t.text not in self.scope:
+                raise WorksheetSyntaxError(f"use of undeclared name {t.text!r}", t.pos)
             return self.postfix(Name(t.text, pos=t.pos))
         raise WorksheetSyntaxError(
             f"expected an expression, got {t.text!r}"
@@ -449,20 +441,17 @@ class _Parser:
             node = FieldAccess(node, self.ident("field name"), pos=dot.pos)
         return node
 
+    def partition_part(self) -> int:
+        return int(self.expect("INT", "expected partition part").text)
+
     def call(self, fname: Token) -> Call:
         self.expect("(")
         args, args2 = [], None
         if not self.at(")"):
-            args.append(self.expr())
-            while self.at(","):
-                self.advance()
-                args.append(self.expr())
+            args = self.comma_list(self.expr)
             if self.at(";"):
                 self.advance()
-                args2 = [self.expr()]
-                while self.at(","):
-                    self.advance()
-                    args2.append(self.expr())
+                args2 = self.comma_list(self.expr)
         self.expect(")", "expected ')' closing call")
         return Call(
             fname.text,
@@ -473,89 +462,18 @@ class _Parser:
 
     def brace_call(self, fname: Token) -> Call:
         self.expect("{")
-        kwargs = []
-        while True:
-            key = self.ident("argument name")
-            self.expect("=", "expected '=' after argument name")
-            kwargs.append((key, self.expr()))
-            if self.at(","):
-                self.advance()
-            else:
-                break
+        kwargs = self.comma_list(self.keyword_argument)
         self.expect("}", "expected '}' closing arguments")
         return Call(fname.text, (), None, tuple(kwargs), pos=fname.pos)
 
-
-def _validate(program: WorksheetProgram):
-    """Single-assignment and declare-before-use checks."""
-    declared = set()
-
-    def declare(name: str, pos: Pos):
-        if name in declared:
-            raise WorksheetSyntaxError(f"duplicate binding of {name!r}", pos)
-        declared.add(name)
-
-    def check_expr(e):
-        if isinstance(e, Name):
-            if e.name not in declared:
-                raise WorksheetSyntaxError(f"use of undeclared name {e.name!r}", e.pos)
-        elif isinstance(e, BinOp):
-            check_expr(e.left)
-            check_expr(e.right)
-        elif isinstance(e, Neg):
-            check_expr(e.operand)
-        elif isinstance(e, FieldAccess):
-            check_expr(e.base)
-        elif isinstance(e, Call):
-            if e.func not in BUILTINS:
-                raise WorksheetSyntaxError(f"unknown function {e.func!r}", e.pos)
-            for a in e.args:
-                check_expr(a)
-            for a in e.args2 or ():
-                check_expr(a)
-            for _, v in e.kwargs:
-                check_expr(v)
-
-    for s in program.statements:
-        if isinstance(s, (Let, Input)):
-            check_expr(s.expr)
-            declare(s.name, s.pos)
-        elif isinstance(s, Assert):
-            check_expr(s.left)
-            check_expr(s.right)
-        elif isinstance(s, UnknownDecl):
-            for n in s.names:
-                declare(n, s.pos)
-        elif isinstance(s, SurfaceDecl):
-            for n in s.basis:
-                declare(n, s.pos)
-            for g in s.gram:
-                check_expr(g.expr)
-            check_expr(s.euler)
-        elif isinstance(s, LatticeDecl):
-            declare(s.name, s.pos)
-            for item in s.items:
-                if isinstance(item, (BasisDecl, UnknownDecl)):
-                    for n in item.names:
-                        declare(n, item.pos)
-                elif isinstance(item, GramEntry):
-                    check_expr(item.expr)
-                elif isinstance(item, ClassDecl):
-                    check_expr(item.expr)
-                    declare(item.name, item.pos)
-                elif isinstance(item, CanonicalDecl):
-                    check_expr(item.expr)
-                    declare("K", item.pos)
-        elif isinstance(s, SolveBlock):
-            for left, right in s.constraints:
-                check_expr(left)
-                check_expr(right)
+    def keyword_argument(self):
+        key = self.ident("argument name")
+        self.expect("=", "expected '=' after argument name")
+        return key, self.expr()
 
 
 def parse(text: str) -> WorksheetProgram:
-    program = _Parser(tokenize(text)).program()
-    _validate(program)
-    return program
+    return _Parser(tokenize(text)).program()
 
 
 __all__ = ["parse", "pretty_print", "tokenize", "WorksheetSyntaxError"]

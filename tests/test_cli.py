@@ -190,6 +190,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["chern", "tau", "1/0", "0", "0", "0"],
         ["schubert", "mult", "--gr", "3,x", "s[1]"],
         ["schubert", "mult", "--gr", "5,3", "s[1]"],
+        ["schubert", "mult", "--gr", "3,5", "x"],
+        ["schubert", "mult", "--gr", "3,5", "frob(1)"],
         ["worksheet", "run", "NOT_UTF8"],
         ["worksheet", "run", "DEEP_PARENS"],
         ["worksheet", "run", "LONG_SUM"],
@@ -199,6 +201,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "tau-zero-denominator",
         "bad-gr",
         "k-above-n",
+        "undeclared-name",
+        "unknown-function",
         "not-utf8",
         "nested-parentheses",
         "flat-sum",

@@ -4,9 +4,10 @@ import pathlib
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chowkit.cli import main
 from chowkit.worksheet import (
     WorksheetRuntimeError,
     WorksheetSyntaxError,
@@ -15,6 +16,7 @@ from chowkit.worksheet import (
     pretty_print,
 )
 from chowkit.worksheet.builtins import BUILTINS
+from chowkit.worksheet.parse import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKSHEETS = sorted((ROOT / "worksheets").glob("*.ws"))
@@ -153,6 +155,11 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ),
         ('let a = 1\ninput n = 5 from "no end\n', "line 2, column 18: unterminated string literal"),
         ("let a = 1\nlet b = a $ 2\n", "line 2, column 11: unexpected character '$'"),
+        ("let x = \u00b2\n", "line 1, column 9: unexpected character '\u00b2'"),
+        ("let x = # note", "line 1, column 15: missing expression"),
+        ("let x = # note\nlet y = 1\n", "line 1, column 15: missing expression"),
+        ("surface { H; H.H = H; euler = 1 }\n", "line 1, column 20: use of undeclared name 'H'"),
+        ("let a = b\nlet c = (\n", "line 1, column 9: use of undeclared name 'b'"),
     ],
     ids=[
         "undeclared",
@@ -166,6 +173,11 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "K-before-canonical",
         "unterminated-string",
         "unexpected-character",
+        "superscript-digit",
+        "end-after-trailing-comment",
+        "newline-after-trailing-comment",
+        "surface-basis-inside-its-block",
+        "scope-error-before-syntax-error",
     ],
 )
 def test_error_message_and_position(text, message):
@@ -267,3 +279,96 @@ def test_generated_programs_round_trip(text):
     assert parse(pretty_print(program)) == program
     report = evaluate(program)
     assert report.all_passed
+
+
+def _source(token):
+    """The text a token was read from."""
+    return {"STRING": f'"{token.text}"', "NEWLINE": "\n"}.get(token.kind, token.text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["let", "x2'", " ", "\t", "\r", "\n", "# note", "(", ")", "[", "]",
+             "==", "=", "12", "\u0663", '"cite"', "\u00e9", "+"]
+        ),
+        max_size=40,
+    ).map("".join)
+)
+def test_tokens_sit_at_their_positions(text):
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+
+    def offset(pos):
+        return starts[pos.line - 1] + pos.col - 1
+
+    tokens = tokenize(text)
+    for token in tokens[:-1]:
+        assert text.startswith(_source(token), offset(token.pos)), token
+    assert tokens[-1].kind == "EOF"
+    assert offset(tokens[-1].pos) == len(text)
+
+
+ALPHABET = "abcsxKL_'0123456789 \t\n#\"()[]{},;.=+-*/$\u00e9\u00b2\u0663"
+HEADS = ["let x =", "input y =", "assert", "grassmannian (", "unknown", "surface {",
+         "lattice L {", "solve {", ""]
+FRAGMENTS = [
+    "x", "y", "K", "s[", "pdeg(", "pluecker{", "from", "basis", "class", "canonical",
+    "euler", "1", "==", "=", ")", "}", "]", ",", ";", ".", "+", "*", "-", '"c"',
+    "\u00e9", "\u00b2", "\u0663",
+]
+statements = st.builds(
+    lambda head, tail: " ".join([head, *tail]),
+    st.sampled_from(HEADS),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet=ALPHABET, max_size=60),
+        st.lists(statements, max_size=4).map("\n".join),
+    )
+)
+def test_parse_returns_or_raises_a_syntax_error(text):
+    try:
+        parse(text)
+    except WorksheetSyntaxError:
+        pass
+
+
+SHIPPED_TOKENS = [
+    [t for t in tokenize(p.read_text(encoding="utf-8")) if t.kind != "EOF"]
+    for p in WORKSHEETS
+]
+
+
+@st.composite
+def mutated_worksheets(draw):
+    tokens = list(draw(st.sampled_from(SHIPPED_TOKENS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return " ".join(map(_source, tokens))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=mutated_worksheets(), strict=st.booleans())
+def test_mutated_worksheets_keep_the_exit_code_contract(text, strict, tmp_path, capsys):
+    path = tmp_path / "mutated.ws"
+    path.write_text(text, encoding="utf-8")
+    code = main(["worksheet", "run", str(path)] + ["--strict"] * strict)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
