@@ -119,6 +119,30 @@ def test_lattice_solve_and_field_access():
     assert run(text).all_passed
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "unknown a\n"
+        "lattice L { basis l, F; l.F = 1, F.F = 0, l.l = a }\n"
+        "solve { a == -9 }\n"
+        "assert l * l == -9\n",
+        # a lattice solved first must not block a later solve of `a`
+        "unknown a\n"
+        "lattice L { basis l, F; l.F = 1, F.F = 0, l.l = a }\n"
+        "lattice M { basis m, G; unknown y; m.G = 1, G.G = 0, m.m = y }\n"
+        "solve { m * m == 33 }\n"
+        "solve { a == -9 }\n"
+        "assert l * l == -9\n"
+        "assert m * m == 33\n"
+        "assert y == 33\n",
+    ],
+    ids=["one-solve", "after-another-lattice-solve"],
+)
+def test_solve_substitutes_a_top_level_unknown_in_a_gram_entry(text):
+    report = run(text)
+    assert report.assertions and report.all_passed
+
+
 def test_record_field_access():
     text = (
         "let T = salmon_cayley(1, 6, 18; 0, 0, 36)\n"
