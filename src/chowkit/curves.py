@@ -13,6 +13,11 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
+# The largest exponent `odd_theta_count` and `degeneration_multiplicity` raise
+# 2 to.  It is checked before the power is taken, so a huge argument costs
+# nothing; odd_theta_count(1000) has 602 digits.
+MAX_EXPONENT = 1000
+
 
 class PlueckerInconsistent(ValueError):
     pass
@@ -223,6 +228,8 @@ def odd_theta_count(g: int) -> Fraction:
     """Number of odd theta-characteristics on a genus-g curve."""
     if g < 1:
         raise ValueError("genus must be at least 1")
+    if g > MAX_EXPONENT:
+        raise ValueError(f"genus {g} is above the cap of {MAX_EXPONENT}")
     return Fraction(2 ** (g - 1) * (2**g - 1))
 
 
@@ -230,6 +237,8 @@ def degeneration_multiplicity(contacts: int) -> Fraction:
     """Multiplicity 2 per tangency trading for a double-curve passage."""
     if contacts < 0:
         raise ValueError("contact count must be non-negative")
+    if contacts > MAX_EXPONENT:
+        raise ValueError(f"contact count {contacts} is above the cap of {MAX_EXPONENT}")
     return Fraction(2**contacts)
 
 

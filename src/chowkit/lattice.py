@@ -80,9 +80,15 @@ class RuledLattice:
         return ClassExpr(self, {name: 1})
 
     def substitute(self, assignment: dict):
-        """Resolve solved unknowns everywhere in the lattice, in place."""
-        for key, v in list(self.gram.items()):
-            self.gram[key] = v.substitute(assignment)
+        """Resolve solved unknowns everywhere in the lattice, in place.
+
+        Only entries that still hold unknowns are rebuilt.  Any unknown may
+        sit in an entry, not only the lattice's own: `l.l = a` with a
+        top-level `unknown a`.
+        """
+        for key, v in self.gram.items():
+            if not v.is_constant:
+                self.gram[key] = v.substitute(assignment)
         if self.canonical is not None:
             self.canonical = self.canonical.substitute(assignment)
         self.unknowns = [u for u in self.unknowns if u not in assignment]

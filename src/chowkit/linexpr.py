@@ -12,6 +12,7 @@ after expansion.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 
@@ -255,7 +256,16 @@ def solve_linear(equations, unknowns=None) -> dict:
     """Solve ``expr == 0`` for each LinExpr in `equations`.
 
     Returns a full assignment name -> Fraction.  Raises InconsistentSystem
-    if no solution exists, UnderdeterminedSystem if any unknown is free.
+    if no solution exists, UnderdeterminedSystem if any unknown is free,
+    and ValueError if an equation mentions an unknown not in `unknowns`.
+
+    The elimination is fraction-free (Bareiss 1968, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination"): each augmented
+    row is scaled to integers by the lcm of its denominators, and each step
+    divides exactly by the previous pivot, so every entry stays an integer
+    minor of the scaled system.  A row scaled by a nonzero factor keeps its
+    zeros, so the pivots, the free unknowns and the errors are those of
+    Gauss-Jordan over Fractions; only the answers are built as Fractions.
     """
     equations = [LinExpr.coerce(e) for e in equations]
     if unknowns is None:
@@ -267,30 +277,40 @@ def solve_linear(equations, unknowns=None) -> dict:
         stray = e.terms.keys() - {ONE, *unknowns}
         if stray:
             raise ValueError(f"equation mentions undeclared unknowns: {sorted(stray)}")
-        rows.append([e.terms.get(n, Fraction(0)) for n in unknowns] + [-e.const])
+        row = [e.terms.get(n, 0) for n in unknowns] + [-e.const]
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
 
     ncols = len(unknowns)
-    pivot_of = {}
-    r = 0
+    pivots = []  # the pivot column of each echelon row
+    prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][col]
-        rows[r] = [x / scale for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_of[col] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+        pivots.append(col)
+    for row in rows[len(pivots):]:
+        if row[ncols]:
             raise InconsistentSystem("constraints have no common solution")
-    free = [unknowns[c] for c in range(ncols) if c not in pivot_of]
+    free = [unknowns[c] for c in range(ncols) if c not in pivots]
     if free:
         raise UnderdeterminedSystem(
             f"system does not determine: {', '.join(free)}"
         )
-    return {unknowns[c]: rows[pivot_of[c]][ncols] for c in pivot_of}
+    # Every column is a pivot, so the echelon rows are a square triangular
+    # system with determinant `prev`; by Cramer's rule prev * x is integral,
+    # and each division below is exact.
+    y = [0] * ncols
+    for k in reversed(range(ncols)):
+        row = rows[k]
+        rest = sum(row[j] * y[j] for j in range(k + 1, ncols))
+        y[k] = (prev * row[ncols] - rest) // row[k]
+    return {name: Fraction(y[k], prev) for k, name in enumerate(unknowns)}

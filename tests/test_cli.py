@@ -187,6 +187,7 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     "argv",
     [
         ["curve", "coincidences", "1/0", "2"],
+        ["curve", "odd_theta", "1001"],
         ["chern", "tau", "1/0", "0", "0", "0"],
         ["schubert", "mult", "--gr", "3,x", "s[1]"],
         ["schubert", "mult", "--gr", "5,3", "s[1]"],
@@ -198,6 +199,7 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     ],
     ids=[
         "zero-denominator",
+        "exponent-above-cap",
         "tau-zero-denominator",
         "bad-gr",
         "k-above-n",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowkit.curves import (
+    MAX_EXPONENT,
     DecompositionLedger,
     NegativeRamification,
     NegativeResidual,
@@ -169,6 +170,26 @@ def test_theta_counts_sum_to_all_characteristics(g):
     odd = odd_theta_count(g)
     even = 2 ** (g - 1) * (2 ** g + 1)
     assert odd + even == 4 ** g
+
+
+class _NoArithmetic(int):
+    """An int that fails the test if any power or difference is taken of it."""
+
+    def _refuse(self, *_):
+        raise AssertionError("arithmetic on a capped exponent")
+
+    __pow__ = __rpow__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+
+
+@pytest.mark.parametrize(
+    "formula, what",
+    [(odd_theta_count, "genus"), (degeneration_multiplicity, "contact count")],
+)
+def test_exponent_cap_fires_before_the_power(formula, what):
+    assert formula(MAX_EXPONENT) > 2 ** (MAX_EXPONENT - 1)
+    for n in (MAX_EXPONENT + 1, 10**9):
+        with pytest.raises(ValueError, match=f"^{what} {n} is above the cap of {MAX_EXPONENT}$"):
+            formula(_NoArithmetic(n))
 
 
 def test_degeneration_multiplicity():

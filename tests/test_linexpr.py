@@ -1,9 +1,10 @@
 """Linear expressions in named unknowns and the exact linear solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowkit.linexpr import (
@@ -13,6 +14,7 @@ from chowkit.linexpr import (
     UnderdeterminedSystem,
     solve_linear,
 )
+from chowkit.linexpr import ONE
 
 
 def test_basic_arithmetic():
@@ -88,3 +90,121 @@ def test_linexpr_distributivity(a, b, c):
     right = a * b * x + a * c
     assert left.coeffs.get("x", 0) == right.coeffs.get("x", 0)
     assert left.const == right.const
+
+
+def _gauss_jordan(equations, unknowns=None) -> dict:
+    """Reference solver: Gauss-Jordan elimination over Fractions.
+
+    Pivots on the first row at or below the current one whose entry in the
+    column is nonzero, like `solve_linear`, and raises the same errors.
+    """
+    equations = [LinExpr.coerce(e) for e in equations]
+    if unknowns is None:
+        unknowns = sorted({n for e in equations for n in e.terms if n != ONE})
+    else:
+        unknowns = list(unknowns)
+    rows = []
+    for e in equations:
+        stray = e.terms.keys() - {ONE, *unknowns}
+        if stray:
+            raise ValueError(f"equation mentions undeclared unknowns: {sorted(stray)}")
+        rows.append([e.terms.get(n, Fraction(0)) for n in unknowns] + [-e.const])
+
+    ncols = len(unknowns)
+    pivot_of = {}
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = rows[r][col]
+        rows[r] = [x / scale for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_of[col] = r
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][ncols] != 0:
+            raise InconsistentSystem("constraints have no common solution")
+    free = [unknowns[c] for c in range(ncols) if c not in pivot_of]
+    if free:
+        raise UnderdeterminedSystem(f"system does not determine: {', '.join(free)}")
+    return {unknowns[c]: rows[pivot_of[c]][ncols] for c in pivot_of}
+
+
+def _outcome(solver, equations, unknowns):
+    """The assignment, or the exception's type and message."""
+    try:
+        return solver(equations, unknowns)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _equation(names, coeffs, const) -> LinExpr:
+    return LinExpr(const, dict(zip(names, coeffs)))
+
+
+# sparse rows, so that pivots are skipped and rows swapped
+entry = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 30))
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """A square, over-determined, rank-deficient or inconsistent system.
+
+    The constants fit a drawn solution.  A rank-deficient system has a row
+    that combines others; the inconsistent variant is the same with that
+    row's constant moved.
+    """
+    n = draw(st.integers(1, 5))
+    names = [f"x{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["square", "over", "deficient", "inconsistent"]))
+    m = n + draw(st.integers(1, 3)) if kind == "over" else n
+    solution = draw(st.lists(entry, min_size=n, max_size=n))
+    rows = []
+    for _ in range(m):
+        coeffs = draw(st.lists(entry, min_size=n, max_size=n))
+        rows.append((coeffs, -sum(c * x for c, x in zip(coeffs, solution))))
+    if kind in ("deficient", "inconsistent"):
+        weights = draw(st.lists(entry, min_size=m - 1, max_size=m - 1))
+        coeffs = [sum(w * row[j] for w, (row, _) in zip(weights, rows)) for j in range(n)]
+        const = sum(w * c for w, (_, c) in zip(weights, rows))
+        if kind == "inconsistent":
+            const += draw(entry.filter(bool))
+        rows.insert(draw(st.integers(0, m - 1)), (coeffs, const))
+    equations = [_equation(names, coeffs, const) for coeffs, const in rows]
+    unknowns = draw(st.sampled_from([None, names, names[::-1]]))
+    return equations, unknowns
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_solve_linear_agrees_with_gauss_jordan(system):
+    equations, unknowns = system
+    expected = _outcome(_gauss_jordan, equations, unknowns)
+    assert _outcome(solve_linear, equations, unknowns) == expected
+
+
+def test_solve_linear_dense_20x20_mixed_denominators():
+    rng = random.Random(20)
+    n = 20
+    names = [f"x{i}" for i in range(n)]
+    solution = {x: Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for x in names}
+    equations = []
+    for _ in range(n):
+        coeffs = {x: Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for x in names}
+        const = -sum(c * solution[x] for x, c in coeffs.items())
+        equations.append(LinExpr(const, coeffs))
+    assert solve_linear(equations) == solution == _gauss_jordan(equations)
+
+
+def test_solve_linear_rejects_a_stray_unknown():
+    x, y = LinExpr.unknown("x"), LinExpr.unknown("y")
+    for solver in (solve_linear, _gauss_jordan):
+        with pytest.raises(ValueError, match=r"undeclared unknowns: \['y'\]"):
+            solver([x + y - 1], ["x"])

@@ -245,6 +245,12 @@ def test_runtime_error_for_schubert_without_context():
         run("let e = s[1]\nlet d = pdeg(e, 1)\n")
 
 
+@pytest.mark.parametrize("call", ["odd_theta(1001)", "degmult(1001)"])
+def test_exponent_cap_is_a_runtime_error_with_a_position(call):
+    with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 9: .* above the cap of 1000$"):
+        run(f"let x = 1\nlet y = {call}\n")
+
+
 def test_division_by_zero_is_runtime_error():
     with pytest.raises(WorksheetRuntimeError):
         run("let x = 1 / 0\n")
