@@ -305,9 +305,9 @@ def solve_linear(equations, unknowns=None) -> dict:
         raise UnderdeterminedSystem(
             f"system does not determine: {', '.join(free)}"
         )
-    # Every column is a pivot, so the echelon rows are a square triangular
-    # system with determinant `prev`; by Cramer's rule prev * x is integral,
-    # and each division below is exact.
+    # Every column is a pivot.  The last pivot, `prev`, is the determinant of
+    # the scaled rows the echelon rows were built from, so by Cramer's rule
+    # prev * x is integral and each division below is exact.
     y = [0] * ncols
     for k in reversed(range(ncols)):
         row = rows[k]

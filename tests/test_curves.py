@@ -178,7 +178,7 @@ class _NoArithmetic(int):
     def _refuse(self, *_):
         raise AssertionError("arithmetic on a capped exponent")
 
-    __pow__ = __rpow__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __pow__ = __rpow__ = __sub__ = __rsub__ = _refuse
 
 
 @pytest.mark.parametrize(

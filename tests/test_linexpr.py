@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowkit.linexpr import (
+    ONE,
     InconsistentSystem,
     LinExpr,
     NonlinearError,
     UnderdeterminedSystem,
     solve_linear,
 )
-from chowkit.linexpr import ONE
 
 
 def test_basic_arithmetic():
@@ -143,10 +143,6 @@ def _outcome(solver, equations, unknowns):
         return type(exc), str(exc)
 
 
-def _equation(names, coeffs, const) -> LinExpr:
-    return LinExpr(const, dict(zip(names, coeffs)))
-
-
 # sparse rows, so that pivots are skipped and rows swapped
 entry = st.one_of(
     st.just(Fraction(0)), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 30))
@@ -176,8 +172,8 @@ def rational_systems(draw):
         const = sum(w * c for w, (_, c) in zip(weights, rows))
         if kind == "inconsistent":
             const += draw(entry.filter(bool))
-        rows.insert(draw(st.integers(0, m - 1)), (coeffs, const))
-    equations = [_equation(names, coeffs, const) for coeffs, const in rows]
+        rows.insert(draw(st.integers(0, m)), (coeffs, const))
+    equations = [LinExpr(const, dict(zip(names, coeffs))) for coeffs, const in rows]
     unknowns = draw(st.sampled_from([None, names, names[::-1]]))
     return equations, unknowns
 
