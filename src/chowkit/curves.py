@@ -4,7 +4,7 @@ Pluecker system for plane curves, Riemann-Hurwitz ramification,
 coincidence counting for correspondences on a line, the Salmon-Cayley
 scroll of lines meeting three space curves, secant-scroll degrees,
 odd theta-characteristic counts, degeneration multiplicities, and the
-ledger bookkeeping for specialization arguments.
+residual degree left by a specialization argument.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class PlueckerData:
             v = getattr(self, f.name)
             if v is not None:
                 setattr(self, f.name, Fraction(v))
-
-    def is_complete(self) -> bool:
-        return all(getattr(self, f.name) is not None for f in fields(self))
 
     def dual(self) -> "PlueckerData":
         """Swap d<->m, nodes<->bitangents, cusps<->flexes."""
@@ -173,25 +170,10 @@ def correspondence_coincidences(e, f) -> Fraction:
     return e + f
 
 
-@dataclass(frozen=True)
-class TripleScrollInput:
-    """Degrees of three directrix curves and their pairwise intersections."""
-
-    n1: int
-    n2: int
-    n3: int
-    i12: int = 0
-    i13: int = 0
-    i23: int = 0
-
-    def __post_init__(self):
-        if min(self.n1, self.n2, self.n3, self.i12, self.i13, self.i23) < 0:
-            raise ValueError("scroll input data must be non-negative")
-
-
-def salmon_cayley(inp: TripleScrollInput):
+def salmon_cayley(n1: int, n2: int, n3: int, i12: int = 0, i13: int = 0, i23: int = 0):
     """Degree and directrix multiplicities of the scroll of lines meeting
-    three space curves.
+    three space curves of degrees n1, n2, n3, where curves i and j share
+    ij points.
 
     degree = 2 n1 n2 n3 - (i23 n1 + i13 n2 + i12 n3); the multiplicity of
     curve i is nj*nk - ijk.  The pairwise-intersection correction is
@@ -199,12 +181,12 @@ def salmon_cayley(inp: TripleScrollInput):
     with the stated common points; that covers every instance used here
     and agrees with the exact Schubert count when all ijk = 0.
     """
-    deg = 2 * inp.n1 * inp.n2 * inp.n3 - (
-        inp.i23 * inp.n1 + inp.i13 * inp.n2 + inp.i12 * inp.n3
-    )
-    m1 = inp.n2 * inp.n3 - inp.i23
-    m2 = inp.n1 * inp.n3 - inp.i13
-    m3 = inp.n1 * inp.n2 - inp.i12
+    if min(n1, n2, n3, i12, i13, i23) < 0:
+        raise ValueError("scroll input data must be non-negative")
+    deg = 2 * n1 * n2 * n3 - (i23 * n1 + i13 * n2 + i12 * n3)
+    m1 = n2 * n3 - i23
+    m2 = n1 * n3 - i13
+    m3 = n1 * n2 - i12
     if deg < 0 or min(m1, m2, m3) < 0:
         raise ValueError("scroll configuration has negative degree or multiplicity")
     return Fraction(deg), Fraction(m1), Fraction(m2), Fraction(m3)
@@ -246,29 +228,9 @@ class NegativeResidual(ValueError):
     pass
 
 
-@dataclass
-class DecompositionLedger:
-    """total = residual + sum(mult * degree) over listed components."""
-
-    total: Fraction
-    parts: list
-    residual: Fraction
-
-    def check(self):
-        acc = self.residual + sum(Fraction(m) * Fraction(d) for m, d in self.parts)
-        if acc != Fraction(self.total):
-            raise ValueError("ledger does not balance")
-
-
 def residual_degree(total, parts) -> Fraction:
     """Residual of a specialization ledger; must be non-negative."""
     r = Fraction(total) - sum(Fraction(m) * Fraction(d) for m, d in parts)
     if r < 0:
         raise NegativeResidual(f"ledger residual {r} is negative")
     return r
-
-
-def ledger(total, parts) -> DecompositionLedger:
-    out = DecompositionLedger(Fraction(total), list(parts), residual_degree(total, parts))
-    out.check()
-    return out

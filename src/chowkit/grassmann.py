@@ -9,9 +9,9 @@ Products use the Littlewood-Richardson rule in one pass per term pair:
 the content's rows are added as horizontal strips under the lattice-word
 condition, with equal intermediate states merged, so every nu comes out
 at once and nothing leaves the box.  `lr_coefficient` reads one nu from
-the same strip product.  `pieri` is implemented independently and doubles
-as an oracle in the test suite (together with Giambelli determinants
-evaluated through iterated Pieri products).
+the same strip product.  `pieri` is implemented independently; the test
+suite uses it as an oracle, alone and in Giambelli determinants evaluated
+through iterated Pieri products.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .linexpr import Combination
 from .partitions import complement_in_box, fits_in_box, partition, weight
@@ -249,45 +248,3 @@ def plucker_degree(e: SchubertElement, dim: int):
     for _ in range(dim):
         e = pieri(e, 1)
     return integrate(e)
-
-
-def giambelli_product(lam: tuple, mu: tuple, ctx: GrassmannContext) -> SchubertElement:
-    """Oracle for `multiply`: expand both factors as Giambelli determinants
-    in one-row classes and evaluate using only iterated Pieri products."""
-    out = SchubertElement(ctx, {})
-    one = SchubertElement(ctx, {(): Fraction(1)})
-    for sign1, rows1 in _giambelli_terms(lam):
-        for sign2, rows2 in _giambelli_terms(mu):
-            term = one
-            for a in rows1 + rows2:
-                term = pieri(term, a)
-            out = out + (sign1 * sign2) * term
-    return out
-
-
-def _giambelli_terms(lam: tuple):
-    """Signed monomials of det(h_{lam_i + j - i}): (sign, row sizes)."""
-    n = len(lam)
-    if n == 0:
-        yield 1, ()
-        return
-    for perm in permutations(range(n)):
-        rows = []
-        ok = True
-        for i in range(n):
-            a = lam[i] + perm[i] - i
-            if a < 0:
-                ok = False
-                break
-            rows.append(a)
-        if ok:
-            yield _sign(perm), tuple(rows)
-
-
-def _sign(perm) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s

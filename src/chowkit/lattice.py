@@ -3,8 +3,9 @@
 A lattice is a basis of curve-class names, a symmetric Gram matrix whose
 entries may contain named unknowns, and optionally a canonical class.
 Intersection numbers expand bilinearly to linear expressions in the
-unknowns; systems of linear constraints pin the unknowns one solve at a
-time, the way such computations are usually carried out by hand.
+unknowns; `linexpr.solve_linear` pins them and `RuledLattice.substitute`
+puts the answers back, one solve at a time, the way such computations are
+usually carried out by hand.
 """
 
 from __future__ import annotations
@@ -19,17 +20,14 @@ from .linexpr import (
     SpaceMismatch,
     UnderdeterminedSystem,
     collapse,
-    solve_linear,
 )
 
 __all__ = [
     "RuledLattice",
     "ClassExpr",
-    "LinearConstraint",
     "SpaceMismatch",
     "NonIntegralGenus",
     "intersect",
-    "solve_unknowns",
     "adjunction_genus",
     "genus_additivity",
     "InconsistentSystem",
@@ -43,16 +41,11 @@ class NonIntegralGenus(ValueError):
 
 
 class RuledLattice:
-    def __init__(self, basis, gram=None, canonical=None, unknowns=()):
+    def __init__(self, basis):
         self.basis = tuple(basis)
-        self.unknowns = list(unknowns)
+        self.unknowns = []
         self.gram = {}
-        if gram:
-            for (a, b), v in gram.items():
-                self.set_gram(a, b, v)
         self.canonical = None
-        if canonical is not None:
-            self.canonical = self.cls(canonical)
 
     def set_gram(self, a, b, value):
         if a not in self.basis or b not in self.basis:
@@ -71,10 +64,6 @@ class RuledLattice:
         if name not in self.unknowns:
             self.unknowns.append(name)
         return LinExpr.unknown(name)
-
-    def cls(self, coeffs) -> "ClassExpr":
-        """Build a class from a {basis name: coefficient} mapping."""
-        return ClassExpr(self, coeffs)
 
     def generator(self, name: str) -> "ClassExpr":
         return ClassExpr(self, {name: 1})
@@ -119,15 +108,13 @@ class ClassExpr(Combination):
         return Combination.__mul__(self, other)
 
 
-def intersect(a: ClassExpr, b: ClassExpr, lat: RuledLattice | None = None):
+def intersect(a: ClassExpr, b: ClassExpr):
     """Bilinear expansion of a.b through the Gram matrix.
 
     Returns an exact Fraction when no unknowns survive, otherwise a
     LinExpr.  Unknown*unknown products are rejected as nonlinear.
     """
     a._check(b)
-    if lat is not None and lat is not a.space:
-        raise SpaceMismatch("classes do not belong to the given lattice")
     total = LinExpr(0)
     for n1, c1 in a.terms.items():
         for n2, c2 in b.terms.items():
@@ -135,47 +122,12 @@ def intersect(a: ClassExpr, b: ClassExpr, lat: RuledLattice | None = None):
     return collapse(total)
 
 
-class LinearConstraint:
-    """expression == target, both linear in the lattice unknowns."""
-
-    def __init__(self, expression, target):
-        self.expression = LinExpr.coerce(expression)
-        self.target = LinExpr.coerce(target)
-
-    def residual(self) -> LinExpr:
-        return self.expression - self.target
-
-    def __repr__(self):
-        return f"LinearConstraint({self.expression} == {self.target})"
-
-
-def solve_unknowns(constraints, lat: RuledLattice, partial: bool = False) -> dict:
-    """Solve the constraints for the lattice unknowns and substitute back.
-
-    With partial=True, unknowns not mentioned by any constraint are left
-    alone (a triangular, one-step-at-a-time solve); otherwise every declared
-    unknown must be determined.
-    """
-    eqs = []
-    for c in constraints:
-        if not isinstance(c, LinearConstraint):
-            c = LinearConstraint(*c)
-        eqs.append(c.residual())
-    if partial:
-        names = sorted({n for e in eqs for n in e.coeffs})
-    else:
-        names = list(lat.unknowns)
-    assignment = solve_linear(eqs, names)
-    lat.substitute(assignment)
-    return assignment
-
-
-def adjunction_genus(C: ClassExpr, lat: RuledLattice | None = None) -> Fraction:
+def adjunction_genus(C: ClassExpr) -> Fraction:
     """Arithmetic genus 1 + (C^2 + C.K)/2; must come out integral."""
-    lat = lat or C.space
-    if lat.canonical is None:
+    K = C.space.canonical
+    if K is None:
         raise ValueError("lattice has no canonical class")
-    val = collapse(intersect(C, C) + intersect(C, lat.canonical))
+    val = collapse(intersect(C, C) + intersect(C, K))
     if isinstance(val, LinExpr):
         raise ValueError("genus requires fully numeric intersection data")
     if val % 2 != 0:

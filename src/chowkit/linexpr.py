@@ -219,12 +219,6 @@ class LinExpr(Combination):
     def is_constant(self) -> bool:
         return self.terms.keys() <= {ONE}
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant:
-            names = ", ".join(sorted(self.coeffs))
-            raise ValueError(f"expression still depends on unknowns: {names}")
-        return self.const
-
     def _rank(self, key):
         return (key == ONE, key)
 

@@ -1,11 +1,12 @@
 """Truncated characteristic-class calculus on a formal surface.
 
 A surface here is nothing but a ring: a divisor basis, a Gram matrix of
-pairwise intersection numbers, and the point class.  Gram entries may be
-exact rationals or symbols, so the same code evaluates both the numeric
-K3 instance and the fully symbolic identity behind the triple-point
-count.  Degree-2 components are linear expressions in the pairing
-symbols with rational coefficients; products of degree > 2 vanish.
+pairwise intersection numbers, the point class, and optionally the
+topological Euler number.  Gram entries may be exact rationals or
+symbols, so the same code evaluates both the numeric K3 instance and the
+fully symbolic identity behind the triple-point count.  Degree-2
+components are linear expressions in the pairing symbols with rational
+coefficients; products of degree > 2 vanish.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ class SurfaceRing:
     """Divisor basis + symmetric Gram matrix of intersection numbers.
 
     `gram[(a, b)]` is the degree-2 value of a*b as a LinExpr (a constant
-    for a numeric surface, a pairing symbol for a symbolic one).
+    for a numeric surface, a pairing symbol for a symbolic one).  `euler`
+    is c2 of the tangent bundle, which jet bundles need.
     """
 
-    def __init__(self, basis, gram):
+    def __init__(self, basis, gram, euler=None):
         self.basis = tuple(basis)
+        self.euler = euler
         self.gram = {}
         for (a, b), v in gram.items():
             if a not in self.basis or b not in self.basis:
@@ -180,21 +183,17 @@ def sym_power(E: BundleSpec, n: int) -> BundleSpec:
     return BundleSpec(n + 1, s1 * E.c1, c2)
 
 
-def whitney_sum(bundles) -> BundleSpec:
-    return reduce(mul, bundles)
-
-
 def jet_chern(L: SurfaceClass, n: int, omega: BundleSpec) -> BundleSpec:
     """Chern data of the n-th jet bundle of a line bundle L.
 
-    Built from the jet filtration whose graded pieces are
+    The Whitney product (`*`) of the graded pieces of the jet filtration,
     L (x) Sym^i(Omega) for i = 0..n; rank is C(n+2, 2).
     """
     if omega.rank != 2:
         raise ValueError("cotangent bundle of a surface must have rank 2")
     if n < 0:
         raise ValueError("negative jet order")
-    return whitney_sum(tensor_line(sym_power(omega, i), L) for i in range(n + 1))
+    return reduce(mul, (tensor_line(sym_power(omega, i), L) for i in range(n + 1)))
 
 
 def cotangent_bundle(K: SurfaceClass, euler) -> BundleSpec:
@@ -206,11 +205,3 @@ def triple_point_count(H2, HK, K2, e):
     """Expected hyperplane sections with a triple point, for a smooth
     linearly normal surface in P^4: 5 K^2 + 20 H.K + 15 H^2 + 5 e."""
     return collapse(5 * K2 + 20 * HK + 15 * H2 + 5 * e)
-
-
-def k3_genus4_ring() -> SurfaceRing:
-    """The numeric instance: K = 0, H^2 = 6, e = 24 enters via Omega."""
-    return SurfaceRing(
-        ["H", "K"],
-        {("H", "H"): 6, ("H", "K"): 0, ("K", "K"): 0},
-    )

@@ -71,7 +71,6 @@ class Builtin:
     run: Callable
     fields: tuple = ()  # record field names, when `run` returns a tuple
     named: tuple = ()  # names of the scalar arguments given as name=value
-    needs_surface: bool = False  # `run` also takes the active surface first
 
     @property
     def signature(self) -> str:
@@ -80,7 +79,7 @@ class Builtin:
             return "{" + ", ".join(f"{n}=..." for n in self.named) + "}"
         return "(" + "; ".join(", ".join(n for n, _ in g) for g in self.groups) + ")"
 
-    def call(self, groups, named: dict, active_surface=None):
+    def call(self, groups, named: dict):
         """Check and convert the arguments, call the function, wrap a record.
 
         `groups` holds the values of each ';'-separated group; empty ones are dropped.
@@ -100,10 +99,6 @@ class Builtin:
             for i, v in enumerate(values)
         ]
         kwargs = {k: scalar(v) for k, v in named.items()}
-        if self.needs_surface:
-            if active_surface is None:
-                raise ValueError("no surface declared")
-            args.insert(0, active_surface)
         out = self.run(*args, **kwargs)
         return Record(dict(zip(self.fields, out))) if self.fields else out
 
@@ -113,11 +108,11 @@ class Builtin:
         return [values[:n], values[n:]]
 
 
-def _jet2_c2(active, D):
-    ring = active.ring
+def _jet2_c2(D):
+    ring = D.space
     if "K" not in ring.basis:
         raise ValueError("surface must declare a canonical divisor named K")
-    omega = surface.cotangent_bundle(ring.divisor("K"), active.euler)
+    omega = surface.cotangent_bundle(ring.divisor("K"), ring.euler)
     return collapse(surface.jet_chern(D, 2, omega).c2)
 
 
@@ -144,7 +139,7 @@ BUILTINS = {
         (_args(schubert_class, "x") + _args(integer, "dim"),),
         lambda x, dim: grassmann.plucker_degree(x, dim),
     ),
-    "jet2_c2": Builtin((_args(divisor, "D"),), _jet2_c2, needs_surface=True),
+    "jet2_c2": Builtin((_args(divisor, "D"),), _jet2_c2),
     "tau": Builtin(
         (_args(scalar, "H2 HK K2 e"),), lambda *a: surface.triple_point_count(*a)
     ),
@@ -163,7 +158,7 @@ BUILTINS = {
     ),
     "salmon_cayley": Builtin(
         (_args(integer, "n1 n2 n3"), _args(integer, "i12 i13 i23")),
-        lambda *a: curves.salmon_cayley(curves.TripleScrollInput(*a)),
+        lambda *a: curves.salmon_cayley(*a),
         fields=("degree", "m1", "m2", "m3"),
     ),
     "secant_pluecker": Builtin(

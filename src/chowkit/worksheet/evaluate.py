@@ -84,17 +84,10 @@ class EvaluationReport:
         }
 
 
-@dataclass
-class _ActiveSurface:
-    ring: SurfaceRing
-    euler: Fraction
-
-
 class Evaluator:
     def __init__(self):
         self.env: dict = {}
         self.grassmann: GrassmannContext | None = None
-        self.surface: _ActiveSurface | None = None
         self.lattices: list[RuledLattice] = []
         self.report = EvaluationReport()
 
@@ -102,7 +95,12 @@ class Evaluator:
 
     def run(self, program: WorksheetProgram) -> EvaluationReport:
         for s in program.statements:
-            self.statement(s)
+            try:
+                self.statement(s)
+            except WorksheetError:
+                raise
+            except ValueError as exc:  # e.g. an int too long to print in `bind`
+                raise WorksheetRuntimeError(str(exc), s.pos) from exc
         return self.report
 
     def statement(self, s):
@@ -149,12 +147,11 @@ class Evaluator:
         gram = {}
         for g in s.gram:
             gram[(g.a, g.b)] = self.scalar(g.expr)
+        euler = self.scalar(s.euler)
         try:
-            ring = SurfaceRing(s.basis, gram)
+            ring = SurfaceRing(s.basis, gram, euler)
         except ValueError as exc:
             raise WorksheetRuntimeError(str(exc), s.pos)
-        euler = self.scalar(s.euler)
-        self.surface = _ActiveSurface(ring, euler)
         for name in s.basis:
             self.bind(name, ring.divisor(name))
 
@@ -266,7 +263,7 @@ class Evaluator:
         groups = [[self.eval(a) for a in g] for g in (e.args, e.args2 or ())]
         kwargs = {k: self.eval(v) for k, v in e.kwargs}
         try:
-            return BUILTINS[e.func].call(groups, kwargs, self.surface)
+            return BUILTINS[e.func].call(groups, kwargs)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise WorksheetRuntimeError(f"{e.func}: {exc}", e.pos)
 

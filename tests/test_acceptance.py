@@ -27,14 +27,14 @@ from chowkit.grassmann import (
     plucker_degree,
 )
 from chowkit.lattice import (
-    LinearConstraint,
+    ClassExpr,
     RuledLattice,
     adjunction_genus,
     genus_additivity,
     intersect,
 )
-from chowkit.linexpr import LinExpr, solve_linear
-from chowkit.partitions import complement_in_box, partitions_in_box
+from chowkit.linexpr import LinExpr, collapse, solve_linear
+from chowkit.partitions import complement_in_box
 from chowkit.surface import (
     BundleSpec,
     SurfaceRing,
@@ -44,6 +44,8 @@ from chowkit.surface import (
     triple_point_count,
 )
 from chowkit.worksheet import evaluate, parse, pretty_print
+
+from _oracles import partitions_in_box
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -73,7 +75,7 @@ def test_criterion_01_jet_c2_symbolic_identity():
     verdict(
         1,
         "second-jet c2 equals 5K^2 + 20HK + 15H^2 + 5e symbolically",
-        diff.is_constant and diff.as_fraction() == 0,
+        diff == 0,
     )
 
 
@@ -203,8 +205,8 @@ def test_criterion_09_randomized_property_suites():
         # must agree (root-independence) and match the closed form
         aa = LinExpr.unknown("aa")
         ac1 = LinExpr.unknown("ac1")
-        c1sq = ring.pair(E.c1.c1, E.c1.c1).as_fraction()
-        c2 = E.c2.as_fraction()
+        c1sq = collapse(ring.pair(E.c1.c1, E.c1.c1))
+        c2 = collapse(E.c2)
         ab = ac1 - aa
         bb = c1sq - 2 * ac1 + aa
 
@@ -219,25 +221,25 @@ def test_criterion_09_randomized_property_suites():
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 e2 = e2 + dot(i, j)
-        v0 = e2.substitute({"ac1": Fraction(0), "aa": -c2}).as_fraction()
-        v1 = e2.substitute({"ac1": Fraction(1), "aa": 1 - c2}).as_fraction()
-        ok = ok and v0 == v1 and S.c2.as_fraction() == v0
+        v0 = collapse(e2.substitute({"ac1": Fraction(0), "aa": -c2}))
+        v1 = collapse(e2.substitute({"ac1": Fraction(1), "aa": 1 - c2}))
+        ok = ok and v0 == v1 and S.c2 == v0
 
     # adjunction additivity on random ruled lattices: attaching a fibre
     # (genus 0) through a nodes shifts the genus by a - 1, m times over
     for _ in range(200):
         x = rng.randint(-6, 6)
         kc = x + 2 * rng.randint(-4, 4)  # same parity keeps every genus integral
-        lat = RuledLattice(
-            ("l", "F"),
-            {("l", "F"): 1, ("F", "F"): 0, ("l", "l"): x},
-            canonical={"l": -2, "F": kc},
-        )
+        lat = RuledLattice(("l", "F"))
+        lat.set_gram("l", "F", 1)
+        lat.set_gram("F", "F", 0)
+        lat.set_gram("l", "l", x)
+        lat.canonical = ClassExpr(lat, {"l": -2, "F": kc})
         a = rng.randint(1, 4)
         b = rng.randint(-6, 6)
         C = a * lat.generator("l") + b * lat.generator("F")
         m = rng.randint(0, 5)
-        lhs = adjunction_genus(C + lat.cls({"F": m}))
+        lhs = adjunction_genus(C + ClassExpr(lat, {"F": m}))
         expected = adjunction_genus(C)
         running = C
         for _ in range(m):

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from chowkit.curves import (
     MAX_EXPONENT,
-    DecompositionLedger,
     NegativeRamification,
     NegativeResidual,
     PlueckerData,
     PlueckerInconsistent,
     PlueckerUnderdetermined,
-    TripleScrollInput,
     correspondence_coincidences,
     degeneration_multiplicity,
     hurwitz_ramification,
-    ledger,
     odd_theta_count,
     plucker_solve,
     residual_degree,
@@ -99,15 +96,20 @@ def test_correspondence_coincidences():
 
 
 def test_salmon_cayley_headline():
-    deg, m1, m2, m3 = salmon_cayley(TripleScrollInput(1, 6, 18, 0, 0, 36))
+    deg, m1, m2, m3 = salmon_cayley(1, 6, 18, 0, 0, 36)
     assert (deg, m1, m2, m3) == (180, 72, 18, 6)
 
 
 def test_salmon_cayley_three_skew_lines():
     # lines meeting three pairwise skew lines form a quadric surface
-    deg, m1, m2, m3 = salmon_cayley(TripleScrollInput(1, 1, 1, 0, 0, 0))
+    deg, m1, m2, m3 = salmon_cayley(1, 1, 1, 0, 0, 0)
     assert deg == 2
     assert (m1, m2, m3) == (1, 1, 1)
+
+
+def test_salmon_cayley_rejects_negative_input():
+    with pytest.raises(ValueError, match="^scroll input data must be non-negative$"):
+        salmon_cayley(1, 1, 1, 0, -1, 0)
 
 
 def schubert_scroll_degree(n1, n2, n3):
@@ -122,7 +124,7 @@ def schubert_scroll_degree(n1, n2, n3):
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
 def test_salmon_cayley_matches_schubert_oracle(n1, n2, n3):
     # no incidences: degree is the Schubert count 2 n1 n2 n3
-    deg, m1, m2, m3 = salmon_cayley(TripleScrollInput(n1, n2, n3, 0, 0, 0))
+    deg, m1, m2, m3 = salmon_cayley(n1, n2, n3, 0, 0, 0)
     assert deg == schubert_scroll_degree(n1, n2, n3)
     assert m1 == n2 * n3
     assert m2 == n1 * n3
@@ -145,7 +147,7 @@ def test_salmon_cayley_incidence_corrections(n1, n2, n3, i12, i13, i23):
     i23 = min(i23, n2 * n3)
     if 2 * n1 * n2 * n3 < i23 * n1 + i13 * n2 + i12 * n3:
         return  # configuration with negative scroll degree is rejected
-    deg, m1, m2, m3 = salmon_cayley(TripleScrollInput(n1, n2, n3, i12, i13, i23))
+    deg, m1, m2, m3 = salmon_cayley(n1, n2, n3, i12, i13, i23)
     assert deg == 2 * n1 * n2 * n3 - (i23 * n1 + i13 * n2 + i12 * n3)
     assert m1 == n2 * n3 - i23
     assert m2 == n1 * n3 - i13
@@ -207,9 +209,3 @@ def test_residual_degree_rejects_overshoot():
     with pytest.raises(NegativeResidual):
         residual_degree(10, [(3, 4)])
 
-
-def test_ledger_structure():
-    led = ledger(624, [(2, 108), (4, 90), (8, 4)])
-    assert isinstance(led, DecompositionLedger)
-    assert led.residual == 16
-    led.check()

@@ -7,17 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chowkit.lattice import (
+    ClassExpr,
     InconsistentSystem,
-    LinearConstraint,
     NonIntegralGenus,
     RuledLattice,
     UnderdeterminedSystem,
     adjunction_genus,
     genus_additivity,
     intersect,
-    solve_unknowns,
 )
-from chowkit.linexpr import LinExpr, SpaceMismatch
+from chowkit.linexpr import LinExpr, SpaceMismatch, solve_linear
 
 
 def secant_scroll():
@@ -28,7 +27,7 @@ def secant_scroll():
     lat.set_gram("l", "F", 1)
     lat.set_gram("F", "F", 0)
     lat.set_gram("l", "l", x)
-    lat.canonical = lat.cls({"l": -2, "F": kc})
+    lat.canonical = ClassExpr(lat, {"l": -2, "F": kc})
     return lat
 
 
@@ -46,18 +45,15 @@ def test_triangular_solve_reproduces_scroll_chain():
     F = lat.generator("F")
     H = l + 15 * F  # hyperplane class: 21 - multiplicity 6 along the axis
     G = 2 * H  # before the correction term
-    solve_unknowns([LinearConstraint(intersect(H, l), 6)], lat, partial=True)
+    lat.substitute(solve_linear([intersect(H, l) - 6]))
     assert intersect(l, l) == -9
     K = lat.canonical
-    solve_unknowns(
-        [LinearConstraint(intersect(l, l + K), 2 * 22 - 2)], lat, partial=True
-    )
+    lat.substitute(solve_linear([intersect(l, l + K) - (2 * 22 - 2)]))
     assert intersect(l, lat.canonical) == 51
     bt = lat.add_unknown("bt")
-    G = G - lat.cls({"F": bt})
-    sol = solve_unknowns(
-        [LinearConstraint(intersect(H, G), 30)], lat, partial=True
-    )
+    G = G - ClassExpr(lat, {"F": bt})
+    sol = solve_linear([intersect(H, G) - 30])
+    lat.substitute(sol)
     assert sol["bt"] == 12
     G = G.substitute(sol)
     assert intersect(G, G) == 36
@@ -84,19 +80,19 @@ def test_adjunction_genus_when_unknowns_cancel():
     lat.set_gram("l", "l", lat.add_unknown("x"))
     lat.set_gram("l", "F", 1)
     lat.set_gram("F", "F", 0)
-    lat.canonical = lat.cls({"l": -1})
+    lat.canonical = ClassExpr(lat, {"l": -1})
     assert adjunction_genus(lat.generator("l")) == 1
 
 
 def test_adjunction_requires_even_self_plus_canonical():
     lat = RuledLattice(("C",))
     lat.set_gram("C", "C", 2)
-    lat.canonical = lat.cls({"C": 1})
+    lat.canonical = ClassExpr(lat, {"C": 1})
     # C^2 + C.K = 4, fine
     assert adjunction_genus(lat.generator("C")) == 3
     lat2 = RuledLattice(("C",))
     lat2.set_gram("C", "C", 1)
-    lat2.canonical = lat2.cls({"C": 0})
+    lat2.canonical = ClassExpr(lat2, {"C": 0})
     with pytest.raises(NonIntegralGenus):
         adjunction_genus(lat2.generator("C"))
 
@@ -105,18 +101,11 @@ def test_solver_error_taxonomy():
     lat = secant_scroll()
     l = lat.generator("l")
     with pytest.raises(InconsistentSystem):
-        solve_unknowns(
-            [
-                LinearConstraint(intersect(l, l), 1),
-                LinearConstraint(intersect(l, l), 2),
-            ],
-            lat,
-            partial=True,
-        )
+        solve_linear([intersect(l, l) - 1, intersect(l, l) - 2])
     lat2 = secant_scroll()
     l2 = lat2.generator("l")
     with pytest.raises(UnderdeterminedSystem):
-        solve_unknowns([LinearConstraint(intersect(l2, l2), 1)], lat2)
+        solve_linear([intersect(l2, l2) - 1], lat2.unknowns)
 
 
 def test_lattice_mismatch():
@@ -148,15 +137,9 @@ def test_bitangent_scroll_solve():
     F = lat.generator("F")
     H = lat.generator("H")
     Cq = lat.generator("Cq")
-    G = l + lat.cls({"F": al})
-    sol = solve_unknowns(
-        [
-            LinearConstraint(intersect(H, G), 108),
-            LinearConstraint(intersect(l, G), 0),
-        ],
-        lat,
-        partial=True,
-    )
+    G = l + ClassExpr(lat, {"F": al})
+    sol = solve_linear([intersect(H, G) - 108, intersect(l, G)])
+    lat.substitute(sol)
     assert sol["al"] == 36
     G = G.substitute(sol)
     A = 6 * H - 2 * G - Cq

@@ -106,6 +106,16 @@ def test_surface_block_and_jets():
     assert run(text).all_passed
 
 
+def test_jet2_c2_reads_the_surface_of_its_divisor():
+    text = (
+        "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n"
+        "let H1 = H\n"
+        "surface { D, K2; D.D = 2, D.K2 = 0, K2.K2 = 0; euler = 12 }\n"
+        "let t = jet2_c2(H1)\n"
+    )
+    assert run(text).bindings[-1] == ("t", "210")
+
+
 def test_lattice_solve_and_field_access():
     text = (
         "lattice L { basis l, F; unknown x;"
@@ -249,6 +259,13 @@ def test_runtime_error_for_schubert_without_context():
 def test_exponent_cap_is_a_runtime_error_with_a_position(call):
     with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 9: .* above the cap of 1000$"):
         run(f"let x = 1\nlet y = {call}\n")
+
+
+def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
+    # 2^1000 to the 15th has 4516 digits, above Python's limit for str(int)
+    product = " * ".join(["a"] * 15)
+    with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 1: Exceeds the limit"):
+        run(f"let a = degmult(1000)\nlet b = {product}\n")
 
 
 def test_division_by_zero_is_runtime_error():
