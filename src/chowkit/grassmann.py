@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linexpr import Combination
+from .linexpr import Combination, LinExpr
 from .partitions import complement_in_box, fits_in_box, partition, weight
 
 
@@ -226,8 +226,9 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
 
 
 def integrate(e: SchubertElement):
-    """Coefficient of the full-box (point) class; 0 if absent."""
-    return e.terms.get(e.ctx.top_partition, Fraction(0))
+    """Point-class coefficient: a Fraction (0 if absent), or a LinExpr."""
+    c = e.terms.get(e.ctx.top_partition, 0)
+    return c if isinstance(c, LinExpr) else Fraction(c)
 
 
 def duality_pair(lam, mu, ctx: GrassmannContext) -> int:

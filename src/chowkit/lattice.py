@@ -1,11 +1,11 @@
-"""Numerical-class lattices of ruled surfaces and scrolls.
+"""Intersection forms, and numerical-class lattices of ruled surfaces.
 
-A lattice is a basis of curve-class names, a symmetric Gram matrix whose
-entries may contain named unknowns, and optionally a canonical class.
+An intersection form (Hartshorne, *Algebraic Geometry*, V.1) is a basis of
+class names and a symmetric Gram matrix whose entries may hold named
+unknowns; ruled-surface lattices and `surface.SurfaceRing` are both one.
 Intersection numbers expand bilinearly to linear expressions in the
-unknowns; `linexpr.solve_linear` pins them and `RuledLattice.substitute`
-puts the answers back, one solve at a time, the way such computations are
-usually carried out by hand.
+unknowns; `linexpr.solve_linear` pins them and `substitute` puts the
+answers back, one solve at a time, as such computations are done by hand.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .linexpr import (
 )
 
 __all__ = [
+    "IntersectionForm",
     "RuledLattice",
     "ClassExpr",
     "SpaceMismatch",
@@ -40,25 +41,47 @@ class NonIntegralGenus(ValueError):
     """C^2 + C.K came out odd: the lattice data is inconsistent."""
 
 
-class RuledLattice:
+class IntersectionForm:
+    """`gram[(a, b)]` is the LinExpr a.b; a.b and b.a are one entry, set once."""
+
     def __init__(self, basis):
         self.basis = tuple(basis)
-        self.unknowns = []
         self.gram = {}
-        self.canonical = None
 
     def set_gram(self, a, b, value):
         if a not in self.basis or b not in self.basis:
             raise ValueError(f"gram entry for unknown classes ({a}, {b})")
+        if (a, b) in self.gram:
+            raise ValueError(f"intersection number {a}.{b} declared twice")
         value = LinExpr.coerce(value)
         self.gram[(a, b)] = value
         self.gram[(b, a)] = value
 
-    def gram_entry(self, a, b) -> LinExpr:
-        try:
-            return self.gram[(a, b)]
-        except KeyError:
-            raise ValueError(f"intersection number {a}.{b} was never declared")
+    def pair(self, u: dict, v: dict) -> LinExpr:
+        """Intersection number of two coefficient vectors over the basis."""
+        total = LinExpr(0)
+        for a, ca in u.items():
+            for b, cb in v.items():
+                try:
+                    entry = self.gram[(a, b)]
+                except KeyError:
+                    raise ValueError(f"intersection number {a}.{b} was never declared")
+                total = total + ca * cb * entry
+        return total
+
+    def substitute(self, assignment: dict):
+        """Resolve solved unknowns in place, rebuilding only the entries that
+        hold any (also a top-level `unknown a` in `l.l = a`)."""
+        for key, v in self.gram.items():
+            if not v.is_constant:
+                self.gram[key] = v.substitute(assignment)
+
+
+class RuledLattice(IntersectionForm):
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.unknowns = []
+        self.canonical = None
 
     def add_unknown(self, name: str) -> LinExpr:
         if name not in self.unknowns:
@@ -69,15 +92,7 @@ class RuledLattice:
         return ClassExpr(self, {name: 1})
 
     def substitute(self, assignment: dict):
-        """Resolve solved unknowns everywhere in the lattice, in place.
-
-        Only entries that still hold unknowns are rebuilt.  Any unknown may
-        sit in an entry, not only the lattice's own: `l.l = a` with a
-        top-level `unknown a`.
-        """
-        for key, v in self.gram.items():
-            if not v.is_constant:
-                self.gram[key] = v.substitute(assignment)
+        super().substitute(assignment)
         if self.canonical is not None:
             self.canonical = self.canonical.substitute(assignment)
         self.unknowns = [u for u in self.unknowns if u not in assignment]
@@ -115,11 +130,7 @@ def intersect(a: ClassExpr, b: ClassExpr):
     LinExpr.  Unknown*unknown products are rejected as nonlinear.
     """
     a._check(b)
-    total = LinExpr(0)
-    for n1, c1 in a.terms.items():
-        for n2, c2 in b.terms.items():
-            total = total + c1 * c2 * a.space.gram_entry(n1, n2)
-    return collapse(total)
+    return collapse(a.space.pair(a.terms, b.terms))
 
 
 def adjunction_genus(C: ClassExpr) -> Fraction:

@@ -1,12 +1,12 @@
 """Truncated characteristic-class calculus on a formal surface.
 
-A surface here is nothing but a ring: a divisor basis, a Gram matrix of
-pairwise intersection numbers, the point class, and optionally the
-topological Euler number.  Gram entries may be exact rationals or
-symbols, so the same code evaluates both the numeric K3 instance and the
-fully symbolic identity behind the triple-point count.  Degree-2
-components are linear expressions in the pairing symbols with rational
-coefficients; products of degree > 2 vanish.
+A surface here is nothing but a ring: a divisor basis with its
+intersection form (`lattice.IntersectionForm`), the point class, and
+optionally the topological Euler number.  Gram entries may be exact
+rationals or symbols, so the same code evaluates both the numeric K3
+instance and the fully symbolic identity behind the triple-point count.
+Degree-2 components are linear expressions in the pairing symbols with
+rational coefficients; products of degree > 2 vanish.
 """
 
 from __future__ import annotations
@@ -17,30 +17,23 @@ from functools import reduce
 from math import comb
 from operator import mul
 
+from .lattice import IntersectionForm
 from .linexpr import ONE, Combination, LinExpr, collapse
 
 
 POINT = 2  # the key of the point class in a SurfaceClass
 
 
-class SurfaceRing:
-    """Divisor basis + symmetric Gram matrix of intersection numbers.
-
-    `gram[(a, b)]` is the degree-2 value of a*b as a LinExpr (a constant
-    for a numeric surface, a pairing symbol for a symbolic one).  `euler`
-    is c2 of the tangent bundle, which jet bundles need.
-    """
+class SurfaceRing(IntersectionForm):
+    """`gram` maps (a, b), or lists ((a, b), value) pairs, to the degree-2
+    value of a*b: a constant, or a pairing symbol for a symbolic surface.
+    Each entry is given once.  `euler` is c2 of the tangent bundle."""
 
     def __init__(self, basis, gram, euler=None):
-        self.basis = tuple(basis)
+        super().__init__(basis)
         self.euler = euler
-        self.gram = {}
-        for (a, b), v in gram.items():
-            if a not in self.basis or b not in self.basis:
-                raise ValueError(f"gram entry for unknown divisors ({a}, {b})")
-            v = LinExpr.coerce(v)
-            self.gram[(a, b)] = v
-            self.gram[(b, a)] = v
+        for (a, b), v in gram.items() if isinstance(gram, dict) else gram:
+            self.set_gram(a, b, v)
         for a in self.basis:
             for b in self.basis:
                 if (a, b) not in self.gram:
@@ -59,13 +52,10 @@ class SurfaceRing:
     def divisor(self, name: str) -> "SurfaceClass":
         return SurfaceClass(self, {name: Fraction(1)})
 
-    def pair(self, u: dict, v: dict) -> LinExpr:
-        """Intersection number of two divisor vectors."""
-        out = LinExpr(0)
-        for a, ca in u.items():
-            for b, cb in v.items():
-                out = out + ca * cb * self.gram[(a, b)]
-        return out
+    def substitute(self, assignment: dict):
+        super().substitute(assignment)
+        if isinstance(self.euler, LinExpr):
+            self.euler = collapse(self.euler.substitute(assignment))
 
 
 class SurfaceClass(Combination):

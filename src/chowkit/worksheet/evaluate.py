@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, mul, sub, truediv
 
 from ..grassmann import GrassmannContext, SchubertElement
-from ..lattice import ClassExpr, RuledLattice
+from ..lattice import ClassExpr, IntersectionForm, RuledLattice
 from ..linexpr import Combination, LinExpr, collapse, solve_linear
 from ..surface import SurfaceRing
 from .ast import (
@@ -88,7 +88,7 @@ class Evaluator:
     def __init__(self):
         self.env: dict = {}
         self.grassmann: GrassmannContext | None = None
-        self.lattices: list[RuledLattice] = []
+        self.spaces: list[IntersectionForm] = []  # what `solve` substitutes into
         self.report = EvaluationReport()
 
     # -- statements ---------------------------------------------------
@@ -144,20 +144,19 @@ class Evaluator:
         self.report.bindings.append((name, str(value)))
 
     def surface_decl(self, s: SurfaceDecl):
-        gram = {}
-        for g in s.gram:
-            gram[(g.a, g.b)] = self.scalar(g.expr)
+        gram = [((g.a, g.b), self.scalar(g.expr)) for g in s.gram]
         euler = self.scalar(s.euler)
         try:
             ring = SurfaceRing(s.basis, gram, euler)
         except ValueError as exc:
             raise WorksheetRuntimeError(str(exc), s.pos)
+        self.spaces.append(ring)
         for name in s.basis:
             self.bind(name, ring.divisor(name))
 
     def lattice_decl(self, s: LatticeDecl):
         lat = RuledLattice([])
-        self.lattices.append(lat)
+        self.spaces.append(lat)
         self.bind(s.name, lat)
         for item in s.items:
             if isinstance(item, BasisDecl):
@@ -199,8 +198,8 @@ class Evaluator:
         self.substitute_everywhere(assignment)
 
     def substitute_everywhere(self, assignment: dict):
-        for lat in self.lattices:
-            lat.substitute(assignment)
+        for space in self.spaces:
+            space.substitute(assignment)
         for name, value in list(self.env.items()):
             if isinstance(value, Combination):
                 self.env[name] = collapse(value.substitute(assignment))

@@ -125,6 +125,18 @@ def test_plucker_degree_examples():
     assert plucker_degree(f, 3) == 152
 
 
+def test_integrate_returns_a_fraction_or_a_linexpr():
+    built = SchubertElement(G35, {(1, 1, 1): 120, (2, 1): 16})  # int coefficients
+    via_sigma = sig(G35, 1, 1, 1).scale(120) + sig(G35, 2, 1).scale(16)
+    for e in (built, via_sigma):
+        degree = plucker_degree(e, 3)
+        assert type(degree) is Fraction and degree == 152
+    absent = integrate(sig(G35, 1))
+    assert type(absent) is Fraction and absent == 0
+    a = LinExpr.unknown("a")
+    assert integrate(SchubertElement(G35, {(2, 2, 2): a})) == a
+
+
 def test_plucker_degree_rejects_mixed_codimension():
     e = sig(G35, 1) + sig(G35, 2)
     with pytest.raises(GradingError):

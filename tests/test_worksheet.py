@@ -153,6 +153,64 @@ def test_solve_substitutes_a_top_level_unknown_in_a_gram_entry(text):
     assert report.assertions and report.all_passed
 
 
+@pytest.mark.parametrize(
+    "surface",
+    [
+        "unknown a\nsurface { H, K; H.H = a, H.K = 0, K.K = 0; euler = 24 }\nsolve { a == 6 }\n",
+        "unknown e\nsurface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = e }\nsolve { e == 24 }\n",
+    ],
+    ids=["gram-entry", "euler"],
+)
+def test_solve_substitutes_into_a_surface(surface):
+    report = run(surface + "let t = jet2_c2(H)\nlet hh = H * H\n")
+    assert report.bindings[-2:] == [("t", "210"), ("hh", "6*pt")]
+
+
+SURFACE = "surface { H, K; H.H = 6, "
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SURFACE + "H.K = 0, K.H = 5, K.K = 0; euler = 24 }\nlet t = jet2_c2(H)\n",
+            "line 1, column 1: intersection number K.H declared twice",
+        ),
+        (
+            SURFACE + "H.K = 0, H.K = 5, K.K = 0; euler = 24 }\nlet t = jet2_c2(H)\n",
+            "line 1, column 1: intersection number H.K declared twice",
+        ),
+        (
+            "lattice L { basis l, F; l.F = 1, F.l = 2, F.F = 0, l.l = 0 }\nlet x = l * F\n",
+            "line 1, column 34: intersection number F.l declared twice",
+        ),
+        (
+            "lattice L { basis l, F; l.F = 1 }\nlet x = l * l\n",
+            "line 2, column 11: intersection number l.l was never declared",
+        ),
+        (
+            SURFACE + "H.X = 0, K.K = 0; euler = 24 }\n",
+            "line 1, column 1: gram entry for unknown classes (H, X)",
+        ),
+    ],
+    ids=[
+        "surface-entry-twice",
+        "surface-entry-twice-same-order",
+        "lattice-entry-twice",
+        "lattice-entry-never-declared",
+        "surface-entry-outside-basis",
+    ],
+)
+def test_intersection_number_errors(text, message, tmp_path, capsys):
+    with pytest.raises(WorksheetRuntimeError) as exc:
+        run(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.ws"
+    path.write_text(text, encoding="utf-8")
+    assert main(["worksheet", "run", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_record_field_access():
     text = (
         "let T = salmon_cayley(1, 6, 18; 0, 0, 36)\n"
