@@ -13,18 +13,19 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
+from .linexpr import (
+    InconsistentSystem,
+    LinExpr,
+    NonlinearError,
+    UnderdeterminedSystem,
+    collapse,
+    solve_linear,
+)
+
 # The largest exponent `odd_theta_count` and `degeneration_multiplicity` raise
 # 2 to.  It is checked before the power is taken, so a huge argument costs
 # nothing; odd_theta_count(1000) has 602 digits.
 MAX_EXPONENT = 1000
-
-
-class PlueckerInconsistent(ValueError):
-    pass
-
-
-class PlueckerUnderdetermined(ValueError):
-    pass
 
 
 @dataclass
@@ -63,88 +64,51 @@ class PlueckerData:
         )
 
 
-# Each relation: 0 == const-free polynomial, written as (linear_var, solver)
-# pairs handled by one propagation loop below.  All five are linear in
-# each single variable, which is all the solver exploits.
-def _relations():
-    def r1(v):  # m = d(d-1) - 2 nodes - 3 cusps
-        return v["m"] - v["d"] * (v["d"] - 1) + 2 * v["nodes"] + 3 * v["cusps"]
-
-    def r2(v):  # flexes = 3d(d-2) - 6 nodes - 8 cusps
-        return v["flexes"] - 3 * v["d"] * (v["d"] - 2) + 6 * v["nodes"] + 8 * v["cusps"]
-
-    def r3(v):  # d = m(m-1) - 2 bitangents - 3 flexes
-        return v["d"] - v["m"] * (v["m"] - 1) + 2 * v["bitangents"] + 3 * v["flexes"]
-
-    def r4(v):  # cusps = 3m(m-2) - 6 bitangents - 8 flexes
-        return (
-            v["cusps"]
-            - 3 * v["m"] * (v["m"] - 2)
-            + 6 * v["bitangents"]
-            + 8 * v["flexes"]
-        )
-
-    def r5(v):  # genus = (d-1)(d-2)/2 - nodes - cusps
-        return (
-            v["genus"]
-            - (v["d"] - 1) * (v["d"] - 2) / 2
-            + v["nodes"]
-            + v["cusps"]
-        )
-
-    return [
-        (r1, ["m", "d", "nodes", "cusps"]),
-        (r2, ["flexes", "d", "nodes", "cusps"]),
-        (r3, ["d", "m", "bitangents", "flexes"]),
-        (r4, ["cusps", "m", "bitangents", "flexes"]),
-        (r5, ["genus", "d", "nodes", "cusps"]),
-    ]
-
-
-def _solve_single(rel, vals, name):
-    """Solve rel == 0 for `name`, everything else in `vals` being known.
-
-    The relations are linear in each single variable, so two evaluations
-    determine the solution.
-    """
-    v0 = dict(vals, **{name: Fraction(0)})
-    v1 = dict(vals, **{name: Fraction(1)})
-    f0 = rel(v0)
-    slope = rel(v1) - f0
-    if slope == 0:
-        raise PlueckerInconsistent("degenerate relation")
-    return -f0 / slope
+# The five Pluecker relations (Griffiths-Harris, *Principles of Algebraic
+# Geometry*, 2.4), each an expression in the characters that vanishes on a
+# plane curve.  Three are quadratic in d and two in m.
+_RELATIONS = (
+    lambda d, m, nodes, cusps, **_: m - d * (d - 1) + 2 * nodes + 3 * cusps,
+    lambda d, nodes, cusps, flexes, **_: flexes - 3 * d * (d - 2) + 6 * nodes + 8 * cusps,
+    lambda d, m, bitangents, flexes, **_: d - m * (m - 1) + 2 * bitangents + 3 * flexes,
+    lambda m, bitangents, flexes, cusps, **_: (
+        cusps - 3 * m * (m - 2) + 6 * bitangents + 8 * flexes
+    ),
+    lambda d, nodes, cusps, genus, **_: genus - (d - 1) * (d - 2) / 2 + nodes + cusps,
+)
 
 
 def plucker_solve(partial: PlueckerData) -> PlueckerData:
     """Complete a partial set of Pluecker characters.
 
-    Propagates each of the five relations whenever all but one of its
-    variables are known; raises if the input is inconsistent or leaves
-    the system underdetermined.
+    Each unset character is an unknown.  A relation that comes out linear in
+    exactly one unknown is solved for it by `solve_linear`, until no relation
+    gives anything new; a relation quadratic in an unset d or m is not used
+    until that character is known, since a linear solve cannot pick a root.
+    Raises InconsistentSystem if a relation fails on known values, and
+    UnderdeterminedSystem if a character is left unset.
     """
-    vals = {
-        f.name: getattr(partial, f.name)
-        for f in fields(partial)
-    }
-    rels = _relations()
+    vals = {n: LinExpr.unknown(n) if v is None else v for n, v in vars(partial).items()}
     changed = True
     while changed:
         changed = False
-        for rel, names in rels:
-            known = {n: vals[n] for n in names if vals[n] is not None}
-            missing = [n for n in names if vals[n] is None]
-            if not missing:
-                if rel(vals) != 0:
-                    raise PlueckerInconsistent(
-                        f"relation violated on {sorted(known.items())}"
-                    )
-            elif len(missing) == 1:
-                vals[missing[0]] = _solve_single(rel, known, missing[0])
-                changed = True
-    if any(v is None for v in vals.values()):
-        unset = sorted(n for n, v in vals.items() if v is None)
-        raise PlueckerUnderdetermined(f"cannot determine: {', '.join(unset)}")
+        for rel in _RELATIONS:
+            try:
+                r = collapse(rel(**vals))
+            except NonlinearError:
+                continue
+            if isinstance(r, LinExpr):
+                if len(r.coeffs) == 1:
+                    vals.update(solve_linear([r]))
+                    changed = True
+            elif r != 0:
+                known = ", ".join(
+                    f"{n}={v}" for n, v in sorted(vals.items()) if not isinstance(v, LinExpr)
+                )
+                raise InconsistentSystem(f"relation violated on {known}")
+    unset = sorted(n for n, v in vals.items() if isinstance(v, LinExpr))
+    if unset:
+        raise UnderdeterminedSystem(f"cannot determine: {', '.join(unset)}")
     return PlueckerData(**vals)
 
 

@@ -25,15 +25,18 @@ POINT = 2  # the key of the point class in a SurfaceClass
 
 
 class SurfaceRing(IntersectionForm):
-    """`gram` maps (a, b), or lists ((a, b), value) pairs, to the degree-2
-    value of a*b: a constant, or a pairing symbol for a symbolic surface.
-    Each entry is given once.  `euler` is c2 of the tangent bundle."""
+    """`gram` maps (a, b) to the degree-2 value of a*b: a constant, or a
+    pairing symbol for a symbolic surface.  Each entry is given once, and
+    every pair of the basis has one.  `euler` is c2 of the tangent bundle."""
 
     def __init__(self, basis, gram, euler=None):
         super().__init__(basis)
         self.euler = euler
-        for (a, b), v in gram.items() if isinstance(gram, dict) else gram:
+        for (a, b), v in gram.items():
             self.set_gram(a, b, v)
+        self.check_complete()
+
+    def check_complete(self):
         for a in self.basis:
             for b in self.basis:
                 if (a, b) not in self.gram:

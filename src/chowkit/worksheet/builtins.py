@@ -50,6 +50,7 @@ def _kind(what, test):
     return kind
 
 
+number = _kind("a number", lambda v: isinstance(v, Fraction))
 scalar = _kind("a scalar value", lambda v: isinstance(v, (Fraction, LinExpr)))
 schubert_class = _kind("a Schubert class", lambda v: isinstance(v, SchubertElement))
 lattice_class = _kind("a lattice class", lambda v: isinstance(v, ClassExpr))
@@ -70,7 +71,7 @@ class Builtin:
     groups: tuple  # positional argument groups, separated by ';' in a call
     run: Callable
     fields: tuple = ()  # record field names, when `run` returns a tuple
-    named: tuple = ()  # names of the scalar arguments given as name=value
+    named: tuple = ()  # names of the number arguments given as name=value
 
     @property
     def signature(self) -> str:
@@ -98,7 +99,7 @@ class Builtin:
             for values, group in zip(groups, self.groups)
             for i, v in enumerate(values)
         ]
-        kwargs = {k: scalar(v) for k, v in named.items()}
+        kwargs = {k: number(v) for k, v in named.items()}
         out = self.run(*args, **kwargs)
         return Record(dict(zip(self.fields, out))) if self.fields else out
 
@@ -147,14 +148,14 @@ BUILTINS = {
         (_args(lattice_class, "C"),), lambda c: lattice.adjunction_genus(c)
     ),
     "glue_genus": Builtin(
-        (_args(scalar, "p1 p2 inter"),), lambda *a: lattice.genus_additivity(*a)
+        (_args(number, "p1 p2 inter"),), lambda *a: lattice.genus_additivity(*a)
     ),
     "hurwitz": Builtin(
         (_args(integer, "g_source g_target n"),),
         lambda *a: curves.hurwitz_ramification(*a),
     ),
     "coincidences": Builtin(
-        (_args(scalar, "e f"),), lambda *a: curves.correspondence_coincidences(*a)
+        (_args(number, "e f"),), lambda *a: curves.correspondence_coincidences(*a)
     ),
     "salmon_cayley": Builtin(
         (_args(integer, "n1 n2 n3"), _args(integer, "i12 i13 i23")),
@@ -169,7 +170,7 @@ BUILTINS = {
         (_args(integer, "contacts"),), lambda c: curves.degeneration_multiplicity(c)
     ),
     "residual": Builtin(
-        (_args(scalar, "total"), _args(scalar, "part...")),
+        (_args(number, "total"), _args(number, "part...")),
         lambda total, *parts: curves.residual_degree(total, [(1, p) for p in parts]),
     ),
     "pluecker": Builtin((), _pluecker, fields=_CHARACTERS, named=_CHARACTERS),

@@ -99,7 +99,7 @@ class Evaluator:
                 self.statement(s)
             except WorksheetError:
                 raise
-            except ValueError as exc:  # e.g. an int too long to print in `bind`
+            except ValueError as exc:  # e.g. a bad Gr(k, n), a failed solve, a huge int
                 raise WorksheetRuntimeError(str(exc), s.pos) from exc
         return self.report
 
@@ -123,10 +123,7 @@ class Evaluator:
                 )
             )
         elif isinstance(s, GrassmannianDecl):
-            try:
-                self.grassmann = GrassmannContext(s.k, s.n)
-            except ValueError as exc:
-                raise WorksheetRuntimeError(str(exc), s.pos)
+            self.grassmann = GrassmannContext(s.k, s.n)
         elif isinstance(s, UnknownDecl):
             for n in s.names:
                 self.bind(n, LinExpr.unknown(n))
@@ -144,12 +141,16 @@ class Evaluator:
         self.report.bindings.append((name, str(value)))
 
     def surface_decl(self, s: SurfaceDecl):
-        gram = [((g.a, g.b), self.scalar(g.expr)) for g in s.gram]
-        euler = self.scalar(s.euler)
-        try:
-            ring = SurfaceRing(s.basis, gram, euler)
-        except ValueError as exc:
-            raise WorksheetRuntimeError(str(exc), s.pos)
+        ring = SurfaceRing((), {})  # empty, so complete; entries are set one by one
+        ring.basis = s.basis
+        for g in s.gram:
+            value = self.scalar(g.expr)
+            try:
+                ring.set_gram(g.a, g.b, value)
+            except ValueError as exc:
+                raise WorksheetRuntimeError(str(exc), g.pos)
+        ring.euler = self.scalar(s.euler)
+        ring.check_complete()
         self.spaces.append(ring)
         for name in s.basis:
             self.bind(name, ring.divisor(name))
@@ -167,8 +168,9 @@ class Evaluator:
                 for n in item.names:
                     self.bind(n, lat.add_unknown(n))
             elif isinstance(item, GramEntry):
+                value = self.scalar(item.expr)
                 try:
-                    lat.set_gram(item.a, item.b, self.scalar(item.expr))
+                    lat.set_gram(item.a, item.b, value)
                 except ValueError as exc:
                     raise WorksheetRuntimeError(str(exc), item.pos)
             elif isinstance(item, ClassDecl):
@@ -189,10 +191,7 @@ class Evaluator:
 
     def solve_block(self, s: SolveBlock):
         eqs = [self.scalar(left) - self.scalar(right) for left, right in s.constraints]
-        try:
-            assignment = solve_linear(eqs)
-        except ValueError as exc:
-            raise WorksheetRuntimeError(str(exc), s.pos)
+        assignment = solve_linear(eqs)
         for name in sorted(assignment):
             self.bind(name, assignment[name])
         self.substitute_everywhere(assignment)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -16,6 +17,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """The `chowkit ...  # -> VALUE` lines of the README's Command line block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = (line.partition("# ->") for line in block.splitlines())
+    return [
+        pytest.param(shlex.split(command)[1:], value.strip(), id=command.strip())
+        for command, _, value in lines
+        if value
+    ]
+
+
+@pytest.mark.parametrize("argv, value", readme_examples())
+def test_readme_command_line_examples(argv, value, capsys):
+    assert run_cli(capsys, *argv) == (0, value + "\n", "")
 
 
 def test_worksheet_run_success(capsys):

@@ -11,8 +11,6 @@ from chowkit.curves import (
     NegativeRamification,
     NegativeResidual,
     PlueckerData,
-    PlueckerInconsistent,
-    PlueckerUnderdetermined,
     correspondence_coincidences,
     degeneration_multiplicity,
     hurwitz_ramification,
@@ -23,6 +21,7 @@ from chowkit.curves import (
     secant_plucker_degree,
 )
 from chowkit.grassmann import GrassmannContext, SchubertElement, multiply, integrate
+from chowkit.linexpr import InconsistentSystem, UnderdeterminedSystem
 
 
 def test_plucker_nodal_sextic():
@@ -60,10 +59,39 @@ def test_plucker_dual_involution():
 
 
 def test_plucker_underdetermined_and_inconsistent():
-    with pytest.raises(PlueckerUnderdetermined):
+    with pytest.raises(UnderdeterminedSystem):
         plucker_solve(PlueckerData(d=6))
-    with pytest.raises(PlueckerInconsistent):
+    with pytest.raises(InconsistentSystem):
         plucker_solve(PlueckerData(d=6, nodes=6, cusps=0, genus=5))
+
+
+CHARACTERS = ("d", "m", "nodes", "cusps", "bitangents", "flexes", "genus")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.sets(st.sampled_from(CHARACTERS)),
+)
+def test_plucker_solve_is_exact_or_underdetermined(d, nodes, cusps, given_names):
+    m = d * (d - 1) - 2 * nodes - 3 * cusps
+    flexes = 3 * d * (d - 2) - 6 * nodes - 8 * cusps
+    truth = PlueckerData(
+        d=d,
+        m=m,
+        nodes=nodes,
+        cusps=cusps,
+        bitangents=Fraction(m * (m - 1) - d - 3 * flexes, 2),
+        flexes=flexes,
+        genus=Fraction((d - 1) * (d - 2), 2) - nodes - cusps,
+    )
+    partial = PlueckerData(**{n: getattr(truth, n) for n in given_names})
+    try:
+        assert plucker_solve(partial) == truth
+    except UnderdeterminedSystem:
+        pass
 
 
 @settings(max_examples=60, deadline=None)

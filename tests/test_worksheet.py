@@ -174,11 +174,11 @@ SURFACE = "surface { H, K; H.H = 6, "
     [
         (
             SURFACE + "H.K = 0, K.H = 5, K.K = 0; euler = 24 }\nlet t = jet2_c2(H)\n",
-            "line 1, column 1: intersection number K.H declared twice",
+            "line 1, column 35: intersection number K.H declared twice",
         ),
         (
             SURFACE + "H.K = 0, H.K = 5, K.K = 0; euler = 24 }\nlet t = jet2_c2(H)\n",
-            "line 1, column 1: intersection number H.K declared twice",
+            "line 1, column 35: intersection number H.K declared twice",
         ),
         (
             "lattice L { basis l, F; l.F = 1, F.l = 2, F.F = 0, l.l = 0 }\nlet x = l * F\n",
@@ -190,7 +190,11 @@ SURFACE = "surface { H, K; H.H = 6, "
         ),
         (
             SURFACE + "H.X = 0, K.K = 0; euler = 24 }\n",
-            "line 1, column 1: gram entry for unknown classes (H, X)",
+            "line 1, column 26: gram entry for unknown classes (H, X)",
+        ),
+        (
+            SURFACE + "H.K = 0; euler = 24 }\n",
+            "line 1, column 1: missing intersection number K.K",
         ),
     ],
     ids=[
@@ -199,6 +203,7 @@ SURFACE = "surface { H, K; H.H = 6, "
         "lattice-entry-twice",
         "lattice-entry-never-declared",
         "surface-entry-outside-basis",
+        "surface-entry-missing",
     ],
 )
 def test_intersection_number_errors(text, message, tmp_path, capsys):
@@ -324,6 +329,62 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
     product = " * ".join(["a"] * 15)
     with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 1: Exceeds the limit"):
         run(f"let a = degmult(1000)\nlet b = {product}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("grassmannian (5, 3)\n", "line 1, column 1: need 0 < k < n, got Gr(5, 3)"),
+        (
+            "unknown a\nsolve { a == 1; a == 2 }\n",
+            "line 2, column 1: constraints have no common solution",
+        ),
+        (
+            "unknown a\nlet x = glue_genus(a, 1, 1)\n",
+            "line 2, column 9: glue_genus: expected a number, got a",
+        ),
+        ("unknown a\nlet x = residual(6; a)\n", "line 2, column 9: residual: expected a number, got a"),
+        (
+            "unknown a\nlet x = coincidences(a, 1)\n",
+            "line 2, column 9: coincidences: expected a number, got a",
+        ),
+        (
+            "unknown a\nlet x = pluecker{d=a, nodes=0}\n",
+            "line 2, column 9: pluecker: expected a number, got a",
+        ),
+        (
+            "let P = pluecker{genus=1, nodes=0, cusps=0}\n",
+            "line 1, column 9: pluecker: cannot determine: bitangents, d, flexes, m",
+        ),
+        (
+            "grassmannian (2, 4)\nlattice L { basis l; l.l = s[1] }\n",
+            "line 2, column 28: expected a scalar value, got s[1]",
+        ),
+    ],
+    ids=[
+        "grassmannian-out-of-range",
+        "solve-inconsistent",
+        "glue-genus-unknown",
+        "residual-unknown",
+        "coincidences-unknown",
+        "pluecker-unknown",
+        "pluecker-quadratic-in-d",
+        "lattice-entry-not-scalar",
+    ],
+)
+def test_runtime_error_message_and_position(text, message):
+    with pytest.raises(WorksheetRuntimeError) as exc:
+        run(text)
+    assert str(exc.value) == message
+
+
+def test_pluecker_solves_the_cubic_from_its_dual():
+    report = run(
+        "let P = pluecker{m=6, nodes=0, cusps=0, bitangents=0, flexes=9}\n"
+        "assert P.d == 3\n"
+        "assert P.genus == 1\n"
+    )
+    assert report.all_passed and len(report.assertions) == 2
 
 
 def test_division_by_zero_is_runtime_error():
