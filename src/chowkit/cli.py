@@ -17,10 +17,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .grassmann import GrassmannContext, plucker_degree
-from .worksheet import WorksheetSyntaxError, evaluate, parse
+from .grassmann import GrassmannContext
+from .worksheet import evaluate, parse
 from .worksheet.builtins import BUILTINS, Record
 from .worksheet.evaluate import Evaluator
+from .worksheet.parse import parse_expression
 
 
 def _parse_gr(spec: str) -> GrassmannContext:
@@ -33,17 +34,9 @@ def _parse_gr(spec: str) -> GrassmannContext:
 
 def _schubert_expr(text: str, ctx: GrassmannContext):
     """Evaluate a standalone Schubert expression like 120*s[1,1,1]+16*s[2,1]."""
-    from .worksheet.parse import _Parser, tokenize
-
-    parser = _Parser(tokenize(text))
-    expr = parser.expr_required()
-    if parser.cur.kind not in ("NEWLINE", "EOF"):
-        raise WorksheetSyntaxError(
-            f"trailing input {parser.cur.text!r}", parser.cur.pos
-        )
     ev = Evaluator()
     ev.grassmann = ctx
-    return ev.eval(expr)
+    return ev.eval(parse_expression(text))
 
 
 def _run_worksheets(args) -> int:
@@ -166,9 +159,8 @@ def main(argv=None) -> int:
             ctx = _parse_gr(args.gr)
             value = _schubert_expr(args.expr, ctx)
             if args.sch_command == "pdeg":
-                print(plucker_degree(value, args.dim))
-            else:
-                print(value)
+                value = BUILTINS["pdeg"].call([[value, Fraction(args.dim)]], {})
+            print(value)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

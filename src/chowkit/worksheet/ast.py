@@ -6,11 +6,11 @@ parse(pretty_print(p)) == p is a meaningful round-trip law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 
@@ -27,151 +27,57 @@ class WorksheetError(ValueError):
         self.pos = pos
 
 
-def _pos_field():
-    return field(default=Pos(0, 0), compare=False, repr=False)
+class _Node(tuple):
+    """Equal to a node of the same class with equal fields; `pos` is not compared."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), self[:-1]))
+
+
+def _node(name: str, fields: str) -> type:
+    """A node class: a named tuple of `fields` followed by `pos`."""
+    base = namedtuple(name, f"{fields} pos")
+    return type(name, (base, _Node), {"__slots__": (), "__module__": __name__})
 
 
 # --- expressions -----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class Name:
-    name: str
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class SchubertLit:
-    parts: tuple
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: object
-    right: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-    args2: tuple | None = None  # the group after ';', when present
-    kwargs: tuple = ()  # ((name, expr), ...) for brace calls
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class FieldAccess:
-    base: object
-    name: str
-    pos: Pos = _pos_field()
-
+IntLit = _node("IntLit", "value")
+Name = _node("Name", "name")
+SchubertLit = _node("SchubertLit", "parts")
+BinOp = _node("BinOp", "op left right")  # op is one of + - * /
+Neg = _node("Neg", "operand")
+# args2 is the group after ';' or None; kwargs is ((name, expr), ...) for brace calls
+Call = _node("Call", "func args args2 kwargs")
+FieldAccess = _node("FieldAccess", "base name")
 
 # --- statements ------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Let:
-    name: str
-    expr: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class Input:
-    name: str
-    expr: object
-    citation: str
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class Assert:
-    left: object
-    right: object
-    pos: Pos = _pos_field()
+Let = _node("Let", "name expr")
+Input = _node("Input", "name expr citation")
+Assert = _node("Assert", "left right")
+GrassmannianDecl = _node("GrassmannianDecl", "k n")
+UnknownDecl = _node("UnknownDecl", "names")
+GramEntry = _node("GramEntry", "a b expr")
+SurfaceDecl = _node("SurfaceDecl", "basis gram euler")  # gram is a tuple of GramEntry
+ClassDecl = _node("ClassDecl", "name expr")
+CanonicalDecl = _node("CanonicalDecl", "expr")
+# items are BasisDecl, UnknownDecl, GramEntry, ClassDecl and CanonicalDecl nodes
+LatticeDecl = _node("LatticeDecl", "name items")
+BasisDecl = _node("BasisDecl", "names")
+SolveBlock = _node("SolveBlock", "constraints")  # of (left, right) expression pairs
 
 
-@dataclass(frozen=True)
-class GrassmannianDecl:
-    k: int
-    n: int
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class UnknownDecl:
-    names: tuple
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class GramEntry:
-    a: str
-    b: str
-    expr: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class SurfaceDecl:
-    basis: tuple
-    gram: tuple  # of GramEntry
-    euler: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class ClassDecl:
-    name: str
-    expr: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class CanonicalDecl:
-    expr: object
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class LatticeDecl:
-    name: str
-    items: tuple  # BasisDecl-like: ("basis", names) via dedicated nodes below
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class BasisDecl:
-    names: tuple
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class SolveBlock:
-    constraints: tuple  # of (left, right) expression pairs
-    pos: Pos = _pos_field()
-
-
-@dataclass(frozen=True)
-class WorksheetProgram:
+class WorksheetProgram(NamedTuple):
     statements: tuple
-    pos: Pos = _pos_field()
 
 
 # --- pretty printing -------------------------------------------------------

@@ -129,7 +129,11 @@ def _pluecker(**chars):
         chars.setdefault("bitangents", 0)
         chars.setdefault("flexes", 0)
     data = curves.plucker_solve(curves.PlueckerData(**chars))
-    return tuple(getattr(data, c) for c in _CHARACTERS)
+    values = tuple(getattr(data, c) for c in _CHARACTERS)
+    bad = [f"{c}={v}" for c, v in zip(_CHARACTERS, values) if v < 0 or v.denominator != 1]
+    if bad:
+        raise ValueError(f"no plane curve has {', '.join(bad)}")
+    return values
 
 
 BUILTINS = {

@@ -31,7 +31,6 @@ from .ast import (
     LatticeDecl,
     Name,
     Neg,
-    Pos,
     SchubertLit,
     SolveBlock,
     SurfaceDecl,
@@ -238,7 +237,7 @@ class Evaluator:
             return base.fields[e.name]
         if isinstance(e, Call):
             return self.call(e)
-        raise WorksheetRuntimeError(f"cannot evaluate {e!r}", getattr(e, "pos", Pos(0, 0)))
+        raise WorksheetRuntimeError(f"cannot evaluate {e!r}", e.pos)
 
     def binop(self, op, a, b, pos):
         try:

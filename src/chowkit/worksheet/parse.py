@@ -16,7 +16,7 @@ undeclared name and calls no unknown function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     Assert,
@@ -86,8 +86,7 @@ class WorksheetSyntaxError(WorksheetError):
     """A lexical, grammar or scope error, found before evaluation starts."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME INT STRING NEWLINE EOF or a punctuation literal
     text: str
     pos: Pos
@@ -457,6 +456,7 @@ class _Parser:
             fname.text,
             tuple(args),
             tuple(args2) if args2 is not None else None,
+            (),
             pos=fname.pos,
         )
 
@@ -476,4 +476,14 @@ def parse(text: str) -> WorksheetProgram:
     return _Parser(tokenize(text)).program()
 
 
-__all__ = ["parse", "pretty_print", "tokenize", "WorksheetSyntaxError"]
+def parse_expression(text: str):
+    """Read one expression; only blank lines and comments may follow it."""
+    parser = _Parser(tokenize(text))
+    expr = parser.expr_required()
+    parser.skip_newlines()
+    if not parser.at("EOF"):
+        raise WorksheetSyntaxError(f"trailing input {parser.cur.text!r}", parser.cur.pos)
+    return expr
+
+
+__all__ = ["parse", "parse_expression", "pretty_print", "tokenize", "WorksheetSyntaxError"]

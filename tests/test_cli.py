@@ -5,6 +5,8 @@ import pathlib
 import shlex
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chowkit.cli import main
 from chowkit.worksheet import evaluate, parse
@@ -164,6 +166,57 @@ def test_curve_pluecker_matches_worksheet(capsys):
     assert record == "{" + ", ".join(fields) + "}"
 
 
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["d=3", "nodes=4"], "m=-2, flexes=-15, genus=-3"),
+        (["d=1/2", "nodes=0"], "d=1/2, m=-1/4, bitangents=105/32, flexes=-9/4, genus=3/8"),
+    ],
+    ids=["negative-characters", "fractional-degree"],
+)
+def test_curve_pluecker_rejects_characters_of_no_plane_curve(args, bad, capsys):
+    code, out, err = run_cli(capsys, "curve", "pluecker", *args)
+    assert (code, out, err) == (2, "", f"error: pluecker: no plane curve has {bad}\n")
+
+
+def test_schubert_expression_is_followed_only_by_blank_lines_and_comments(capsys):
+    ok = run_cli(capsys, "schubert", "mult", "--gr", "3,5", "s[1] # c\n\n")
+    assert ok == (0, "s[1]\n", "")
+    code, out, err = run_cli(
+        capsys, "schubert", "mult", "--gr", "3,5", "s[1] # c\n\n s[2]\n"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: line 3, column 2: trailing input 's'\n"
+
+
+def test_schubert_pdeg_of_a_number_names_the_argument(capsys):
+    code, _, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "2", "0")
+    assert (code, err) == (2, "error: expected a Schubert class, got 2\n")
+
+
+SCHUBERT_FRAGMENTS = [
+    "s[", "0", "1", "2", "12", ",", "]", "*", "+", "(", ")", "\n", "x",
+    "odd_theta(", "pluecker{d=", "}",
+]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["pdeg", "mult"]),
+    expr=st.lists(st.sampled_from(SCHUBERT_FRAGMENTS), max_size=12).map("".join),
+    dim=st.integers(0, 6),
+)
+def test_schubert_expressions_keep_the_exit_code_contract(command, expr, dim, capsys):
+    dims = [str(dim)] if command == "pdeg" else []
+    code = main(["schubert", command, "--gr", "3,5", expr, *dims])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_curve_unknown_argument_exits_2(capsys):
     code, _, err = run_cli(capsys, "curve", "pluecker", "q=3")
     assert code == 2
@@ -214,6 +267,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["worksheet", "run", "NOT_UTF8"],
         ["worksheet", "run", "DEEP_PARENS"],
         ["worksheet", "run", "LONG_SUM"],
+        ["schubert", "pdeg", "--gr", "3,5", "2", "0"],
+        ["schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1]\n+ 16*s[2,1]", "3"],
     ],
     ids=[
         "zero-denominator",
@@ -226,6 +281,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "not-utf8",
         "nested-parentheses",
         "flat-sum",
+        "pdeg-of-a-number",
+        "trailing-line",
     ],
 )
 def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Worksheet language: parsing, evaluation, round-trips, determinism."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -15,6 +16,8 @@ from chowkit.worksheet import (
     parse,
     pretty_print,
 )
+from chowkit.worksheet import ast
+from chowkit.worksheet.ast import ClassDecl, IntLit, Let, Pos
 from chowkit.worksheet.builtins import BUILTINS
 from chowkit.worksheet.parse import tokenize
 
@@ -360,6 +363,15 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
             "grassmannian (2, 4)\nlattice L { basis l; l.l = s[1] }\n",
             "line 2, column 28: expected a scalar value, got s[1]",
         ),
+        (
+            "let a = 1\nlet P = pluecker{d=3, nodes=4}\n",
+            "line 2, column 9: pluecker: no plane curve has m=-2, flexes=-15, genus=-3",
+        ),
+        (
+            "let P = pluecker{d=1/2, nodes=0}\n",
+            "line 1, column 9: pluecker: no plane curve has"
+            " d=1/2, m=-1/4, bitangents=105/32, flexes=-9/4, genus=3/8",
+        ),
     ],
     ids=[
         "grassmannian-out-of-range",
@@ -370,6 +382,8 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
         "pluecker-unknown",
         "pluecker-quadratic-in-d",
         "lattice-entry-not-scalar",
+        "pluecker-negative-characters",
+        "pluecker-fractional-degree",
     ],
 )
 def test_runtime_error_message_and_position(text, message):
@@ -408,6 +422,29 @@ def test_shipped_worksheets_round_trip(path):
     assert parse(printed) == program
     # printing is idempotent
     assert pretty_print(parse(printed)) == printed
+
+
+def test_reformatting_leaves_the_program_equal():
+    assert parse("let x = 1\n") == parse("\n\nlet  x=1 # c\n")
+
+
+def test_nodes_compare_by_class_and_fields_not_position():
+    one = IntLit(1, Pos(1, 9))
+    let = Let("x", one, Pos(1, 1))
+    moved = Let("x", IntLit(1, Pos(3, 7)), Pos(3, 1))
+    assert let == moved and not let != moved
+    assert hash(let) == hash(moved)
+    assert let != Let("y", one, Pos(1, 1))
+    assert let != ClassDecl("x", one, Pos(1, 1))
+    assert let != ("x", one) and ("x", one) != let
+    assert let != ("x", one, Pos(1, 1))
+
+
+def test_traced_statement_kinds_name_node_classes():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert [k for k in spans.STATEMENT_KINDS if not hasattr(ast, k)] == []
 
 
 @pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.name)
