@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .grassmann import GrassmannContext
 from .worksheet import evaluate, parse
-from .worksheet.builtins import BUILTINS, Record
+from .worksheet.builtins import BUILTINS, Record, schubert_class
 from .worksheet.evaluate import Evaluator
 from .worksheet.parse import parse_expression
 
@@ -157,9 +157,9 @@ def main(argv=None) -> int:
     if args.command == "schubert":
         try:
             ctx = _parse_gr(args.gr)
-            value = _schubert_expr(args.expr, ctx)
+            value = schubert_class(_schubert_expr(args.expr, ctx))
             if args.sch_command == "pdeg":
-                value = BUILTINS["pdeg"].call([[value, Fraction(args.dim)]], {})
+                value = BUILTINS["pdeg"].call([[value, args.dim]], {})
             print(value)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

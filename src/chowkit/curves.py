@@ -66,7 +66,8 @@ class PlueckerData:
 
 # The five Pluecker relations (Griffiths-Harris, *Principles of Algebraic
 # Geometry*, 2.4), each an expression in the characters that vanishes on a
-# plane curve.  Three are quadratic in d and two in m.
+# plane curve; the genus formula is doubled, so no relation divides.  Three
+# are quadratic in d and two in m.
 _RELATIONS = (
     lambda d, m, nodes, cusps, **_: m - d * (d - 1) + 2 * nodes + 3 * cusps,
     lambda d, nodes, cusps, flexes, **_: flexes - 3 * d * (d - 2) + 6 * nodes + 8 * cusps,
@@ -74,7 +75,7 @@ _RELATIONS = (
     lambda m, bitangents, flexes, cusps, **_: (
         cusps - 3 * m * (m - 2) + 6 * bitangents + 8 * flexes
     ),
-    lambda d, nodes, cusps, genus, **_: genus - (d - 1) * (d - 2) / 2 + nodes + cusps,
+    lambda d, nodes, cusps, genus, **_: 2 * (genus + nodes + cusps) - (d - 1) * (d - 2),
 )
 
 

@@ -73,7 +73,7 @@ class SchubertElement(Combination):
 
     @staticmethod
     def sigma(ctx: GrassmannContext, lam) -> "SchubertElement":
-        return SchubertElement(ctx, {lam: Fraction(1)})
+        return SchubertElement(ctx, {lam: 1})
 
     def _key(self, lam) -> tuple:
         lam, ctx = partition(lam), self.space
@@ -100,11 +100,11 @@ def pieri(e: SchubertElement, a: int) -> SchubertElement:
     if a == 0:
         return e
     ctx = e.ctx
-    out = {}
-    for lam, c in e.terms.items():
-        for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols):
-            out[mu] = out.get(mu, 0) + c
-    return SchubertElement._make(ctx, out)
+    return SchubertElement._make(ctx, (
+        (mu, c)
+        for lam, c in e.terms.items()
+        for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols)
+    ))
 
 
 def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int) -> list:
@@ -216,13 +216,12 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     e1._check(e2)
     ctx = e1.ctx
     box = (ctx.cols,) * ctx.rows
-    out = {}
-    for lam, c1 in e1.terms.items():
-        for mu, c2 in e2.terms.items():
-            c = c1 * c2
-            for nu, m in _lr_product(lam, mu, box).items():
-                out[nu] = out.get(nu, 0) + m * c
-    return SchubertElement._make(ctx, out)
+    return SchubertElement._make(ctx, (
+        (nu, m * c1 * c2)
+        for lam, c1 in e1.terms.items()
+        for mu, c2 in e2.terms.items()
+        for nu, m in _lr_product(lam, mu, box).items()
+    ))
 
 
 def integrate(e: SchubertElement):

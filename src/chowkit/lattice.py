@@ -59,15 +59,18 @@ class IntersectionForm:
 
     def pair(self, u: dict, v: dict) -> LinExpr:
         """Intersection number of two coefficient vectors over the basis."""
-        total = LinExpr(0)
+        terms = []  # (key, c) of each term of each u[a] * v[b] * (a.b), summed once
         for a, ca in u.items():
             for b, cb in v.items():
                 try:
                     entry = self.gram[(a, b)]
                 except KeyError:
                     raise ValueError(f"intersection number {a}.{b} was never declared")
-                total = total + ca * cb * entry
-        return total
+                c = ca * cb
+                if isinstance(c, LinExpr):  # NonlinearError if a.b holds unknowns too
+                    c, entry = 1, c * entry
+                terms += [(key, c * x) for key, x in entry.terms.items()]
+        return LinExpr._make(None, terms)
 
     def substitute(self, assignment: dict):
         """Resolve solved unknowns in place, rebuilding only the entries that
@@ -126,14 +129,14 @@ class ClassExpr(Combination):
 def intersect(a: ClassExpr, b: ClassExpr):
     """Bilinear expansion of a.b through the Gram matrix.
 
-    Returns an exact Fraction when no unknowns survive, otherwise a
+    Returns an exact rational when no unknowns survive, otherwise a
     LinExpr.  Unknown*unknown products are rejected as nonlinear.
     """
     a._check(b)
     return collapse(a.space.pair(a.terms, b.terms))
 
 
-def adjunction_genus(C: ClassExpr) -> Fraction:
+def adjunction_genus(C: ClassExpr) -> int:
     """Arithmetic genus 1 + (C^2 + C.K)/2; must come out integral."""
     K = C.space.canonical
     if K is None:
@@ -143,7 +146,7 @@ def adjunction_genus(C: ClassExpr) -> Fraction:
         raise ValueError("genus requires fully numeric intersection data")
     if val % 2 != 0:
         raise NonIntegralGenus(f"C^2 + C.K = {val} is odd")
-    return 1 + val / 2
+    return 1 + val // 2
 
 
 def genus_additivity(p1, p2, inter) -> Fraction:

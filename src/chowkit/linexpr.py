@@ -12,6 +12,7 @@ after expansion.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from numbers import Rational
 
@@ -32,24 +33,30 @@ class SpaceMismatch(ValueError):
     """Two combinations from different spaces were combined."""
 
 
-def _as_fraction(x):
-    if isinstance(x, Rational):
-        return Fraction(x)
-    raise TypeError(f"expected a rational scalar, got {x!r}")
+def _rational(x):
+    """An exact scalar: an int as it is, any other rational as a Fraction."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"expected a rational scalar, got {x!r}")
+    return x if isinstance(x, int) else Fraction(x)
 
 
 ONE = 1  # the key of a LinExpr's constant term and of a surface's unit class
 
 
 def collapse(x):
-    """A LinExpr without unknowns as its Fraction; any other value unchanged."""
+    """A LinExpr without unknowns as its scalar; any other value unchanged."""
     if isinstance(x, LinExpr) and x.is_constant:
         return x.const
     return x
 
 
-def _nonzero(terms: dict) -> dict:
-    return {k: collapse(c) for k, c in terms.items() if c}
+def _summed(pairs) -> dict:
+    """The terms of sum(c * key) over (key, c) pairs: like keys added, zeros
+    dropped, a LinExpr coefficient without unknowns collapsed."""
+    terms = {}
+    for key, c in pairs:
+        terms[key] = terms[key] + c if key in terms else c
+    return {key: collapse(c) for key, c in terms.items() if c}
 
 
 class Combination:
@@ -57,7 +64,7 @@ class Combination:
 
     `space` is what the keys belong to (a Grassmannian, a lattice, a surface
     ring, or None for a LinExpr); only combinations of one space combine.
-    A coefficient is an exact rational, or a LinExpr that still holds
+    A coefficient is an int, a Fraction, or a LinExpr that still holds
     unknowns.  Subclasses check keys (`_key`), order them for printing
     (`_rank`), label them (`_label`), and name the key a scalar stands for
     (`unit`, None when a scalar other than 0 is not a class).
@@ -68,18 +75,14 @@ class Combination:
 
     def __init__(self, space, terms=None):
         self.space = space
-        summed = {}
-        for key, c in (terms or {}).items():
-            key = self._key(key)
-            summed[key] = summed.get(key, 0) + c
-        self.terms = _nonzero(summed)
+        self.terms = _summed((self._key(k), c) for k, c in (terms or {}).items())
 
     @classmethod
-    def _make(cls, space, terms: dict):
-        """A combination of keys already known to be valid."""
+    def _make(cls, space, pairs):
+        """sum(c * key) over (key, c) pairs whose keys are known to be valid."""
         out = cls.__new__(cls)
         out.space = space
-        out.terms = _nonzero(terms)
+        out.terms = _summed(pairs)
         return out
 
     def _rank(self, key):
@@ -96,7 +99,7 @@ class Combination:
     def _operand(self, other):
         """`other` as a combination of this space, or None when it is not one."""
         if isinstance(other, Rational) and self.unit is not None:
-            return self._make(self.space, {self.unit: Fraction(other)})
+            return self._make(self.space, ((self.unit, other),))
         if type(other) is not type(self):
             return None
         self._check(other)
@@ -106,10 +109,7 @@ class Combination:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return self._make(self.space, terms)
+        return self._make(self.space, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -125,7 +125,7 @@ class Combination:
 
     def scale(self, k):
         """k times this combination; k may be a LinExpr."""
-        return self._make(self.space, {key: k * c for key, c in self.terms.items()})
+        return self._make(self.space, ((key, k * c) for key, c in self.terms.items()))
 
     def __mul__(self, k):
         if isinstance(k, (Rational, LinExpr)):
@@ -137,14 +137,12 @@ class Combination:
     def substitute(self, assignment: dict):
         """Put in the values of solved unknowns: they sit in the coefficients,
         and in a LinExpr also in the keys."""
-        terms = {}
-        for key, c in self.terms.items():
-            if isinstance(c, LinExpr):
-                c = c.substitute(assignment)
-            elif isinstance(self, LinExpr) and key in assignment:
-                key, c = ONE, c * _as_fraction(assignment[key])
-            terms[key] = terms.get(key, 0) + c
-        return self._make(self.space, terms)
+        keys = assignment if isinstance(self, LinExpr) else ()
+        return self._make(self.space, (
+            (ONE, c * _rational(assignment[key])) if key in keys
+            else (key, c.substitute(assignment) if isinstance(c, LinExpr) else c)
+            for key, c in self.terms.items()
+        ))
 
     def __eq__(self, other):
         if isinstance(other, Rational):  # a scalar is that multiple of the unit
@@ -192,14 +190,13 @@ class LinExpr(Combination):
     unit = ONE
 
     def __init__(self, const=0, coeffs=None):
-        terms = {name: _as_fraction(c) for name, c in (coeffs or {}).items()}
-        terms[ONE] = _as_fraction(const)
+        terms = {**(coeffs or {}), ONE: const}
         self.space = None
-        self.terms = _nonzero(terms)
+        self.terms = _summed((key, _rational(c)) for key, c in terms.items())
 
     @staticmethod
     def unknown(name: str) -> "LinExpr":
-        return LinExpr._make(None, {name: Fraction(1)})
+        return LinExpr._make(None, ((name, 1),))
 
     @staticmethod
     def coerce(x) -> "LinExpr":
@@ -208,8 +205,8 @@ class LinExpr(Combination):
         return LinExpr(x)
 
     @property
-    def const(self) -> Fraction:
-        return self.terms.get(ONE, Fraction(0))
+    def const(self):
+        return self.terms.get(ONE, 0)
 
     @property
     def coeffs(self) -> dict:
@@ -240,7 +237,7 @@ class LinExpr(Combination):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_fraction(collapse(other))
+        other = _rational(collapse(other))
         if other == 0:
             raise ZeroDivisionError("division by zero")
         return self.scale(Fraction(1) / other)
@@ -249,7 +246,7 @@ class LinExpr(Combination):
 def solve_linear(equations, unknowns=None) -> dict:
     """Solve ``expr == 0`` for each LinExpr in `equations`.
 
-    Returns a full assignment name -> Fraction.  Raises InconsistentSystem
+    Returns a full assignment name -> int or Fraction.  Raises InconsistentSystem
     if no solution exists, UnderdeterminedSystem if any unknown is free,
     and ValueError if an equation mentions an unknown not in `unknowns`.
 
@@ -259,7 +256,7 @@ def solve_linear(equations, unknowns=None) -> dict:
     divides exactly by the previous pivot, so every entry stays an integer
     minor of the scaled system.  A row scaled by a nonzero factor keeps its
     zeros, so the pivots, the free unknowns and the errors are those of
-    Gauss-Jordan over Fractions; only the answers are built as Fractions.
+    Gauss-Jordan over Fractions; only a non-integral answer is a Fraction.
     """
     equations = [LinExpr.coerce(e) for e in equations]
     if unknowns is None:
@@ -307,4 +304,5 @@ def solve_linear(equations, unknowns=None) -> dict:
         row = rows[k]
         rest = sum(row[j] * y[j] for j in range(k + 1, ncols))
         y[k] = (prev * row[ncols] - rest) // row[k]
-    return {name: Fraction(y[k], prev) for k, name in enumerate(unknowns)}
+    return {n: y[k] // prev if y[k] % prev == 0 else Fraction(y[k], prev)
+            for k, n in enumerate(unknowns)}

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import comb
 from operator import mul
 
@@ -53,7 +54,7 @@ class SurfaceRing(IntersectionForm):
         return SurfaceRing(basis, gram)
 
     def divisor(self, name: str) -> "SurfaceClass":
-        return SurfaceClass(self, {name: Fraction(1)})
+        return SurfaceClass(self, {name: 1})
 
     def substitute(self, assignment: dict):
         super().substitute(assignment)
@@ -72,7 +73,7 @@ class SurfaceClass(Combination):
 
     @property
     def c0(self):
-        return self.terms.get(ONE, Fraction(0))
+        return self.terms.get(ONE, 0)
 
     @property
     def c1(self) -> dict:
@@ -107,12 +108,11 @@ def ring_product(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
     """Graded product; everything of degree >= 3 vanishes."""
     a._check(b)
     a0, b0 = a.c0, b.c0
-    terms = {k: a0 * v for k, v in b.terms.items()}
-    for k, v in a.terms.items():
-        if k != ONE:
-            terms[k] = terms.get(k, 0) + b0 * v
-    terms[POINT] = terms.get(POINT, 0) + a.space.pair(a.c1, b.c1)
-    return SurfaceClass._make(a.space, terms)
+    return SurfaceClass._make(a.space, chain(
+        ((k, a0 * v) for k, v in b.terms.items()),
+        ((k, b0 * v) for k, v in a.terms.items() if k != ONE),
+        [(POINT, a.space.pair(a.c1, b.c1))],
+    ))
 
 
 @dataclass

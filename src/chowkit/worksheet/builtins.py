@@ -11,7 +11,7 @@ at call time, so a wrapper installed on a module attribute sees the call.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
+from numbers import Rational
 from typing import Callable
 
 from .. import curves, grassmann, lattice, surface
@@ -36,7 +36,7 @@ class Record:
 
 
 def integer(v) -> int:
-    if isinstance(v, Fraction) and v.denominator == 1:
+    if isinstance(v, Rational) and v.denominator == 1:
         return int(v)
     raise ValueError(f"expected an integer, got {v}")
 
@@ -50,8 +50,8 @@ def _kind(what, test):
     return kind
 
 
-number = _kind("a number", lambda v: isinstance(v, Fraction))
-scalar = _kind("a scalar value", lambda v: isinstance(v, (Fraction, LinExpr)))
+number = _kind("a number", lambda v: isinstance(v, Rational))
+scalar = _kind("a scalar value", lambda v: isinstance(v, (Rational, LinExpr)))
 schubert_class = _kind("a Schubert class", lambda v: isinstance(v, SchubertElement))
 lattice_class = _kind("a lattice class", lambda v: isinstance(v, ClassExpr))
 divisor = _kind(

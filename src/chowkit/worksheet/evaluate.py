@@ -49,6 +49,12 @@ class WorksheetRuntimeError(WorksheetError):
 OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
+def _holds_unknown(value) -> bool:
+    """A LinExpr, or a combination with a LinExpr coefficient, which `solve` changes."""
+    return isinstance(value, LinExpr) or (isinstance(value, Combination) and any(
+        isinstance(c, LinExpr) for c in value.terms.values()))
+
+
 @dataclass
 class AssertionResult:
     expression: str
@@ -88,6 +94,7 @@ class Evaluator:
         self.env: dict = {}
         self.grassmann: GrassmannContext | None = None
         self.spaces: list[IntersectionForm] = []  # what `solve` substitutes into
+        self.open: set = set()  # the names in `env` whose value holds an unknown
         self.report = EvaluationReport()
 
     # -- statements ---------------------------------------------------
@@ -137,6 +144,9 @@ class Evaluator:
 
     def bind(self, name: str, value):
         self.env[name] = value
+        self.open.discard(name)
+        if _holds_unknown(value):
+            self.open.add(name)
         self.report.bindings.append((name, str(value)))
 
     def surface_decl(self, s: SurfaceDecl):
@@ -198,15 +208,15 @@ class Evaluator:
     def substitute_everywhere(self, assignment: dict):
         for space in self.spaces:
             space.substitute(assignment)
-        for name, value in list(self.env.items()):
-            if isinstance(value, Combination):
-                self.env[name] = collapse(value.substitute(assignment))
+        for name in self.open:
+            self.env[name] = collapse(self.env[name].substitute(assignment))
+        self.open = {name for name in self.open if _holds_unknown(self.env[name])}
 
     # -- expressions --------------------------------------------------
 
     def eval(self, e):
         if isinstance(e, IntLit):
-            return Fraction(e.value)
+            return e.value
         if isinstance(e, Name):
             return self.env[e.name]
         if isinstance(e, SchubertLit):
@@ -219,7 +229,7 @@ class Evaluator:
             except ValueError as exc:
                 raise WorksheetRuntimeError(str(exc), e.pos)
         if isinstance(e, Neg):
-            return self.binop("*", Fraction(-1), self.eval(e.operand), e.pos)
+            return self.binop("*", -1, self.eval(e.operand), e.pos)
         if isinstance(e, BinOp):
             return self.binop(e.op, self.eval(e.left), self.eval(e.right), e.pos)
         if isinstance(e, FieldAccess):
@@ -241,8 +251,11 @@ class Evaluator:
 
     def binop(self, op, a, b, pos):
         try:
-            if op == "/" and isinstance(b, Fraction) and b == 0:
-                raise ZeroDivisionError("division by zero")
+            if op == "/" and isinstance(b, (int, Fraction)):
+                if b == 0:
+                    raise ZeroDivisionError("division by zero")
+                if isinstance(a, int):
+                    return Fraction(a, b)  # exact: an int over an int is never a float
             return collapse(OPERATORS[op](a, b))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise WorksheetRuntimeError(str(exc), pos)
@@ -250,7 +263,7 @@ class Evaluator:
     def scalar(self, e):
         """Evaluate to an exact scalar or a linear expression in unknowns."""
         v = self.eval(e)
-        if isinstance(v, (Fraction, LinExpr)):
+        if isinstance(v, (int, Fraction, LinExpr)):
             return v
         raise WorksheetRuntimeError(f"expected a scalar value, got {v}", e.pos)
 

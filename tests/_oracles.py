@@ -1,4 +1,4 @@
-"""Enumeration helpers that several test files share."""
+"""Enumeration helpers and slow reference computations that tests share."""
 
 
 def partitions_in_box(rows: int, cols: int, total: int | None = None):
@@ -15,3 +15,19 @@ def partitions_in_box(rows: int, cols: int, total: int | None = None):
     for lam in rec(cols, rows):
         if total is None or sum(lam) == total:
             yield lam
+
+
+def bilinear_sum(form, u: dict, v: dict):
+    """sum(u[a] * v[b] * (a.b)) over an intersection form, one product at a
+    time through the public LinExpr arithmetic."""
+    from chowkit.linexpr import LinExpr
+
+    total = LinExpr(0)
+    for a, ca in u.items():
+        for b, cb in v.items():
+            try:
+                entry = form.gram[(a, b)]
+            except KeyError:
+                raise ValueError(f"intersection number {a}.{b} was never declared")
+            total = total + ca * cb * entry
+    return total

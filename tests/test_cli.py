@@ -194,6 +194,16 @@ def test_schubert_pdeg_of_a_number_names_the_argument(capsys):
     assert (code, err) == (2, "error: expected a Schubert class, got 2\n")
 
 
+@pytest.mark.parametrize(
+    "expr, shown",
+    [("2", "2"), ("pluecker{d=3}", "{d=3, m=6, nodes=0, cusps=0, bitangents=0, flexes=9, genus=1}")],
+    ids=["number", "record"],
+)
+def test_schubert_mult_of_a_non_class_names_the_value(expr, shown, capsys):
+    code, out, err = run_cli(capsys, "schubert", "mult", "--gr", "3,5", expr)
+    assert (code, out, err) == (2, "", f"error: expected a Schubert class, got {shown}\n")
+
+
 SCHUBERT_FRAGMENTS = [
     "s[", "0", "1", "2", "12", ",", "]", "*", "+", "(", ")", "\n", "x",
     "odd_theta(", "pluecker{d=", "}",
@@ -269,6 +279,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["worksheet", "run", "LONG_SUM"],
         ["schubert", "pdeg", "--gr", "3,5", "2", "0"],
         ["schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1]\n+ 16*s[2,1]", "3"],
+        ["schubert", "mult", "--gr", "3,5", "2"],
+        ["schubert", "mult", "--gr", "3,5", "pluecker{d=3}"],
     ],
     ids=[
         "zero-denominator",
@@ -283,6 +295,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "flat-sum",
         "pdeg-of-a-number",
         "trailing-line",
+        "mult-of-a-number",
+        "mult-of-a-record",
     ],
 )
 def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):

@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import bilinear_sum
 from chowkit.lattice import (
     ClassExpr,
     InconsistentSystem,
+    IntersectionForm,
     NonIntegralGenus,
+    NonlinearError,
     RuledLattice,
     UnderdeterminedSystem,
     adjunction_genus,
@@ -157,3 +160,63 @@ def test_genus_additivity_symmetric_and_shifts(p1, p2, n):
 def test_genus_additivity_example():
     # two components of genus 4 and 22 meeting in 108 points
     assert genus_additivity(4, 22, 108) == 133
+
+
+rationals = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+linexprs = st.builds(
+    LinExpr, rationals, st.dictionaries(st.sampled_from(("x", "y")), rationals, max_size=2)
+)
+scalars = st.one_of(rationals, linexprs)
+
+
+@st.composite
+def intersection_forms(draw):
+    """A form over one to three classes; now and then an entry is left out."""
+    basis = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    form = IntersectionForm(basis)
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            if draw(st.integers(0, 4)):
+                form.set_gram(a, b, draw(scalars))
+    return form
+
+
+def outcome(f, *args):
+    """The value f returns, or the type and message of what it raises."""
+    try:
+        value = f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value, str(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intersection_forms(), st.data())
+def test_pair_agrees_with_the_bilinear_sum(form, data):
+    vectors = st.dictionaries(st.sampled_from(form.basis), scalars, max_size=3)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert outcome(form.pair, u, v) == outcome(bilinear_sum, form, u, v)
+
+
+@pytest.mark.parametrize(
+    "u, error, message",
+    [
+        (
+            {"l": LinExpr.unknown("y")},
+            NonlinearError,
+            "product of two expressions with unknowns is not linear",
+        ),
+        ({"F": 1}, ValueError, "intersection number F.l was never declared"),
+    ],
+    ids=["unknown-times-unknown", "never-declared"],
+)
+def test_pair_errors_are_those_of_the_bilinear_sum(u, error, message):
+    form = IntersectionForm(("l", "F"))
+    form.set_gram("l", "l", LinExpr.unknown("x") + 1)
+    v = {"l": Fraction(1, 2)}
+    for f in (form.pair, lambda u, v: bilinear_sum(form, u, v)):
+        with pytest.raises(error) as exc:
+            f(u, v)
+        assert str(exc.value) == message

@@ -204,3 +204,24 @@ def test_solve_linear_rejects_a_stray_unknown():
     for solver in (solve_linear, _gauss_jordan):
         with pytest.raises(ValueError, match=r"undeclared unknowns: \['y'\]"):
             solver([x + y - 1], ["x"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", ONE]),
+            st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+        ),
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_printing_does_not_depend_on_insertion_order(terms, rng):
+    def build(pairs):
+        return sum((LinExpr(c) if k == ONE else c * LinExpr.unknown(k) for k, c in pairs), LinExpr(0))
+
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    e, f = build(terms), build(shuffled)
+    assert e == f and str(e) == str(f)

@@ -3,6 +3,7 @@
 import importlib.util
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +19,9 @@ from chowkit.worksheet import (
 )
 from chowkit.worksheet import ast
 from chowkit.worksheet.ast import ClassDecl, IntLit, Let, Pos
+from chowkit.linexpr import LinExpr
 from chowkit.worksheet.builtins import BUILTINS
+from chowkit.worksheet.evaluate import Evaluator
 from chowkit.worksheet.parse import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -372,6 +375,9 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
             "line 1, column 9: pluecker: no plane curve has"
             " d=1/2, m=-1/4, bitangents=105/32, flexes=-9/4, genus=3/8",
         ),
+        ("let a = 1\nlet x = 2 + 1/0\n", "line 2, column 14: division by zero"),
+        ("let x = 1/(2 - 2)\n", "line 1, column 10: division by zero"),
+        ("let x = odd_theta(1/2)\n", "line 1, column 9: odd_theta: expected an integer, got 1/2"),
     ],
     ids=[
         "grassmannian-out-of-range",
@@ -384,6 +390,9 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
         "lattice-entry-not-scalar",
         "pluecker-negative-characters",
         "pluecker-fractional-degree",
+        "division-by-a-literal-zero",
+        "division-by-a-computed-zero",
+        "integer-argument-not-integral",
     ],
 )
 def test_runtime_error_message_and_position(text, message):
@@ -404,6 +413,60 @@ def test_pluecker_solves_the_cubic_from_its_dual():
 def test_division_by_zero_is_runtime_error():
     with pytest.raises(WorksheetRuntimeError):
         run("let x = 1 / 0\n")
+
+
+def test_scalars_stay_int_until_a_division_needs_a_fraction():
+    ev = Evaluator()
+    report = ev.run(
+        parse(
+            "let x = 1/3\n"
+            "assert x * 3 == 1\n"
+            "let y = 6/3\n"
+            "let z = 2 * 3 + 1\n"
+            "let w = -z\n"
+        )
+    )
+    assert report.bindings == [("x", "1/3"), ("y", "2"), ("z", "7"), ("w", "-7")]
+    assert report.all_passed
+    assert ev.env["x"] == Fraction(1, 3)
+    assert type(ev.env["z"]) is int and type(ev.env["w"]) is int
+
+
+def test_an_integral_quotient_is_an_integer_argument():
+    report = run("let x = odd_theta(4/2)\nassert x == 6\n")
+    assert report.bindings == [("x", "6")] and report.all_passed
+
+
+def test_a_let_of_an_unknown_holds_the_solved_value():
+    ev = Evaluator()
+    report = ev.run(
+        parse("unknown a\nlet x = 2*a + 1\nsolve { a == 1/2 }\nlet y = x + 1\nassert x == 2\n")
+    )
+    assert report.bindings[-1] == ("y", "3")
+    assert report.all_passed
+    assert ev.env["x"] == 2 and not isinstance(ev.env["x"], LinExpr)
+
+
+def test_a_class_left_open_by_one_solve_is_substituted_by_the_next():
+    ev = Evaluator()
+    report = ev.run(
+        parse(
+            "lattice L { basis l, F; unknown x, y; l.l = 1, l.F = 1, F.F = 0;"
+            " class C = x*l + y*F }\n"
+            "solve { x == 2 }\n"
+            "let C1 = C\n"
+            "solve { C * l == 5 }\n"
+            "let C2 = C\n"
+            "assert C1 * l == C * l\n"
+            "assert C * F == 2\n"
+        )
+    )
+    bound = dict(report.bindings)
+    assert bound["C1"] == "2*l + (y)*F"
+    assert bound["y"] == "3"
+    assert bound["C2"] == "2*l + 3*F"
+    assert report.all_passed and len(report.assertions) == 2
+    assert str(ev.env["C1"]) == "2*l + 3*F"
 
 
 @pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.name)
