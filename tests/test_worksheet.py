@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chowkit.cli import main
+from chowkit.linexpr import LinExpr
 from chowkit.worksheet import (
     WorksheetRuntimeError,
     WorksheetSyntaxError,
@@ -19,7 +20,6 @@ from chowkit.worksheet import (
 )
 from chowkit.worksheet import ast
 from chowkit.worksheet.ast import ClassDecl, IntLit, Let, Pos
-from chowkit.linexpr import LinExpr
 from chowkit.worksheet.builtins import BUILTINS
 from chowkit.worksheet.evaluate import Evaluator
 from chowkit.worksheet.parse import tokenize
