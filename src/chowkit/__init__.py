@@ -8,10 +8,8 @@ formulas, and a small worksheet language tying them together.
 from .grassmann import (
     GrassmannContext,
     SchubertElement,
-    duality_pair,
     integrate,
     multiply,
-    pieri,
     plucker_degree,
 )
 from .linexpr import (
@@ -25,10 +23,8 @@ from .partitions import complement_in_box, conjugate, partition
 __all__ = [
     "GrassmannContext",
     "SchubertElement",
-    "duality_pair",
     "integrate",
     "multiply",
-    "pieri",
     "plucker_degree",
     "LinExpr",
     "InconsistentSystem",

@@ -9,9 +9,9 @@ Products use the Littlewood-Richardson rule in one pass per term pair:
 the content's rows are added as horizontal strips under the lattice-word
 condition, with equal intermediate states merged, so every nu comes out
 at once and nothing leaves the box.  `lr_coefficient` reads one nu from
-the same strip product.  `pieri` is implemented independently; the test
-suite uses it as an oracle, alone and in Giambelli determinants evaluated
-through iterated Pieri products.
+the same strip product.  Pluecker degrees come in closed form from the
+hook-length formula.  `pieri` is a test oracle in `tests/_oracles.py`, as
+are Giambelli products through it and the Pieri walk for degrees.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .linexpr import Combination, LinExpr
-from .partitions import complement_in_box, fits_in_box, partition, weight
+from .partitions import complement_in_box, conjugate, fits_in_box, partition, weight
 
 
 class GradingError(ValueError):
@@ -91,46 +92,6 @@ class SchubertElement(Combination):
 
     def is_pure(self, codim: int) -> bool:
         return all(weight(lam) == codim for lam in self.terms)
-
-
-def pieri(e: SchubertElement, a: int) -> SchubertElement:
-    """Multiply by the special class s[a]: add a horizontal a-strip."""
-    if a < 0:
-        raise ValueError("Pieri index must be non-negative")
-    if a == 0:
-        return e
-    ctx = e.ctx
-    return SchubertElement._make(ctx, (
-        (mu, c)
-        for lam, c in e.terms.items()
-        for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols)
-    ))
-
-
-def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int) -> list:
-    """Partitions mu in the box with mu/lam a horizontal strip of size a."""
-    lam = tuple(lam) + (0,) * (rows - len(lam))
-    mu = list(lam)
-    out = []
-
-    def rec(i, remaining):
-        if remaining == 0:
-            n = rows
-            while n and not mu[n - 1]:
-                n -= 1
-            out.append(tuple(mu[:n]))
-            return
-        # strip condition: mu[i] <= lam[i-1]; box: mu[0] <= cols
-        high = cols if i == 0 else lam[i - 1]
-        if remaining > high - lam[-1]:
-            return  # rows i.. hold at most high - lam[rows-1] more cells
-        for add in range(min(high - lam[i], remaining) + 1):
-            mu[i] = lam[i] + add
-            rec(i + 1, remaining - add)
-        mu[i] = lam[i]
-
-    rec(0, a)
-    return out
 
 
 def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
@@ -230,21 +191,29 @@ def integrate(e: SchubertElement):
     return c if isinstance(c, LinExpr) else Fraction(c)
 
 
-def duality_pair(lam, mu, ctx: GrassmannContext) -> int:
-    """Poincare pairing of two Schubert classes of complementary weight."""
-    lam, mu = partition(lam), partition(mu)
-    if weight(lam) + weight(mu) != ctx.dimension:
-        raise GradingError(
-            f"weights {weight(lam)} + {weight(mu)} != dim {ctx.dimension}"
-        )
-    return 1 if mu == complement_in_box(lam, ctx.rows, ctx.cols) else 0
+def _standard_tableaux(lam: tuple) -> int:
+    """f^lam by the hook-length formula: |lam|! over the product of the hooks."""
+    conj = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    return factorial(weight(lam)) // hooks
 
 
 def plucker_degree(e: SchubertElement, dim: int):
-    """Degree in the Pluecker embedding: integral of e * s[1]^dim."""
-    codim = e.ctx.dimension - dim
+    """Degree in the Pluecker embedding: integral of e * s[1]^dim.
+
+    The integral of s[lam] * s[1]^dim counts the standard tableaux of the
+    skew shape box/lam, which turned by 180 degrees is the box complement
+    of lam; the hook-length formula (Frame, Robinson and Thrall 1954)
+    counts them in closed form.
+    """
+    ctx = e.ctx
+    codim = ctx.dimension - dim
     if not e.is_pure(codim):
         raise GradingError(f"element is not pure of codimension {codim}")
-    for _ in range(dim):
-        e = pieri(e, 1)
-    return integrate(e)
+    return integrate(SchubertElement._make(ctx, (
+        (ctx.top_partition, c * _standard_tableaux(complement_in_box(lam, ctx.rows, ctx.cols)))
+        for lam, c in e.terms.items()
+    )))

@@ -134,6 +134,12 @@ class Combination:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, k):
+        k = _rational(collapse(k))
+        if k == 0:
+            raise ZeroDivisionError("division by zero")
+        return self.scale(Fraction(1) / k)
+
     def substitute(self, assignment: dict):
         """Put in the values of solved unknowns: they sit in the coefficients,
         and in a LinExpr also in the keys."""
@@ -235,12 +241,6 @@ class LinExpr(Combination):
         return Combination.__mul__(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _rational(collapse(other))
-        if other == 0:
-            raise ZeroDivisionError("division by zero")
-        return self.scale(Fraction(1) / other)
 
 
 def solve_linear(equations, unknowns=None) -> dict:

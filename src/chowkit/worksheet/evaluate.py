@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from operator import add, mul, sub, truediv
 
 from ..grassmann import GrassmannContext, SchubertElement
 from ..lattice import ClassExpr, IntersectionForm, RuledLattice
 from ..linexpr import Combination, LinExpr, collapse, solve_linear
-from ..surface import SurfaceRing
+from ..surface import SurfaceClass, SurfaceRing
 from .ast import (
     Assert,
     BasisDecl,
@@ -47,6 +48,20 @@ class WorksheetRuntimeError(WorksheetError):
 
 
 OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
+
+KINDS = (  # a value's kind, as a type error names it
+    (Rational, "a number"),
+    (LinExpr, "an expression with unknowns"),
+    (SchubertElement, "a Schubert class"),
+    (ClassExpr, "a lattice class"),
+    (SurfaceClass, "a surface class"),
+    (RuledLattice, "a lattice"),
+    (Record, "a record"),
+)
+
+
+def _kind(value) -> str:
+    return next(word for cls, word in KINDS if isinstance(value, cls))
 
 
 def _holds_unknown(value) -> bool:
@@ -229,7 +244,13 @@ class Evaluator:
             except ValueError as exc:
                 raise WorksheetRuntimeError(str(exc), e.pos)
         if isinstance(e, Neg):
-            return self.binop("*", -1, self.eval(e.operand), e.pos)
+            value = self.eval(e.operand)
+            try:
+                return -value
+            except TypeError:
+                raise WorksheetRuntimeError(
+                    f"unsupported operand type for -: {_kind(value)}", e.pos
+                )
         if isinstance(e, BinOp):
             return self.binop(e.op, self.eval(e.left), self.eval(e.right), e.pos)
         if isinstance(e, FieldAccess):
@@ -257,7 +278,11 @@ class Evaluator:
                 if isinstance(a, int):
                     return Fraction(a, b)  # exact: an int over an int is never a float
             return collapse(OPERATORS[op](a, b))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except TypeError:
+            raise WorksheetRuntimeError(
+                f"unsupported operand types for {op}: {_kind(a)} and {_kind(b)}", pos
+            )
+        except (ValueError, ZeroDivisionError) as exc:
             raise WorksheetRuntimeError(str(exc), pos)
 
     def scalar(self, e):

@@ -1,5 +1,13 @@
 """Enumeration helpers and slow reference computations that tests share."""
 
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
+
+from chowkit.grassmann import GradingError, SchubertElement, integrate
+from chowkit.partitions import complement_in_box, partition, weight
+
 
 def partitions_in_box(rows: int, cols: int, total: int | None = None):
     """All partitions fitting in a rows x cols box, optionally of fixed weight."""
@@ -30,4 +38,108 @@ def bilinear_sum(form, u: dict, v: dict):
             except KeyError:
                 raise ValueError(f"intersection number {a}.{b} was never declared")
             total = total + ca * cb * entry
+    return total
+
+
+def pieri(e: SchubertElement, a: int) -> SchubertElement:
+    """Multiply by the special class s[a]: add a horizontal a-strip."""
+    if a < 0:
+        raise ValueError("Pieri index must be non-negative")
+    if a == 0:
+        return e
+    ctx = e.ctx
+    return SchubertElement._make(ctx, (
+        (mu, c)
+        for lam, c in e.terms.items()
+        for mu in _horizontal_strips(lam, a, ctx.rows, ctx.cols)
+    ))
+
+
+def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int) -> list:
+    """Partitions mu in the box with mu/lam a horizontal strip of size a."""
+    lam = tuple(lam) + (0,) * (rows - len(lam))
+    mu = list(lam)
+    out = []
+
+    def rec(i, remaining):
+        if remaining == 0:
+            n = rows
+            while n and not mu[n - 1]:
+                n -= 1
+            out.append(tuple(mu[:n]))
+            return
+        # strip condition: mu[i] <= lam[i-1]; box: mu[0] <= cols
+        high = cols if i == 0 else lam[i - 1]
+        if remaining > high - lam[-1]:
+            return  # rows i.. hold at most high - lam[rows-1] more cells
+        for add in range(min(high - lam[i], remaining) + 1):
+            mu[i] = lam[i] + add
+            rec(i + 1, remaining - add)
+        mu[i] = lam[i]
+
+    rec(0, a)
+    return out
+
+
+def pieri_degree(e: SchubertElement, dim: int):
+    """Degree in the Pluecker embedding by walking the box: integrate e after
+    `dim` Pieri products with s[1]."""
+    codim = e.ctx.dimension - dim
+    if not e.is_pure(codim):
+        raise GradingError(f"element is not pure of codimension {codim}")
+    for _ in range(dim):
+        e = pieri(e, 1)
+    return integrate(e)
+
+
+def duality_pair(lam, mu, ctx) -> int:
+    """Poincare pairing of two Schubert classes of complementary weight."""
+    lam, mu = partition(lam), partition(mu)
+    if weight(lam) + weight(mu) != ctx.dimension:
+        raise GradingError(
+            f"weights {weight(lam)} + {weight(mu)} != dim {ctx.dimension}"
+        )
+    return 1 if mu == complement_in_box(lam, ctx.rows, ctx.cols) else 0
+
+
+def localized_integral(ctx, factors, d: int, seed: int) -> Fraction:
+    """The integral over Gr(k, n) of prod(s[lam] for lam in factors) * s[1]^d,
+    by Atiyah-Bott localization (Ellingsrud and Stromme, "Bott's formula and
+    enumerative geometry", JAMS 1996), for a product of degree dim Gr(k, n).
+
+    A torus with distinct integer weights t (drawn from `seed`) fixes the
+    coordinate k-planes, one for each k-subset I of range(n); the tangent
+    weights there are t[j] - t[i] for i in I and j not in I.  The quotient
+    bundle restricts to the weights Q = {t[j] : j not in I}, so s[a] is the
+    elementary symmetric function e_a(Q) and s[lam] the Giambelli
+    determinant det(e_{lam[i] + j - i}(Q)).  The sum over the fixed points
+    of the restricted integrand over the product of the tangent weights is
+    the integral, whatever the weights.
+    """
+    k, n = ctx.k, ctx.n
+    t = random.Random(seed).sample(range(-20 * n, 20 * n), n)
+    total = Fraction(0)
+    for subset in combinations(range(n), k):
+        q = [t[j] for j in range(n) if j not in subset]
+        e = [1]  # e[a] = e_a(q), built one variable at a time
+        for x in q:
+            e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+        restricted = sum(q) ** d * prod(_giambelli(lam, e) for lam in factors)
+        euler = prod(t[j] - t[i] for i in subset for j in range(n) if j not in subset)
+        total += Fraction(restricted, euler)
+    return total
+
+
+def _giambelli(lam: tuple, e: list) -> int:
+    """det(e[lam[i] + j - i]) by the Leibniz expansion; e[a] is 0 off its range."""
+    size = len(lam)
+
+    def entry(i, j):
+        a = lam[i] + j - i
+        return e[a] if 0 <= a < len(e) else 0
+
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        total += (-1) ** inversions * prod(entry(i, perm[i]) for i in range(size))
     return total

@@ -21,7 +21,6 @@ from chowkit.curves import (
 from chowkit.grassmann import (
     GrassmannContext,
     SchubertElement,
-    duality_pair,
     integrate,
     multiply,
     plucker_degree,
@@ -45,7 +44,7 @@ from chowkit.surface import (
 )
 from chowkit.worksheet import evaluate, parse, pretty_print
 
-from _oracles import partitions_in_box
+from _oracles import duality_pair, partitions_in_box
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

@@ -194,6 +194,14 @@ def test_schubert_pdeg_of_a_number_names_the_argument(capsys):
     assert (code, err) == (2, "error: expected a Schubert class, got 2\n")
 
 
+def test_schubert_pdeg_too_long_to_print_exits_2(capsys):
+    # deg Gr(60, 120) has 5018 digits, above Python's limit for str(int)
+    code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "60,120", "s[]", "3600")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "expr, shown",
     [("2", "2"), ("pluecker{d=3}", "{d=3, m=6, nodes=0, cusps=0, bitangents=0, flexes=9, genus=1}")],

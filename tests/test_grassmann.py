@@ -1,4 +1,6 @@
-"""Schubert calculus: Pieri, Littlewood-Richardson, duality, degrees."""
+"""Schubert calculus: Littlewood-Richardson products and closed-form Pluecker
+degrees, checked against the Pieri, Giambelli, duality and torus-localization
+oracles."""
 
 import itertools
 import random
@@ -14,11 +16,9 @@ from chowkit.grassmann import (
     GradingError,
     GrassmannContext,
     SchubertElement,
-    duality_pair,
     integrate,
     lr_coefficient,
     multiply,
-    pieri,
     plucker_degree,
 )
 from chowkit.linexpr import LinExpr, SpaceMismatch
@@ -29,7 +29,13 @@ from chowkit.partitions import (
     weight,
 )
 
-from _oracles import partitions_in_box
+from _oracles import (
+    duality_pair,
+    localized_integral,
+    partitions_in_box,
+    pieri,
+    pieri_degree,
+)
 
 G24 = GrassmannContext(2, 4)
 G25 = GrassmannContext(2, 5)
@@ -294,3 +300,75 @@ def test_lr_coefficient_matches_multiply(seed):
     product = multiply(sig(G48, *lam), sig(G48, *mu)).terms
     for nu in partitions_in_box(4, 4, weight(lam) + weight(mu)):
         assert lr_coefficient(lam, mu, nu) == product.get(nu, 0)
+
+
+WALKED = [(2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (4, 8), (4, 9), (5, 9)]
+
+
+def test_plucker_degree_matches_the_pieri_walk_on_every_class():
+    classes = 0
+    for k, n in WALKED:
+        ctx = GrassmannContext(k, n)
+        for lam in partitions_in_box(ctx.rows, ctx.cols):
+            e, dim = sig(ctx, *lam), ctx.dimension - weight(lam)
+            degree, walked = plucker_degree(e, dim), pieri_degree(e, dim)
+            assert degree == walked and type(degree) is type(walked), (ctx, lam)
+            classes += 1
+    assert classes == 408
+
+
+A, B = LinExpr.unknown("a"), LinExpr.unknown("b")
+
+
+@pytest.mark.parametrize(
+    "e, dim, want",
+    [
+        (A * sig(G35, 1, 1, 1) + B * sig(G35, 2, 1), 3, A + 2 * B),
+        (A * sig(G35, 1, 1, 1) - (A / 2) * sig(G35, 2, 1), 3, Fraction(0)),
+        (SchubertElement(G35, {}), -3, Fraction(0)),
+        (SchubertElement(G35, {}), 99, Fraction(0)),
+    ],
+    ids=["symbolic", "cancelling", "empty-below", "empty-above"],
+)
+def test_plucker_degree_edge_cases_match_the_pieri_walk(e, dim, want):
+    for degree in (plucker_degree(e, dim), pieri_degree(e, dim)):
+        assert degree == want and type(degree) is type(want)
+
+
+def test_mixed_codimension_is_a_grading_error_for_both_degrees():
+    e = sig(G35, 1) + sig(G35, 2)
+    for degree in (plucker_degree, pieri_degree):
+        with pytest.raises(GradingError, match="^element is not pure of codimension 3$"):
+            degree(e, 3)
+
+
+def test_localization_gives_the_paper_numbers():
+    assert localized_integral(G24, [], 4, seed=1) == 2
+    headline = 120 * localized_integral(G35, [(1, 1, 1)], 3, seed=2)
+    headline += 16 * localized_integral(G35, [(2, 1)], 3, seed=3)
+    assert headline == 152
+
+
+LOCALIZED = [G24, G25, G35, GrassmannContext(2, 6), GrassmannContext(3, 6),
+             GrassmannContext(3, 7), G48]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LOCALIZED), st.integers(0, 10 ** 9))
+def test_integrals_match_torus_localization(ctx, seed):
+    # int s[lam] * s[mu] * s[1]^d over the whole box, by the LR product and by
+    # the closed-form degree, against localization at the torus fixed points
+    rng = random.Random(seed)
+    lam = random_partition(ctx, rng)
+    mu = rng.choice([
+        mu for mu in partitions_in_box(ctx.rows, ctx.cols)
+        if weight(lam) + weight(mu) <= ctx.dimension
+    ])
+    d = ctx.dimension - weight(lam) - weight(mu)
+    want = localized_integral(ctx, [lam, mu], d, seed)
+    product = multiply(sig(ctx, *lam), sig(ctx, *mu))
+    power = sig(ctx)
+    for _ in range(d):
+        power = multiply(power, sig(ctx, 1))
+    assert integrate(multiply(product, power)) == want
+    assert plucker_degree(product, d) == want

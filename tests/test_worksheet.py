@@ -103,6 +103,20 @@ def test_zero_class_equals_zero(space, zero):
     assert run(f"{space}\nassert {zero} == 0\n").all_passed
 
 
+@pytest.mark.parametrize(
+    "space, cls, printed",
+    [
+        ("grassmannian (2, 4)", "s[1]", "1/2*s[1]"),
+        ("surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }", "H + 3*K", "1/2*H + 3/2*K"),
+        ("lattice L { basis l, F; l.l = 1, l.F = 1, F.F = 0 }", "2*l - F", "l - 1/2*F"),
+    ],
+    ids=["schubert", "surface", "lattice"],
+)
+def test_a_class_divides_by_a_number(space, cls, printed):
+    report = run(f"{space}\nlet y = ({cls}) / 2\nassert y == (1/2) * ({cls})\n")
+    assert report.all_passed and report.bindings[-1] == ("y", printed)
+
+
 def test_surface_block_and_jets():
     text = (
         "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n"
@@ -330,6 +344,12 @@ def test_exponent_cap_is_a_runtime_error_with_a_position(call):
         run(f"let x = 1\nlet y = {call}\n")
 
 
+def test_a_degree_too_long_to_print_is_a_runtime_error_with_a_position():
+    # deg Gr(60, 120) has 5018 digits, above Python's limit for str(int)
+    with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 1: Exceeds the limit"):
+        run("grassmannian (60, 120)\nlet d = pdeg(s[], 3600)\n")
+
+
 def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
     # 2^1000 to the 15th has 4516 digits, above Python's limit for str(int)
     product = " * ".join(["a"] * 15)
@@ -378,6 +398,20 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
         ("let a = 1\nlet x = 2 + 1/0\n", "line 2, column 14: division by zero"),
         ("let x = 1/(2 - 2)\n", "line 1, column 10: division by zero"),
         ("let x = odd_theta(1/2)\n", "line 1, column 9: odd_theta: expected an integer, got 1/2"),
+        (
+            "let P = pluecker{d=3}\nlet y = -P\n",
+            "line 2, column 9: unsupported operand type for -: a record",
+        ),
+        (
+            "unknown a\nlet x = 1 / a\n",
+            "line 2, column 11: unsupported operand types for /:"
+            " a number and an expression with unknowns",
+        ),
+        (
+            "unknown a, b\nlet x = a / b\n",
+            "line 2, column 11: unsupported operand types for /:"
+            " an expression with unknowns and an expression with unknowns",
+        ),
     ],
     ids=[
         "grassmannian-out-of-range",
@@ -393,6 +427,9 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
         "division-by-a-literal-zero",
         "division-by-a-computed-zero",
         "integer-argument-not-integral",
+        "negated-record",
+        "number-over-unknown",
+        "unknown-over-unknown",
     ],
 )
 def test_runtime_error_message_and_position(text, message):
