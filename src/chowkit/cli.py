@@ -92,26 +92,27 @@ def _run_builtin(name: str, tokens) -> int:
         print(f"error: unknown curve formula {name!r}", file=sys.stderr)
         return 2
     values, named = [], {}
-    for token in tokens:
-        key, eq, text = token.partition("=")
-        try:
-            value = Fraction(text if eq else token)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: {name}: not an exact number: {token!r}", file=sys.stderr)
-            return 2
-        if eq:
-            named[key] = value
-        else:
-            values.append(value)
     try:
+        for token in tokens:
+            key, eq, text = token.partition("=")
+            try:
+                value = Fraction(text if eq else token)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"not an exact number: {token!r}") from None
+            if not eq:
+                values.append(value)
+            elif key in named:
+                raise ValueError(f"duplicate argument {key!r}")
+            else:
+                named[key] = value
         out = builtin.call(builtin.split(values), named)
+        if isinstance(out, Record):
+            out = " ".join(f"{k}={v}" for k, v in out.fields.items())
+        out = str(out)  # fails on an int too long to print, before anything is printed
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
-    if isinstance(out, Record):
-        print(" ".join(f"{k}={v}" for k, v in out.fields.items()))
-    else:
-        print(out)
+    print(out)
     return 0
 
 

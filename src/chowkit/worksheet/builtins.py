@@ -130,7 +130,12 @@ def _pluecker(**chars):
         chars.setdefault("flexes", 0)
     data = curves.plucker_solve(curves.PlueckerData(**chars))
     values = tuple(getattr(data, c) for c in _CHARACTERS)
-    bad = [f"{c}={v}" for c, v in zip(_CHARACTERS, values) if v < 0 or v.denominator != 1]
+    # a plane curve and its dual are curves of degree at least 2, not lines or points
+    bad = [
+        f"{c}={v}"
+        for c, v in zip(_CHARACTERS, values)
+        if v < (2 if c in ("d", "m") else 0) or v.denominator != 1
+    ]
     if bad:
         raise ValueError(f"no plane curve has {', '.join(bad)}")
     return values

@@ -230,10 +230,13 @@ class Evaluator:
     # -- expressions --------------------------------------------------
 
     def eval(self, e):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, Name):
+        node = type(e)  # the common nodes first, by exact type
+        if node is Name:
             return self.env[e.name]
+        if node is IntLit:
+            return e.value
+        if node is BinOp:
+            return self.binop(e.op, self.eval(e.left), self.eval(e.right), e.pos)
         if isinstance(e, SchubertLit):
             if self.grassmann is None:
                 raise WorksheetRuntimeError(
@@ -251,8 +254,6 @@ class Evaluator:
                 raise WorksheetRuntimeError(
                     f"unsupported operand type for -: {_kind(value)}", e.pos
                 )
-        if isinstance(e, BinOp):
-            return self.binop(e.op, self.eval(e.left), self.eval(e.right), e.pos)
         if isinstance(e, FieldAccess):
             base = self.eval(e.base)
             if not isinstance(base, Record):

@@ -5,8 +5,10 @@ block constructs (`surface`, `lattice`, `solve`) in braces where both
 newlines and `;` separate sections and `,` separates items inside a
 section.  See the grammar section of the README.
 
-`tokenize` matches one regular expression at each offset.  The parser
-checks scope as it reads: every name is bound once (by `let`, `input`,
+`tokenize` is one `finditer` pass of one regular expression, whose last
+alternative takes any character no token starts with and reports it.
+The parser keeps the token it is at in `cur`, and checks scope as it
+reads: every name is bound once (by `let`, `input`,
 `unknown`, a surface basis, a lattice, its `basis`, `unknown` and
 `class` items, and `canonical`, which binds `K`) and is in scope from the
 end of its binding on.  A worksheet that parses therefore uses no
@@ -66,19 +68,24 @@ KEYWORDS = {
 MAX_DEPTH = 100
 
 # One named group per token kind; blanks and comments match without a group.
-# `==` is tried before `=`.  `[^\W\d]` also admits numerals such as `²`, so
-# `tokenize` checks that a NAME starts with a letter or `_`.
+# `==` is tried before `=`.  `[^\W\d]` also admits numerals such as `²`, so a
+# name that does not start with an ASCII letter or `_` is an UNAME, and
+# `tokenize` checks that it starts with a letter.  BAD is any other character.
 _TOKEN = re.compile(
     r"""
       [ \t\r]+
     | \#[^\n]*
-    | (?P<NEWLINE> \n )
-    | (?P<STRING>  "[^"\n]*" )
+    | (?P<NAME>    [A-Za-z_][\w']* )
     | (?P<INT>     \d+ )
-    | (?P<NAME>    [^\W\d][\w']* )
-    | (?P<PUNCT>   == | [(){}\[\],;.=+\-*/] )
+    | (?P<PUNCT>   == | [{},;.=+\-*/] )
+    | (?P<NEWLINE> \n )
+    | (?P<OPEN>    [(\[] )
+    | (?P<CLOSE>   [)\]] )
+    | (?P<STRING>  "[^"\n]*" )
+    | (?P<UNAME>   [^\W\d][\w']* )
+    | (?P<BAD>     . )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -93,38 +100,41 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str):
+    # tokens and positions are built as plain tuples of their class, which
+    # skips the named tuples' Python-level __new__
+    new = tuple.__new__
     tokens = []
+    append = tokens.append
     line, line_start = 1, 0
     depth = 0  # inside ( ) or [ ]: newlines are plain whitespace
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        c = text[i]
-        if m is None or (m.lastgroup == "NAME" and not (c.isalpha() or c == "_")):
-            pos = Pos(line, i - line_start + 1)
-            if c == '"':
-                raise WorksheetSyntaxError("unterminated string literal", pos)
-            raise WorksheetSyntaxError(f"unexpected character {c!r}", pos)
-        kind, start, i = m.lastgroup, i, m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
         if kind is None:  # blanks or a comment
             continue
-        pos = Pos(line, start - line_start + 1)
-        if kind == "NEWLINE":
-            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
-                tokens.append(Token("NEWLINE", "\n", pos))
-            line, line_start = line + 1, i
-        elif kind == "STRING":
-            tokens.append(Token("STRING", m.group()[1:-1], pos))
+        col = m.start() - line_start + 1
+        if kind == "NAME" or kind == "INT":
+            append(new(Token, (kind, m[0], new(Pos, (line, col)))))
         elif kind == "PUNCT":
-            p = m.group()
-            if p in ("(", "["):
-                depth += 1
-            elif p in (")", "]"):
-                depth = max(0, depth - 1)
-            tokens.append(Token(p, p, pos))
+            p = m[0]
+            append(new(Token, (p, p, new(Pos, (line, col)))))
+        elif kind == "NEWLINE":
+            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
+                append(new(Token, ("NEWLINE", "\n", new(Pos, (line, col)))))
+            line, line_start = line + 1, m.end()
+        elif kind == "OPEN" or kind == "CLOSE":
+            depth = depth + 1 if kind == "OPEN" else max(0, depth - 1)
+            p = m[0]
+            append(new(Token, (p, p, new(Pos, (line, col)))))
+        elif kind == "STRING":
+            append(new(Token, ("STRING", m[0][1:-1], new(Pos, (line, col)))))
+        elif kind == "UNAME" and m[0][0].isalpha():
+            append(new(Token, ("NAME", m[0], new(Pos, (line, col)))))
         else:
-            tokens.append(Token(kind, m.group(), pos))
-    tokens.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
+            c = m[0][0]
+            if c == '"':
+                raise WorksheetSyntaxError("unterminated string literal", Pos(line, col))
+            raise WorksheetSyntaxError(f"unexpected character {c!r}", Pos(line, col))
+    append(new(Token, ("EOF", "", new(Pos, (line, len(text) - line_start + 1)))))
     return tokens
 
 
@@ -132,17 +142,15 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.cur = tokens[0]  # the token at `i`; only `advance` moves them
         self.depth = 0
         self.scope = set()  # names bound so far; each is bound once
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
 
     def advance(self) -> Token:
         t = self.cur
         if t.kind != "EOF":
             self.i += 1
+            self.cur = self.tokens[self.i]
         return t
 
     def expect(self, kind: str, hint: str | None = None) -> Token:
@@ -152,9 +160,6 @@ class _Parser:
             got = "end of input" if t.kind == "EOF" else repr(t.text)
             raise WorksheetSyntaxError(f"{what}, got {got}", t.pos)
         return self.advance()
-
-    def at(self, kind: str) -> bool:
-        return self.cur.kind == kind
 
     def at_keyword(self, word: str) -> bool:
         return self.cur.kind == "NAME" and self.cur.text == word
@@ -172,7 +177,7 @@ class _Parser:
             raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", t.pos)
 
     def skip_newlines(self):
-        while self.at("NEWLINE"):
+        while self.cur.kind == "NEWLINE":
             self.advance()
 
     # -- program ------------------------------------------------------
@@ -180,9 +185,9 @@ class _Parser:
     def program(self) -> WorksheetProgram:
         stmts = []
         self.skip_newlines()
-        while not self.at("EOF"):
+        while self.cur.kind != "EOF":
             stmts.append(self.statement())
-            if not self.at("EOF"):
+            if self.cur.kind != "EOF":
                 self.expect("NEWLINE", "expected end of statement")
                 self.skip_newlines()
         return WorksheetProgram(tuple(stmts))
@@ -258,7 +263,7 @@ class _Parser:
     def comma_list(self, read) -> list:
         """Read one or more items with `read`, separated by `,`."""
         items = [read()]
-        while self.at(","):
+        while self.cur.kind == ",":
             self.advance()
             items.append(read())
         return items
@@ -271,7 +276,7 @@ class _Parser:
     def block_sep(self):
         """Skip `;` / newline separators inside a brace block."""
         seen = False
-        while self.at(";") or self.at("NEWLINE"):
+        while self.cur.kind in (";", "NEWLINE"):
             self.advance()
             seen = True
         return seen
@@ -285,7 +290,7 @@ class _Parser:
         if self.at_keyword("basis"):
             self.advance()
         basis = self.name_list("divisor name")
-        while self.block_sep() and not self.at("}"):
+        while self.block_sep() and self.cur.kind != "}":
             if self.at_keyword("euler"):
                 self.advance()
                 self.expect("=", "expected '=' after 'euler'")
@@ -310,7 +315,7 @@ class _Parser:
         self.expect("{", "expected '{' after lattice name")
         items = []
         self.block_sep()
-        while not self.at("}"):
+        while self.cur.kind != "}":
             t = self.cur
             if self.at_keyword("basis"):
                 self.advance()
@@ -330,7 +335,7 @@ class _Parser:
                 self.declare(["K"], t.pos)
             else:
                 items += self.comma_list(self.gram_entry)
-            if not self.block_sep() and not self.at("}"):
+            if not self.block_sep() and self.cur.kind != "}":
                 raise WorksheetSyntaxError(
                     f"expected ';' or '}}' in lattice block, got {self.cur.text!r}",
                     self.cur.pos,
@@ -342,15 +347,15 @@ class _Parser:
         self.expect("{", "expected '{' after 'solve'")
         constraints = []
         self.block_sep()
-        while not self.at("}"):
+        while self.cur.kind != "}":
             left = self.expr_required()
             self.expect("==", "expected '==' in solve constraint")
             right = self.expr_required()
             constraints.append((left, right))
-            if self.at(","):
+            if self.cur.kind == ",":
                 self.advance()
                 self.block_sep()
-            elif not self.block_sep() and not self.at("}"):
+            elif not self.block_sep() and self.cur.kind != "}":
                 raise WorksheetSyntaxError(
                     f"expected ';' or '}}' in solve block, got {self.cur.text!r}",
                     self.cur.pos,
@@ -363,7 +368,7 @@ class _Parser:
     # -- expressions --------------------------------------------------
 
     def expr_required(self):
-        if self.at("NEWLINE") or self.at("EOF"):
+        if self.cur.kind in ("NEWLINE", "EOF"):
             raise WorksheetSyntaxError("missing expression", self.cur.pos)
         return self.expr()
 
@@ -389,52 +394,51 @@ class _Parser:
         return node
 
     def factor(self):
-        if self.at("-"):
+        if self.cur.kind == "-":
             t = self.advance()
             return Neg(self.atom(), pos=t.pos)
         return self.atom()
 
     def atom(self):
+        """A literal, name, call or parenthesized expression, then its `.field`s."""
         t = self.cur
         if t.kind == "INT":
             self.advance()
-            return self.postfix(IntLit(int(t.text), pos=t.pos))
-        if t.kind == "(":
+            node = IntLit(int(t.text), pos=t.pos)
+        elif t.kind == "(":
             self.advance()
             node = self.expr()
             self.expect(")", "expected closing ')'")
-            return self.postfix(node)
-        if t.kind == "NAME":
-            if t.text == "s" and self.tokens[self.i + 1].kind == "[":
-                self.advance()
-                self.advance()
-                parts = []
-                if not self.at("]"):  # s[] is the unit class
-                    parts = self.comma_list(self.partition_part)
-                self.expect("]", "expected ']' closing Schubert class")
-                return self.postfix(SchubertLit(tuple(parts), pos=t.pos))
-            if t.text in KEYWORDS:
-                raise WorksheetSyntaxError(
-                    f"keyword {t.text!r} cannot be used in an expression", t.pos
-                )
+        elif t.kind != "NAME":
+            raise WorksheetSyntaxError(
+                f"expected an expression, got {t.text!r}"
+                if t.kind != "EOF"
+                else "missing expression",
+                t.pos,
+            )
+        elif t.text == "s" and self.tokens[self.i + 1].kind == "[":
             self.advance()
-            if self.at("(") or self.at("{"):
+            self.advance()
+            parts = []
+            if self.cur.kind != "]":  # s[] is the unit class
+                parts = self.comma_list(self.partition_part)
+            self.expect("]", "expected ']' closing Schubert class")
+            node = SchubertLit(tuple(parts), pos=t.pos)
+        elif t.text in KEYWORDS:
+            raise WorksheetSyntaxError(
+                f"keyword {t.text!r} cannot be used in an expression", t.pos
+            )
+        else:
+            self.advance()
+            if self.cur.kind in ("(", "{"):
                 if t.text not in BUILTINS:
                     raise WorksheetSyntaxError(f"unknown function {t.text!r}", t.pos)
-                call = self.call(t) if self.at("(") else self.brace_call(t)
-                return self.postfix(call)
-            if t.text not in self.scope:
+                node = self.call(t) if self.cur.kind == "(" else self.brace_call(t)
+            elif t.text in self.scope:
+                node = Name(t.text, pos=t.pos)
+            else:
                 raise WorksheetSyntaxError(f"use of undeclared name {t.text!r}", t.pos)
-            return self.postfix(Name(t.text, pos=t.pos))
-        raise WorksheetSyntaxError(
-            f"expected an expression, got {t.text!r}"
-            if t.kind != "EOF"
-            else "missing expression",
-            t.pos,
-        )
-
-    def postfix(self, node):
-        while self.at("."):
+        while self.cur.kind == ".":
             dot = self.advance()
             self.nest(dot)
             node = FieldAccess(node, self.ident("field name"), pos=dot.pos)
@@ -446,9 +450,9 @@ class _Parser:
     def call(self, fname: Token) -> Call:
         self.expect("(")
         args, args2 = [], None
-        if not self.at(")"):
+        if self.cur.kind != ")":
             args = self.comma_list(self.expr)
-            if self.at(";"):
+            if self.cur.kind == ";":
                 self.advance()
                 args2 = self.comma_list(self.expr)
         self.expect(")", "expected ')' closing call")
@@ -462,14 +466,19 @@ class _Parser:
 
     def brace_call(self, fname: Token) -> Call:
         self.expect("{")
-        kwargs = self.comma_list(self.keyword_argument)
-        self.expect("}", "expected '}' closing arguments")
-        return Call(fname.text, (), None, tuple(kwargs), pos=fname.pos)
+        kwargs = {}
 
-    def keyword_argument(self):
-        key = self.ident("argument name")
-        self.expect("=", "expected '=' after argument name")
-        return key, self.expr()
+        def argument():
+            t = self.cur
+            key = self.ident("argument name")
+            if key in kwargs:
+                raise WorksheetSyntaxError(f"duplicate argument {key!r}", t.pos)
+            self.expect("=", "expected '=' after argument name")
+            kwargs[key] = self.expr()
+
+        self.comma_list(argument)
+        self.expect("}", "expected '}' closing arguments")
+        return Call(fname.text, (), None, tuple(kwargs.items()), pos=fname.pos)
 
 
 def parse(text: str) -> WorksheetProgram:
@@ -481,7 +490,7 @@ def parse_expression(text: str):
     parser = _Parser(tokenize(text))
     expr = parser.expr_required()
     parser.skip_newlines()
-    if not parser.at("EOF"):
+    if parser.cur.kind != "EOF":
         raise WorksheetSyntaxError(f"trailing input {parser.cur.text!r}", parser.cur.pos)
     return expr
 

@@ -1,12 +1,15 @@
 """Enumeration helpers and slow reference computations that tests share."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
 from chowkit.grassmann import GradingError, SchubertElement, integrate
 from chowkit.partitions import complement_in_box, partition, weight
+from chowkit.worksheet.ast import Pos
+from chowkit.worksheet.parse import Token, WorksheetSyntaxError
 
 
 def partitions_in_box(rows: int, cols: int, total: int | None = None):
@@ -143,3 +146,55 @@ def _giambelli(lam: tuple, e: list) -> int:
         inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
         total += (-1) ** inversions * prod(entry(i, perm[i]) for i in range(size))
     return total
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      [ \t\r]+
+    | \#[^\n]*
+    | (?P<NEWLINE> \n )
+    | (?P<STRING>  "[^"\n]*" )
+    | (?P<INT>     \d+ )
+    | (?P<NAME>    [^\W\d][\w']* )
+    | (?P<PUNCT>   == | [(){}\[\],;.=+\-*/] )
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list:
+    """The worksheet lexer as it was before `tokenize` became one `finditer`
+    pass: one `match` at each offset, every token through `Token(...)`."""
+    tokens = []
+    line, line_start = 1, 0
+    depth = 0  # inside ( ) or [ ]: newlines are plain whitespace
+    i = 0
+    while i < len(text):
+        m = _REFERENCE_TOKEN.match(text, i)
+        c = text[i]
+        if m is None or (m.lastgroup == "NAME" and not (c.isalpha() or c == "_")):
+            pos = Pos(line, i - line_start + 1)
+            if c == '"':
+                raise WorksheetSyntaxError("unterminated string literal", pos)
+            raise WorksheetSyntaxError(f"unexpected character {c!r}", pos)
+        kind, start, i = m.lastgroup, i, m.end()
+        if kind is None:  # blanks or a comment
+            continue
+        pos = Pos(line, start - line_start + 1)
+        if kind == "NEWLINE":
+            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
+                tokens.append(Token("NEWLINE", "\n", pos))
+            line, line_start = line + 1, i
+        elif kind == "STRING":
+            tokens.append(Token("STRING", m.group()[1:-1], pos))
+        elif kind == "PUNCT":
+            p = m.group()
+            if p in ("(", "["):
+                depth += 1
+            elif p in (")", "]"):
+                depth = max(0, depth - 1)
+            tokens.append(Token(p, p, pos))
+        else:
+            tokens.append(Token(kind, m.group(), pos))
+    tokens.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
+    return tokens

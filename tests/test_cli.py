@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chowkit.cli import main
 from chowkit.worksheet import evaluate, parse
+from chowkit.worksheet.builtins import BUILTINS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
@@ -171,8 +172,11 @@ def test_curve_pluecker_matches_worksheet(capsys):
     [
         (["d=3", "nodes=4"], "m=-2, flexes=-15, genus=-3"),
         (["d=1/2", "nodes=0"], "d=1/2, m=-1/4, bitangents=105/32, flexes=-9/4, genus=3/8"),
+        (["d=0"], "d=0, m=0"),
+        (["d=1"], "d=1, m=0, flexes=-3"),
+        (["m=0", "bitangents=0", "flexes=0"], "d=0, m=0"),
     ],
-    ids=["negative-characters", "fractional-degree"],
+    ids=["negative-characters", "fractional-degree", "degree-zero", "line", "dual-degree-zero"],
 )
 def test_curve_pluecker_rejects_characters_of_no_plane_curve(args, bad, capsys):
     code, out, err = run_cli(capsys, "curve", "pluecker", *args)
@@ -235,10 +239,47 @@ def test_schubert_expressions_keep_the_exit_code_contract(command, expr, dim, ca
     assert "Traceback" not in capsys.readouterr().err
 
 
+CURVE_NUMBERS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.fractions(-12, 12, max_denominator=6).map(str),
+    st.sampled_from(["", "x", "=", "1/0", "0/0", "2.5", "-", "1e2", "1e5000", "nan", "--", "d==3"]),
+)
+CURVE_ARGUMENTS = st.one_of(
+    CURVE_NUMBERS,
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["d", "m", "nodes", "cusps", "bitangents", "flexes", "genus", "g", "q"]),
+        CURVE_NUMBERS,
+    ),
+)
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(name=st.sampled_from(sorted(BUILTINS)), args=st.lists(CURVE_ARGUMENTS, max_size=7))
+def test_every_builtin_keeps_the_exit_code_contract(name, args, capsys):
+    try:
+        code = main(["curve", name, *args])
+    except SystemExit as exc:  # argparse refuses an argument such as "-1/2" or "--"
+        code = exc.code
+    assert code in (0, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "")
+
+
 def test_curve_unknown_argument_exits_2(capsys):
     code, _, err = run_cli(capsys, "curve", "pluecker", "q=3")
     assert code == 2
     assert err.startswith("error: pluecker: unknown argument 'q'")
+
+
+def test_curve_duplicate_argument_exits_2(capsys):
+    code, out, err = run_cli(capsys, "curve", "pluecker", "d=3", "d=4")
+    assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
 
 
 def test_curve_missing_argument_exits_2(capsys):
@@ -289,6 +330,9 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1]\n+ 16*s[2,1]", "3"],
         ["schubert", "mult", "--gr", "3,5", "2"],
         ["schubert", "mult", "--gr", "3,5", "pluecker{d=3}"],
+        ["curve", "pluecker", "d=3", "d=4"],
+        ["worksheet", "run", "DUPLICATE_ARGUMENT"],
+        ["curve", "coincidences", "0", "1e5000"],
     ],
     ids=[
         "zero-denominator",
@@ -305,6 +349,9 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "trailing-line",
         "mult-of-a-number",
         "mult-of-a-record",
+        "curve-duplicate-argument",
+        "worksheet-duplicate-argument",
+        "value-too-long-to-print",
     ],
 )
 def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):
@@ -312,6 +359,7 @@ def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):
         "NOT_UTF8": "# caf\xe9\n".encode("latin-1"),
         "DEEP_PARENS": ("let x = " + "(" * 3000 + "1" + ")" * 3000 + "\n").encode(),
         "LONG_SUM": ("let x = " + " + ".join(["1"] * 5000) + "\n").encode(),
+        "DUPLICATE_ARGUMENT": b"let P = pluecker{d=3, d=4}\n",
     }
     for name, content in files.items():
         (tmp_path / f"{name}.ws").write_bytes(content)

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from _oracles import reference_tokenize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +278,8 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ("let x = # note\nlet y = 1\n", "line 1, column 15: missing expression"),
         ("surface { H; H.H = H; euler = 1 }\n", "line 1, column 20: use of undeclared name 'H'"),
         ("let a = b\nlet c = (\n", "line 1, column 9: use of undeclared name 'b'"),
+        ("let P = pluecker{d=3, d=4}\n", "line 1, column 23: duplicate argument 'd'"),
+        ("let P = (pluecker{d=3, nodes=0,\n  d=\n", "line 2, column 3: duplicate argument 'd'"),
     ],
     ids=[
         "undeclared",
@@ -295,6 +298,8 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "newline-after-trailing-comment",
         "surface-basis-inside-its-block",
         "scope-error-before-syntax-error",
+        "duplicate-argument",
+        "duplicate-argument-before-its-value",
     ],
 )
 def test_error_message_and_position(text, message):
@@ -395,6 +400,15 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
             "line 1, column 9: pluecker: no plane curve has"
             " d=1/2, m=-1/4, bitangents=105/32, flexes=-9/4, genus=3/8",
         ),
+        ("let P = pluecker{d=0}\n", "line 1, column 9: pluecker: no plane curve has d=0, m=0"),
+        (
+            "let P = pluecker{d=1}\n",
+            "line 1, column 9: pluecker: no plane curve has d=1, m=0, flexes=-3",
+        ),
+        (
+            "let P = pluecker{m=0, bitangents=0, flexes=0}\n",
+            "line 1, column 9: pluecker: no plane curve has d=0, m=0",
+        ),
         ("let a = 1\nlet x = 2 + 1/0\n", "line 2, column 14: division by zero"),
         ("let x = 1/(2 - 2)\n", "line 1, column 10: division by zero"),
         ("let x = odd_theta(1/2)\n", "line 1, column 9: odd_theta: expected an integer, got 1/2"),
@@ -424,6 +438,9 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
         "lattice-entry-not-scalar",
         "pluecker-negative-characters",
         "pluecker-fractional-degree",
+        "pluecker-degree-zero",
+        "pluecker-line",
+        "pluecker-dual-degree-zero",
         "division-by-a-literal-zero",
         "division-by-a-computed-zero",
         "integer-argument-not-integral",
@@ -639,6 +656,31 @@ def test_parse_returns_or_raises_a_syntax_error(text):
         parse(text)
     except WorksheetSyntaxError:
         pass
+
+
+def _lexed(lex, text) -> str:
+    """The tokens of `text` with their classes, or the syntax error it raises."""
+    try:
+        return repr(lex(text))
+    except WorksheetSyntaxError as exc:
+        return f"WorksheetSyntaxError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet=ALPHABET, max_size=60),
+        st.lists(statements, max_size=4).map("\n".join),
+    )
+)
+def test_tokenize_matches_the_reference_lexer(text):
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.stem)
+def test_tokenize_matches_the_reference_lexer_on_the_shipped_worksheets(path):
+    text = path.read_text(encoding="utf-8")
+    assert repr(tokenize(text)) == repr(reference_tokenize(text))
 
 
 SHIPPED_TOKENS = [
