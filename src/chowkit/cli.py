@@ -107,7 +107,7 @@ def _run_builtin(name: str, tokens) -> int:
                 named[key] = value
         out = builtin.call(builtin.split(values), named)
         if isinstance(out, Record):
-            out = " ".join(f"{k}={v}" for k, v in out.fields.items())
+            out = " ".join(f"{k}={v}" for k, v in out.items())
         out = str(out)  # fails on an int too long to print, before anything is printed
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
@@ -140,16 +140,13 @@ def main(argv=None) -> int:
     mult.add_argument("expr")
 
     chern = sub.add_parser("chern", help="surface characteristic classes")
-    chernsub = chern.add_subparsers(dest="chern_command", required=True)
-    tau = chernsub.add_parser("tau", help="triple-point count from H2 HK K2 e")
-    for field in ("H2", "HK", "K2", "e"):
-        tau.add_argument(field)
-
+    chern.add_argument("formula", choices=["tau"], help="tau: triple-point count from H2 HK K2 e")
     curve = sub.add_parser(
         "curve", help="call a worksheet builtin that needs no worksheet context"
     )
     curve.add_argument("formula")
-    curve.add_argument("args", nargs="*")
+    for p in (chern, curve):  # the values follow a positional, so they may start with '-'
+        p.add_argument("args", nargs=argparse.REMAINDER)
 
     args = ap.parse_args(argv)
 
@@ -166,11 +163,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
-    if args.command == "chern":
-        return _run_builtin("tau", [args.H2, args.HK, args.K2, args.e])
-    if args.command == "curve":
-        return _run_builtin(args.formula, args.args)
-    return 2
+    return _run_builtin(args.formula, args.args)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ residual degree left by a specialization argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
@@ -28,40 +27,10 @@ from .linexpr import (
 MAX_EXPONENT = 1000
 
 
-@dataclass
-class PlueckerData:
-    """Numerical characters of a plane curve and its dual.
-
-    d: degree, m: class, nodes/cusps on the curve, bitangents/flexes on
-    the dual side, genus.  Unset fields are None; `plucker_solve` fills
-    them from the classical relations.
-    """
-
-    d: Fraction | None = None
-    m: Fraction | None = None
-    nodes: Fraction | None = None
-    cusps: Fraction | None = None
-    bitangents: Fraction | None = None
-    flexes: Fraction | None = None
-    genus: Fraction | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                setattr(self, f.name, Fraction(v))
-
-    def dual(self) -> "PlueckerData":
-        """Swap d<->m, nodes<->bitangents, cusps<->flexes."""
-        return PlueckerData(
-            d=self.m,
-            m=self.d,
-            nodes=self.bitangents,
-            cusps=self.flexes,
-            bitangents=self.nodes,
-            flexes=self.cusps,
-            genus=self.genus,
-        )
+# The numerical characters of a plane curve and its dual: d the degree, m the
+# class, nodes and cusps on the curve, bitangents and flexes on the dual side,
+# and the genus.
+CHARACTERS = ("d", "m", "nodes", "cusps", "bitangents", "flexes", "genus")
 
 
 # The five Pluecker relations (Griffiths-Harris, *Principles of Algebraic
@@ -79,17 +48,21 @@ _RELATIONS = (
 )
 
 
-def plucker_solve(partial: PlueckerData) -> PlueckerData:
-    """Complete a partial set of Pluecker characters.
+def plucker_solve(**given) -> dict:
+    """Complete a partial set of Pluecker characters, given by name.
 
-    Each unset character is an unknown.  A relation that comes out linear in
-    exactly one unknown is solved for it by `solve_linear`, until no relation
-    gives anything new; a relation quadratic in an unset d or m is not used
-    until that character is known, since a linear solve cannot pick a root.
-    Raises InconsistentSystem if a relation fails on known values, and
+    Returns all seven characters, in `CHARACTERS` order.  Each unset one is
+    an unknown.  A relation that comes out linear in exactly one unknown is
+    solved for it by `solve_linear`, until no relation gives anything new; a
+    relation quadratic in an unset d or m is not used until that character
+    is known, since a linear solve cannot pick a root.  Raises
+    InconsistentSystem if a relation fails on known values, and
     UnderdeterminedSystem if a character is left unset.
     """
-    vals = {n: LinExpr.unknown(n) if v is None else v for n, v in vars(partial).items()}
+    for name in given:
+        if name not in CHARACTERS:
+            raise ValueError(f"unknown Pluecker character {name!r}")
+    vals = {n: Fraction(given[n]) if n in given else LinExpr.unknown(n) for n in CHARACTERS}
     changed = True
     while changed:
         changed = False
@@ -110,11 +83,7 @@ def plucker_solve(partial: PlueckerData) -> PlueckerData:
     unset = sorted(n for n, v in vals.items() if isinstance(v, LinExpr))
     if unset:
         raise UnderdeterminedSystem(f"cannot determine: {', '.join(unset)}")
-    return PlueckerData(**vals)
-
-
-class NegativeRamification(ValueError):
-    pass
+    return vals
 
 
 def hurwitz_ramification(g_source: int, g_target: int, n: int) -> Fraction:
@@ -123,7 +92,7 @@ def hurwitz_ramification(g_source: int, g_target: int, n: int) -> Fraction:
         raise ValueError("covering degree must be at least 1")
     r = Fraction(2 * g_source - 2 - n * (2 * g_target - 2))
     if r < 0:
-        raise NegativeRamification(f"invalid cover data: ramification {r} < 0")
+        raise ValueError(f"invalid cover data: ramification {r} < 0")
     return r
 
 
@@ -189,13 +158,9 @@ def degeneration_multiplicity(contacts: int) -> Fraction:
     return Fraction(2**contacts)
 
 
-class NegativeResidual(ValueError):
-    pass
-
-
 def residual_degree(total, parts) -> Fraction:
     """Residual of a specialization ledger; must be non-negative."""
     r = Fraction(total) - sum(Fraction(m) * Fraction(d) for m, d in parts)
     if r < 0:
-        raise NegativeResidual(f"ledger residual {r} is negative")
+        raise ValueError(f"ledger residual {r} is negative")
     return r

@@ -16,7 +16,7 @@ are Giambelli products through it and the Pieri walk for degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -25,20 +25,15 @@ from .linexpr import Combination, LinExpr
 from .partitions import complement_in_box, conjugate, fits_in_box, partition, weight
 
 
-class GradingError(ValueError):
-    """An operation required a pure-codimension element and did not get one."""
-
-
-@dataclass(frozen=True)
-class GrassmannContext:
+class GrassmannContext(namedtuple("GrassmannContext", "k n")):
     """Gr(k, n): k-planes in an n-space; Schubert box is k x (n-k)."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got Gr({self.k}, {self.n})")
+    def __new__(cls, k: int, n: int):
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got Gr({k}, {n})")
+        return super().__new__(cls, k, n)
 
     @property
     def rows(self) -> int:
@@ -212,7 +207,7 @@ def plucker_degree(e: SchubertElement, dim: int):
     ctx = e.ctx
     codim = ctx.dimension - dim
     if not e.is_pure(codim):
-        raise GradingError(f"element is not pure of codimension {codim}")
+        raise ValueError(f"element is not pure of codimension {codim}")
     return integrate(SchubertElement._make(ctx, (
         (ctx.top_partition, c * _standard_tableaux(complement_in_box(lam, ctx.rows, ctx.cols)))
         for lam, c in e.terms.items()

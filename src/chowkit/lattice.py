@@ -27,7 +27,6 @@ __all__ = [
     "RuledLattice",
     "ClassExpr",
     "SpaceMismatch",
-    "NonIntegralGenus",
     "intersect",
     "adjunction_genus",
     "genus_additivity",
@@ -35,10 +34,6 @@ __all__ = [
     "UnderdeterminedSystem",
     "NonlinearError",
 ]
-
-
-class NonIntegralGenus(ValueError):
-    """C^2 + C.K came out odd: the lattice data is inconsistent."""
 
 
 class IntersectionForm:
@@ -145,7 +140,7 @@ def adjunction_genus(C: ClassExpr) -> int:
     if isinstance(val, LinExpr):
         raise ValueError("genus requires fully numeric intersection data")
     if val % 2 != 0:
-        raise NonIntegralGenus(f"C^2 + C.K = {val} is odd")
+        raise ValueError(f"C^2 + C.K = {val} is odd")
     return 1 + val // 2
 
 

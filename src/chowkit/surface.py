@@ -11,7 +11,6 @@ rational coefficients; products of degree > 2 vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -115,18 +114,23 @@ def ring_product(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
     ))
 
 
-@dataclass
 class BundleSpec:
-    """Rank-r bundle known through c1 (divisor class) and c2 (degree-2)."""
+    """Rank-r bundle known through c1 (divisor class) and c2 (degree-2).
 
-    rank: int
-    c1: SurfaceClass
-    c2: LinExpr
+    Not a tuple: `*` is the Whitney sum, and `+` must not concatenate.
+    """
 
-    def __post_init__(self):
-        if self.rank < 1:
+    __slots__ = ("rank", "c1", "c2")
+
+    def __init__(self, rank: int, c1: SurfaceClass, c2):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        self.c2 = LinExpr.coerce(self.c2)
+        self.rank, self.c1, self.c2 = rank, c1, LinExpr.coerce(c2)
+
+    def __eq__(self, other):
+        if type(other) is not BundleSpec:
+            return NotImplemented
+        return (self.rank, self.c1, self.c2) == (other.rank, other.c1, other.c2)
 
     @property
     def ring(self) -> SurfaceRing:

@@ -1,8 +1,8 @@
 """The builtin functions of the worksheet language, in one table.
 
 `BUILTINS` maps each name to its argument groups, the function it calls
-and the field names of the record it returns.  The parser, the evaluator
-and the `chowkit curve` command all read this table.
+and the names of its keyword arguments.  The parser, the evaluator and
+the `chowkit curve` command all read this table.
 
 Entries call the kernels through their module (`curves.odd_theta_count`)
 at call time, so a wrapper installed on a module attribute sees the call.
@@ -10,9 +10,8 @@ at call time, so a wrapper installed on a module attribute sees the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from numbers import Rational
-from typing import Callable
 
 from .. import curves, grassmann, lattice, surface
 from ..grassmann import SchubertElement
@@ -21,14 +20,13 @@ from ..linexpr import LinExpr, collapse
 from ..surface import SurfaceClass
 
 
-@dataclass
-class Record:
-    """Immutable bag of named exact values (e.g. a solved Pluecker set)."""
+class Record(dict):
+    """Named exact values a builtin returns (e.g. a solved Pluecker set)."""
 
-    fields: dict
+    __slots__ = ()
 
     def __str__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.fields.items())
+        inner = ", ".join(f"{k}={v}" for k, v in self.items())
         return f"{{{inner}}}"
 
 
@@ -64,14 +62,12 @@ def _args(kind, names: str):
     return tuple((name, kind) for name in names.split())
 
 
-@dataclass(frozen=True)
-class Builtin:
-    """One builtin: its argument groups, its function and its record fields."""
+class Builtin(namedtuple("Builtin", "groups run named", defaults=((),))):
+    """One builtin: its positional argument groups, separated by ';' in a
+    call, its function, and the names of the number arguments given as
+    name=value."""
 
-    groups: tuple  # positional argument groups, separated by ';' in a call
-    run: Callable
-    fields: tuple = ()  # record field names, when `run` returns a tuple
-    named: tuple = ()  # names of the number arguments given as name=value
+    __slots__ = ()
 
     @property
     def signature(self) -> str:
@@ -81,7 +77,7 @@ class Builtin:
         return "(" + "; ".join(", ".join(n for n, _ in g) for g in self.groups) + ")"
 
     def call(self, groups, named: dict):
-        """Check and convert the arguments, call the function, wrap a record.
+        """Check and convert the arguments and call the function.
 
         `groups` holds the values of each ';'-separated group; empty ones are dropped.
         """
@@ -100,8 +96,7 @@ class Builtin:
             for i, v in enumerate(values)
         ]
         kwargs = {k: number(v) for k, v in named.items()}
-        out = self.run(*args, **kwargs)
-        return Record(dict(zip(self.fields, out))) if self.fields else out
+        return self.run(*args, **kwargs)
 
     def split(self, values: list) -> list:
         """Fill the groups in order from a flat list; a call has at most two."""
@@ -117,9 +112,6 @@ def _jet2_c2(D):
     return collapse(surface.jet_chern(D, 2, omega).c2)
 
 
-_CHARACTERS = tuple(f.name for f in fields(curves.PlueckerData))
-
-
 def _pluecker(**chars):
     # unmentioned singularities on a given side default to absent
     if "d" in chars:
@@ -128,17 +120,16 @@ def _pluecker(**chars):
     elif "m" in chars:
         chars.setdefault("bitangents", 0)
         chars.setdefault("flexes", 0)
-    data = curves.plucker_solve(curves.PlueckerData(**chars))
-    values = tuple(getattr(data, c) for c in _CHARACTERS)
+    data = curves.plucker_solve(**chars)
     # a plane curve and its dual are curves of degree at least 2, not lines or points
     bad = [
         f"{c}={v}"
-        for c, v in zip(_CHARACTERS, values)
+        for c, v in data.items()
         if v < (2 if c in ("d", "m") else 0) or v.denominator != 1
     ]
     if bad:
         raise ValueError(f"no plane curve has {', '.join(bad)}")
-    return values
+    return Record(data)
 
 
 BUILTINS = {
@@ -168,8 +159,7 @@ BUILTINS = {
     ),
     "salmon_cayley": Builtin(
         (_args(integer, "n1 n2 n3"), _args(integer, "i12 i13 i23")),
-        lambda *a: curves.salmon_cayley(*a),
-        fields=("degree", "m1", "m2", "m3"),
+        lambda *a: Record(zip(("degree", "m1", "m2", "m3"), curves.salmon_cayley(*a))),
     ),
     "secant_pluecker": Builtin(
         (_args(integer, "d g"),), lambda *a: curves.secant_plucker_degree(*a)
@@ -182,5 +172,5 @@ BUILTINS = {
         (_args(number, "total"), _args(number, "part...")),
         lambda total, *parts: curves.residual_degree(total, [(1, p) for p in parts]),
     ),
-    "pluecker": Builtin((), _pluecker, fields=_CHARACTERS, named=_CHARACTERS),
+    "pluecker": Builtin((), _pluecker, curves.CHARACTERS),
 }

@@ -7,7 +7,7 @@ the offending statement's source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
 from operator import add, mul, sub, truediv
@@ -70,19 +70,13 @@ def _holds_unknown(value) -> bool:
         isinstance(c, LinExpr) for c in value.terms.values()))
 
 
-@dataclass
-class AssertionResult:
-    expression: str
-    expected: str
-    actual: str
-    passed: bool
+AssertionResult = namedtuple("AssertionResult", "expression expected actual passed")
 
 
-@dataclass
-class EvaluationReport:
-    bindings: list = field(default_factory=list)  # (name, rendered value)
-    assertions: list = field(default_factory=list)  # AssertionResult
-    notes: list = field(default_factory=list)
+class EvaluationReport(namedtuple("EvaluationReport", "bindings assertions notes")):
+    """Lists of (name, rendered value) pairs, of AssertionResults and of notes."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -110,7 +104,7 @@ class Evaluator:
         self.grassmann: GrassmannContext | None = None
         self.spaces: list[IntersectionForm] = []  # what `solve` substitutes into
         self.open: set = set()  # the names in `env` whose value holds an unknown
-        self.report = EvaluationReport()
+        self.report = EvaluationReport([], [], [])
 
     # -- statements ---------------------------------------------------
 
@@ -260,13 +254,11 @@ class Evaluator:
                 raise WorksheetRuntimeError(
                     f"cannot access field {e.name!r} on {base}", e.pos
                 )
-            if e.name not in base.fields:
+            if e.name not in base:
                 raise WorksheetRuntimeError(
-                    f"record has no field {e.name!r}"
-                    f" (has: {', '.join(base.fields)})",
-                    e.pos,
+                    f"record has no field {e.name!r} (has: {', '.join(base)})", e.pos
                 )
-            return base.fields[e.name]
+            return base[e.name]
         if isinstance(e, Call):
             return self.call(e)
         raise WorksheetRuntimeError(f"cannot evaluate {e!r}", e.pos)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
-from chowkit.grassmann import GradingError, SchubertElement, integrate
+from chowkit.grassmann import SchubertElement, integrate
 from chowkit.partitions import complement_in_box, partition, weight
 from chowkit.worksheet.ast import Pos
 from chowkit.worksheet.parse import Token, WorksheetSyntaxError
@@ -89,7 +89,7 @@ def pieri_degree(e: SchubertElement, dim: int):
     `dim` Pieri products with s[1]."""
     codim = e.ctx.dimension - dim
     if not e.is_pure(codim):
-        raise GradingError(f"element is not pure of codimension {codim}")
+        raise ValueError(f"element is not pure of codimension {codim}")
     for _ in range(dim):
         e = pieri(e, 1)
     return integrate(e)
@@ -99,7 +99,7 @@ def duality_pair(lam, mu, ctx) -> int:
     """Poincare pairing of two Schubert classes of complementary weight."""
     lam, mu = partition(lam), partition(mu)
     if weight(lam) + weight(mu) != ctx.dimension:
-        raise GradingError(
+        raise ValueError(
             f"weights {weight(lam)} + {weight(mu)} != dim {ctx.dimension}"
         )
     return 1 if mu == complement_in_box(lam, ctx.rows, ctx.cols) else 0
@@ -198,3 +198,13 @@ def reference_tokenize(text: str) -> list:
             tokens.append(Token(kind, m.group(), pos))
     tokens.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
     return tokens
+
+
+_DUAL = {"d": "m", "nodes": "bitangents", "cusps": "flexes"}
+_DUAL.update({v: k for k, v in _DUAL.items()}, genus="genus")
+
+
+def dual_characters(chars: dict) -> dict:
+    """The Pluecker characters of the dual curve: d<->m, nodes<->bitangents,
+    cusps<->flexes, the same genus."""
+    return {_DUAL[n]: v for n, v in chars.items()}

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, JSON schema, value agreement."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -136,6 +139,8 @@ def test_curve_subcommands(capsys):
         (["curve", "residual", "624", "216", "360", "32"], "16"),
         (["curve", "tau", "6", "0", "0", "24"], "210"),
         (["curve", "glue_genus", "3", "4", "2"], "8"),
+        (["curve", "glue_genus", "-1/2", "3", "1"], "5/2"),  # not read as an option
+        (["chern", "tau", "-1/2", "0", "0", "0"], "-15/2"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -149,6 +154,15 @@ def test_curve_salmon_cayley(capsys):
     )
     assert code == 0
     assert out.strip() == "degree=180 m1=72 m2=18 m3=6"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    code = "import sys, chowkit.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
 
 
 def test_curve_pluecker(capsys):
@@ -261,10 +275,7 @@ CURVE_ARGUMENTS = st.one_of(
 )
 @given(name=st.sampled_from(sorted(BUILTINS)), args=st.lists(CURVE_ARGUMENTS, max_size=7))
 def test_every_builtin_keeps_the_exit_code_contract(name, args, capsys):
-    try:
-        code = main(["curve", name, *args])
-    except SystemExit as exc:  # argparse refuses an argument such as "-1/2" or "--"
-        code = exc.code
+    code = main(["curve", name, *args])
     assert code in (0, 2)
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -11,7 +11,6 @@ from chowkit.lattice import (
     ClassExpr,
     InconsistentSystem,
     IntersectionForm,
-    NonIntegralGenus,
     NonlinearError,
     RuledLattice,
     UnderdeterminedSystem,
@@ -96,7 +95,7 @@ def test_adjunction_requires_even_self_plus_canonical():
     lat2 = RuledLattice(("C",))
     lat2.set_gram("C", "C", 1)
     lat2.canonical = ClassExpr(lat2, {"C": 0})
-    with pytest.raises(NonIntegralGenus):
+    with pytest.raises(ValueError, match=r"^C\^2 \+ C.K = 1 is odd$"):
         adjunction_genus(lat2.generator("C"))
 
 

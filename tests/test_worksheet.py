@@ -246,6 +246,17 @@ def test_record_field_access():
     assert run(text).all_passed
 
 
+def test_records_print_their_fields_in_order():
+    report = run(
+        "let P = pluecker{d=6, nodes=6}\n"
+        "let T = salmon_cayley(1, 6, 18; 0, 0, 36)\n"
+    )
+    assert report.bindings == [
+        ("P", "{d=6, m=18, nodes=6, cusps=0, bitangents=96, flexes=36, genus=4}"),
+        ("T", "{degree=180, m1=72, m2=18, m3=6}"),
+    ]
+
+
 def test_missing_expression_position():
     with pytest.raises(WorksheetSyntaxError) as exc:
         parse("let x = \n")
