@@ -140,7 +140,9 @@ def main(argv=None) -> int:
     mult.add_argument("expr")
 
     chern = sub.add_parser("chern", help="surface characteristic classes")
-    chern.add_argument("formula", choices=["tau"], help="tau: triple-point count from H2 HK K2 e")
+    chern.add_argument(
+        "formula", choices=["tau"], help="tau: triple-point count from H2 HK K2 e"
+    )
     curve = sub.add_parser(
         "curve", help="call a worksheet builtin that needs no worksheet context"
     )
