@@ -27,8 +27,8 @@ from .worksheet.parse import parse_expression
 def _parse_gr(spec: str) -> GrassmannContext:
     try:
         k, n = (int(x) for x in spec.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad --gr value {spec!r}: {exc}")
+    except ValueError:
+        raise ValueError(f"bad --gr value {spec!r}: expected K,N, two integers such as 3,5") from None
     return GrassmannContext(k, n)
 
 

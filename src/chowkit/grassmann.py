@@ -8,14 +8,22 @@ zero silently (ring truncation).
 Products use the Littlewood-Richardson rule in one pass per term pair:
 the content's rows are added as horizontal strips under the lattice-word
 condition, with equal intermediate states merged, so every nu comes out
-at once and nothing leaves the box.  `lr_coefficient` reads one nu from
-the same strip product.  Pluecker degrees come in closed form from the
-hook-length formula.  `pieri` is a test oracle in `tests/_oracles.py`, as
-are Giambelli products through it and the Pieri walk for degrees.
+at once and nothing leaves the box.  Three exact savings keep the pass
+short.  A state's lattice ceiling is capped at the next strip's size,
+since no strip has more cells than that, so states that differ only in
+ceilings that cannot bind merge.  Each strip starts at its first row with
+a positive ceiling, since a row with no (i-1) above it can take no i.
+Rows with zero room are stepped over in a loop; negative room means the
+shape already sticks out of the bound, so that branch is still pruned.
+`lr_coefficient` reads one nu from the same strip product.  Pluecker
+degrees come in closed form from the hook-length formula.  `pieri` is a
+test oracle in `tests/_oracles.py`, as are Giambelli products through it,
+the Pieri walk for degrees and the strip product before these savings.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -100,54 +108,67 @@ def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
     one, strip i adds mu[i] cells labelled i as a horizontal strip.  The
     reading word (right to left, top to bottom) stays a lattice word iff,
     for every row r, the i's in rows <= r number at most the (i-1)'s in
-    rows < r.  A state is the shape and those (i-1) counts; equal states
-    merge by adding their counts, so every nu comes out of one pass.
+    rows < r, the state's ceiling at r.  A state is the shape and that
+    ceiling; equal states merge by adding their counts, so every nu comes
+    out of one pass.  Three exact savings cut the work per nu:
+
+    - The ceiling is capped at the next strip's size.  That strip has no
+      more cells in all, so a higher ceiling never binds, and states that
+      differ only above the cap merge.
+    - A strip starts at the first row whose ceiling is positive: a row
+      with no (i-1) above it can hold no i.
+    - A row with no room is stepped over in a loop, not a call.  Only zero
+      room is skipped: room is negative only where the shape already
+      sticks out of `outer`, and that branch must still be pruned.
     """
     if len(mu) > len(lam):
         lam, mu = mu, lam
     rows = len(outer)
     last = rows - 1
-    states = {(tuple(lam) + (0,) * (rows - len(lam)), None): 1}
+    # the first strip's ceiling is its own size, which never binds
+    states = {(tuple(lam) + (0,) * (rows - len(lam)), (mu[0] if mu else 0,) * rows): 1}
     for label, size in enumerate(mu, 1):
         final = label == len(mu)
+        cap = 0 if final else mu[label]
         merged = {}
-        for (shape, ceiling), count in states.items():
-            if ceiling is not None and size > ceiling[last]:
-                continue  # too few (i-1)s above the last row
-            new = list(shape)
-            below = [0] * rows  # cells of this strip in rows < r
-            floor = shape[last]
 
-            def rec(r, left):
-                if left == 0:
-                    if final:
-                        key = (tuple(new), None)
-                    else:
-                        key = (tuple(new), tuple(below[:r]) + (size,) * (rows - r))
-                    merged[key] = merged.get(key, 0) + count
-                    return
+        def rec(r, left):
+            while True:
                 top = outer[r]
                 if r and shape[r - 1] < top:
                     top = shape[r - 1]
                 if left > top - floor:
                     return  # rows r.. hold at most top - shape[last] more cells
                 high = top - shape[r]
-                if ceiling is not None and ceiling[r] - below[r] < high:
+                if ceiling[r] - below[r] < high:
                     high = ceiling[r] - below[r]
-                if high > left:
-                    high = left
-                if r < last:
-                    for add in range(high + 1):
-                        new[r] = shape[r] + add
-                        below[r + 1] = below[r] + add
-                        rec(r + 1, left - add)
-                    new[r] = shape[r]
-                elif high == left:
-                    new[r] = shape[r] + left
-                    rec(rows, 0)
-                    new[r] = shape[r]
+                if high or r == last:
+                    break
+                r += 1  # no room in row r
+                below[r] = below[r - 1]
+            if high >= left:  # the strip can end in row r
+                new[r] = shape[r] + left
+                if final:
+                    key = (tuple(new), None)
+                else:  # the next ceiling: below[:r + 1] is sorted, rows j.. reach the cap
+                    j = bisect_left(below, cap, 0, r + 1)
+                    key = (tuple(new), tuple(below[:j]) + (cap,) * (rows - j))
+                merged[key] = merged.get(key, 0) + count
+                high = left - 1
+            if r < last:
+                for add in range(high + 1):
+                    new[r] = shape[r] + add
+                    below[r + 1] = below[r] + add
+                    rec(r + 1, left - add)
+            new[r] = shape[r]
 
-            rec(0, size)
+        for (shape, ceiling), count in states.items():
+            if size > ceiling[last]:
+                continue  # too few (i-1)s above the last row
+            new = list(shape)
+            below = [0] * rows  # cells of this strip in rows < r
+            floor = shape[last]
+            rec(ceiling.count(0), size)  # the ceiling never falls: zeros lead
         states = merged
     out = {}
     for (shape, _), c in states.items():

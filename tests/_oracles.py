@@ -148,6 +148,77 @@ def _giambelli(lam: tuple, e: list) -> int:
     return total
 
 
+def reference_lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
+    """{nu: c^nu_{lam,mu}} over the partitions nu inside `outer`, by the
+    strip product as it was before it capped the ceiling, started each
+    strip at its first allowed row and stepped over rows with no room.
+
+    `outer` lists the row lengths nu may not exceed: the k x (n-k) box for
+    a product, nu itself for one coefficient; lam and mu have at most
+    len(outer) rows.  Shapes only grow, so pruning at `outer` is exact.
+
+    The factor with fewer rows is the content: starting from the other
+    one, strip i adds mu[i] cells labelled i as a horizontal strip.  The
+    reading word (right to left, top to bottom) stays a lattice word iff,
+    for every row r, the i's in rows <= r number at most the (i-1)'s in
+    rows < r.  A state is the shape and those (i-1) counts; equal states
+    merge by adding their counts, so every nu comes out of one pass.
+    """
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    rows = len(outer)
+    last = rows - 1
+    states = {(tuple(lam) + (0,) * (rows - len(lam)), None): 1}
+    for label, size in enumerate(mu, 1):
+        final = label == len(mu)
+        merged = {}
+        for (shape, ceiling), count in states.items():
+            if ceiling is not None and size > ceiling[last]:
+                continue  # too few (i-1)s above the last row
+            new = list(shape)
+            below = [0] * rows  # cells of this strip in rows < r
+            floor = shape[last]
+
+            def rec(r, left):
+                if left == 0:
+                    if final:
+                        key = (tuple(new), None)
+                    else:
+                        key = (tuple(new), tuple(below[:r]) + (size,) * (rows - r))
+                    merged[key] = merged.get(key, 0) + count
+                    return
+                top = outer[r]
+                if r and shape[r - 1] < top:
+                    top = shape[r - 1]
+                if left > top - floor:
+                    return  # rows r.. hold at most top - shape[last] more cells
+                high = top - shape[r]
+                if ceiling is not None and ceiling[r] - below[r] < high:
+                    high = ceiling[r] - below[r]
+                if high > left:
+                    high = left
+                if r < last:
+                    for add in range(high + 1):
+                        new[r] = shape[r] + add
+                        below[r + 1] = below[r] + add
+                        rec(r + 1, left - add)
+                    new[r] = shape[r]
+                elif high == left:
+                    new[r] = shape[r] + left
+                    rec(rows, 0)
+                    new[r] = shape[r]
+
+            rec(0, size)
+        states = merged
+    out = {}
+    for (shape, _), c in states.items():
+        n = rows
+        while n and not shape[n - 1]:
+            n -= 1
+        out[shape[:n]] = c
+    return out
+
+
 _REFERENCE_TOKEN = re.compile(
     r"""
       [ \t\r]+

@@ -293,6 +293,13 @@ def test_curve_duplicate_argument_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
 
 
+@pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", ""])
+def test_bad_gr_names_the_k_n_form(spec, capsys):
+    code, out, err = run_cli(capsys, "schubert", "mult", "--gr", spec, "s[1]")
+    want = f"error: bad --gr value {spec!r}: expected K,N, two integers such as 3,5\n"
+    assert (code, out, err) == (2, "", want)
+
+
 def test_curve_missing_argument_exits_2(capsys):
     code, _, err = run_cli(capsys, "curve", "odd_theta")
     assert code == 2
@@ -344,6 +351,10 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["curve", "pluecker", "d=3", "d=4"],
         ["worksheet", "run", "DUPLICATE_ARGUMENT"],
         ["curve", "coincidences", "0", "1e5000"],
+        ["schubert", "mult", "--gr", "3", "s[1]"],
+        ["schubert", "mult", "--gr", "3,5,7", "s[1]"],
+        ["schubert", "mult", "--gr", "a,b", "s[1]"],
+        ["schubert", "pdeg", "--gr", "", "s[1]", "5"],
     ],
     ids=[
         "zero-denominator",
@@ -363,6 +374,10 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "curve-duplicate-argument",
         "worksheet-duplicate-argument",
         "value-too-long-to-print",
+        "gr-one-number",
+        "gr-three-numbers",
+        "gr-not-numbers",
+        "gr-empty",
     ],
 )
 def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):

@@ -9,11 +9,12 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowkit.grassmann import (
     GrassmannContext,
+    _lr_product,
     SchubertElement,
     integrate,
     lr_coefficient,
@@ -34,6 +35,7 @@ from _oracles import (
     partitions_in_box,
     pieri,
     pieri_degree,
+    reference_lr_product,
 )
 
 G24 = GrassmannContext(2, 4)
@@ -299,6 +301,57 @@ def test_lr_coefficient_matches_multiply(seed):
     product = multiply(sig(G48, *lam), sig(G48, *mu)).terms
     for nu in partitions_in_box(4, 4, weight(lam) + weight(mu)):
         assert lr_coefficient(lam, mu, nu) == product.get(nu, 0)
+
+
+def partitions(rows, cols, min_rows=0):
+    """Partitions of min_rows to rows rows, each at most cols long."""
+    return st.lists(st.integers(1, cols), min_size=min_rows, max_size=rows).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+
+
+@st.composite
+def lr_cases(draw):
+    """(lam, mu, outer) with lam and mu in a box up to 7 x 7.  The outer
+    bound is the box, a nu of the box product (as `lr_coefficient` passes
+    it; it may have fewer rows than the box), or any partition with rows
+    enough for lam and mu, which need not contain them."""
+    k, c = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    lam, mu = draw(partitions(k, c)), draw(partitions(k, c))
+    box = (c,) * k
+    kind = draw(st.sampled_from(["box", "nu", "any"]))
+    nus = sorted(reference_lr_product(lam, mu, box))
+    if kind == "nu" and nus:
+        return lam, mu, draw(st.sampled_from(nus))
+    if kind == "any":
+        return lam, mu, draw(partitions(7, 7, min_rows=max(len(lam), len(mu))))
+    return lam, mu, box
+
+
+@settings(max_examples=400, deadline=None)
+@given(lr_cases())
+# lam sticks out of outer in row 0 and row 2 can take the whole strip: the
+# branch is dead, and a kernel that stepped over negative room misses it
+@example(((7, 3), (2,), (4, 3, 2, 1, 1, 1)))
+@example(((5, 4, 3), (3, 1), (7, 5, 1, 1)))
+def test_lr_product_matches_the_reference_kernel(case):
+    assert _lr_product(*case) == reference_lr_product(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([5, 6]), st.integers(0, 10 ** 9))
+def test_untruncated_products_satisfy_the_hook_length_identity(k, seed):
+    # factors of 4 or 5 rows in the k x k box of Gr(k, 2k); an outer bound of
+    # lam_1 + mu_1 columns and len(lam) + len(mu) rows cuts off no nu, so
+    # sum_nu c^nu f^nu = C(|lam|+|mu|, |lam|) f^lam f^mu
+    rng = random.Random(seed)
+    lam, mu = (
+        tuple(sorted((rng.randint(1, k) for _ in range(rng.randint(4, 5))), reverse=True))
+        for _ in range(2)
+    )
+    product = _lr_product(lam, mu, (lam[0] + mu[0],) * (len(lam) + len(mu)))
+    total = sum(c * hook_count(nu) for nu, c in product.items())
+    assert total == comb(weight(lam) + weight(mu), weight(lam)) * hook_count(lam) * hook_count(mu)
 
 
 WALKED = [(2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (4, 8), (4, 9), (5, 9)]
