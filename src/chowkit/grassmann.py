@@ -10,7 +10,7 @@ the content's rows are added as horizontal strips under the lattice-word
 condition, with equal intermediate states merged, so every nu comes out
 at once and nothing leaves the box.  Three exact savings keep the pass
 short.  A state's lattice ceiling is capped at the next strip's size,
-since no strip has more cells than that, so states that differ only in
+since that strip has no more cells in all, so states that differ only in
 ceilings that cannot bind merge.  Each strip starts at its first row with
 a positive ceiling, since a row with no (i-1) above it can take no i.
 Rows with zero room are stepped over in a loop; negative room means the
