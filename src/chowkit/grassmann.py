@@ -169,6 +169,11 @@ def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
             below = [0] * rows  # cells of this strip in rows < r
             floor = shape[last]
             rec(ceiling.count(0), size)  # the ceiling never falls: zeros lead
+        # `rec` reaches itself through its closure cell; unbound here, it and
+        # the states its cells hold are freed on return, not by the cyclic GC
+        del rec
+        if not merged:
+            return {}  # every state died: no later strip can be placed
         states = merged
     out = {}
     for (shape, _), c in states.items():

@@ -5,10 +5,19 @@ block constructs (`surface`, `lattice`, `solve`) in braces where both
 newlines and `;` separate sections and `,` separates items inside a
 section.  See the grammar section of the README.
 
-`tokenize` is one `finditer` pass of one regular expression, whose last
-alternative takes any character no token starts with and reports it.
-The parser keeps the token it is at in `cur`, and checks scope as it
-reads: every name is bound once (by `let`, `input`,
+`tokenize` is one `finditer` pass of one regular expression: each match
+is one token together with the blanks and comments before it, and the
+last alternatives are the end of the text and any character no token
+starts with, which is reported.  A token is a plain tuple `(kind, text,
+line, col)`, where `kind` is NAME, INT, STRING, NEWLINE, EOF or the
+punctuation itself.  It holds only `str` and `int`, so the cyclic GC
+untracks it.
+
+The parser keeps the token it is at in `cur`, and builds a `Pos` only
+for a node or an error.  The nodes it builds most (`IntLit`, `Name`,
+`BinOp`, `Neg`) and their positions are made positionally with
+`tuple.__new__`, which skips the named tuples' Python-level `__new__`.
+It checks scope as it reads: every name is bound once (by `let`, `input`,
 `unknown`, a surface basis, a lattice, its `basis`, `unknown` and
 `class` items, and `canonical`, which binds `K`) and is in scope from the
 end of its binding on.  A worksheet that parses therefore uses no
@@ -18,7 +27,6 @@ undeclared name and calls no unknown function.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .ast import (
     Assert,
@@ -67,15 +75,21 @@ KEYWORDS = {
 # through: each (sub-)expression, field access and chained operator is one.
 MAX_DEPTH = 100
 
-# One named group per token kind; blanks and comments match without a group.
+# Longest integer literal, in digits.  It is Python's default limit on
+# converting a decimal string to `int`, so a longer literal is a positioned
+# syntax error with the same words on every version, not `int()`'s ValueError.
+MAX_DIGITS = 4300
+
+# One named group per token kind, after a prefix of blanks and comments.
 # `==` is tried before `=`.  `[^\W\d]` also admits numerals such as `²`, so a
 # name that does not start with an ASCII letter or `_` is an UNAME, and
-# `tokenize` checks that it starts with a letter.  BAD is any other character.
+# `tokenize` checks that it starts with a letter.  BAD is any other character
+# and END the end of the text.
 _TOKEN = re.compile(
     r"""
-      [ \t\r]+
-    | \#[^\n]*
-    | (?P<NAME>    [A-Za-z_][\w']* )
+    (?: [ \t\r]+ | \#[^\n]* )*
+    (?:
+      (?P<NAME>    [A-Za-z_][\w']* )
     | (?P<INT>     \d+ )
     | (?P<PUNCT>   == | [{},;.=+\-*/] )
     | (?P<NEWLINE> \n )
@@ -84,57 +98,61 @@ _TOKEN = re.compile(
     | (?P<STRING>  "[^"\n]*" )
     | (?P<UNAME>   [^\W\d][\w']* )
     | (?P<BAD>     . )
+    | (?P<END>     \Z )
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+_new = tuple.__new__
+
+
+def _pos(t) -> Pos:
+    """The position of token `t`."""
+    return _new(Pos, t[2:])
 
 
 class WorksheetSyntaxError(WorksheetError):
     """A lexical, grammar or scope error, found before evaluation starts."""
 
 
-class Token(NamedTuple):
-    kind: str  # NAME INT STRING NEWLINE EOF or a punctuation literal
-    text: str
-    pos: Pos
-
-
-def tokenize(text: str):
-    # tokens and positions are built as plain tuples of their class, which
-    # skips the named tuples' Python-level __new__
-    new = tuple.__new__
+def tokenize(text: str) -> list:
+    """The tokens of `text`, each `(kind, text, line, col)`, ending with EOF."""
     tokens = []
     append = tokens.append
     line, line_start = 1, 0
     depth = 0  # inside ( ) or [ ]: newlines are plain whitespace
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind is None:  # blanks or a comment
-            continue
-        col = m.start() - line_start + 1
+        start = m.start(kind)
+        col = start - line_start + 1
         if kind == "NAME" or kind == "INT":
-            append(new(Token, (kind, m[0], new(Pos, (line, col)))))
+            append((kind, m[kind], line, col))
         elif kind == "PUNCT":
-            p = m[0]
-            append(new(Token, (p, p, new(Pos, (line, col)))))
+            p = m[kind]
+            append((p, p, line, col))
         elif kind == "NEWLINE":
-            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
-                append(new(Token, ("NEWLINE", "\n", new(Pos, (line, col)))))
-            line, line_start = line + 1, m.end()
+            if depth == 0 and tokens and tokens[-1][0] != "NEWLINE":
+                append(("NEWLINE", "\n", line, col))
+            line, line_start = line + 1, start + 1
         elif kind == "OPEN" or kind == "CLOSE":
             depth = depth + 1 if kind == "OPEN" else max(0, depth - 1)
-            p = m[0]
-            append(new(Token, (p, p, new(Pos, (line, col)))))
+            p = m[kind]
+            append((p, p, line, col))
         elif kind == "STRING":
-            append(new(Token, ("STRING", m[0][1:-1], new(Pos, (line, col)))))
-        elif kind == "UNAME" and m[0][0].isalpha():
-            append(new(Token, ("NAME", m[0], new(Pos, (line, col)))))
+            append(("STRING", m[kind][1:-1], line, col))
+        elif kind == "END":
+            # after blanks or a comment that end the text, `finditer` would
+            # also yield the empty match at the end
+            append(("EOF", "", line, col))
+            break
+        elif kind == "UNAME" and text[start].isalpha():
+            append(("NAME", m[kind], line, col))
         else:
-            c = m[0][0]
+            c = text[start]
             if c == '"':
                 raise WorksheetSyntaxError("unterminated string literal", Pos(line, col))
             raise WorksheetSyntaxError(f"unexpected character {c!r}", Pos(line, col))
-    append(new(Token, ("EOF", "", new(Pos, (line, len(text) - line_start + 1)))))
     return tokens
 
 
@@ -146,103 +164,112 @@ class _Parser:
         self.depth = 0
         self.scope = set()  # names bound so far; each is bound once
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         t = self.cur
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.i += 1
             self.cur = self.tokens[self.i]
         return t
 
-    def expect(self, kind: str, hint: str | None = None) -> Token:
+    def expect(self, kind: str, hint: str | None = None) -> tuple:
         t = self.cur
-        if t.kind != kind:
+        if t[0] != kind:
             what = hint or f"expected {kind!r}"
-            got = "end of input" if t.kind == "EOF" else repr(t.text)
-            raise WorksheetSyntaxError(f"{what}, got {got}", t.pos)
+            got = "end of input" if t[0] == "EOF" else repr(t[1])
+            raise WorksheetSyntaxError(f"{what}, got {got}", _pos(t))
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
-        return self.cur.kind == "NAME" and self.cur.text == word
+        return self.cur[0] == "NAME" and self.cur[1] == word
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect_keyword(self, word: str) -> tuple:
         if not self.at_keyword(word):
             raise WorksheetSyntaxError(
-                f"expected keyword {word!r}, got {self.cur.text!r}", self.cur.pos
+                f"expected keyword {word!r}, got {self.cur[1]!r}", _pos(self.cur)
             )
         return self.advance()
 
-    def nest(self, t: Token):
+    def nest(self, t: tuple):
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", t.pos)
+            raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", _pos(t))
 
     def skip_newlines(self):
-        while self.cur.kind == "NEWLINE":
+        while self.cur[0] == "NEWLINE":
             self.advance()
+
+    def integer(self, t: tuple) -> int:
+        """The value of the INT token `t`, at most MAX_DIGITS digits long."""
+        if len(t[1]) > MAX_DIGITS:
+            raise WorksheetSyntaxError(
+                f"integer literal longer than {MAX_DIGITS} digits", _pos(t)
+            )
+        return int(t[1])
 
     # -- program ------------------------------------------------------
 
     def program(self) -> WorksheetProgram:
         stmts = []
         self.skip_newlines()
-        while self.cur.kind != "EOF":
+        while self.cur[0] != "EOF":
             stmts.append(self.statement())
-            if self.cur.kind != "EOF":
+            if self.cur[0] != "EOF":
                 self.expect("NEWLINE", "expected end of statement")
                 self.skip_newlines()
         return WorksheetProgram(tuple(stmts))
 
     def statement(self):
         t = self.cur
+        pos = _pos(t)
         if self.at_keyword("let"):
             self.advance()
-            return Let(*self.binding("binding name", t.pos), pos=t.pos)
+            return Let(*self.binding("binding name", pos), pos=pos)
         if self.at_keyword("input"):
             self.advance()
-            name, expr = self.binding("input name", t.pos)
+            name, expr = self.binding("input name", pos)
             self.expect_keyword("from")
-            cite = self.expect("STRING", "expected citation string").text
-            return Input(name, expr, cite, pos=t.pos)
+            cite = self.expect("STRING", "expected citation string")[1]
+            return Input(name, expr, cite, pos=pos)
         if self.at_keyword("assert"):
             self.advance()
             left = self.expr_required()
             self.expect("==", "expected '==' in assertion")
-            return Assert(left, self.expr_required(), pos=t.pos)
+            return Assert(left, self.expr_required(), pos=pos)
         if self.at_keyword("grassmannian"):
             self.advance()
             self.expect("(", "expected '(k, n)' after 'grassmannian'")
-            k = int(self.expect("INT", "expected subspace dimension k").text)
+            k = self.integer(self.expect("INT", "expected subspace dimension k"))
             self.expect(",")
-            n = int(self.expect("INT", "expected ambient dimension n").text)
+            n = self.integer(self.expect("INT", "expected ambient dimension n"))
             self.expect(")")
-            return GrassmannianDecl(k, n, pos=t.pos)
+            return GrassmannianDecl(k, n, pos=pos)
         if self.at_keyword("unknown"):
             self.advance()
-            names = self.declare(self.name_list("unknown name"), t.pos)
-            return UnknownDecl(names, pos=t.pos)
+            names = self.declare(self.name_list("unknown name"), pos)
+            return UnknownDecl(names, pos=pos)
         if self.at_keyword("surface"):
             self.advance()
-            return self.surface_block(t.pos)
+            return self.surface_block(pos)
         if self.at_keyword("lattice"):
             self.advance()
             name = self.ident("lattice name")
-            self.declare([name], t.pos)
-            return self.lattice_block(name, t.pos)
+            self.declare([name], pos)
+            return self.lattice_block(name, pos)
         if self.at_keyword("solve"):
             self.advance()
-            return self.solve_block(t.pos)
+            return self.solve_block(pos)
         raise WorksheetSyntaxError(
             "expected a statement (let, input, assert, grassmannian, surface,"
-            f" lattice, solve, unknown), got {t.text!r}",
-            t.pos,
+            f" lattice, solve, unknown), got {t[1]!r}",
+            pos,
         )
 
     def ident(self, what: str) -> str:
         t = self.cur
-        if t.kind != "NAME" or t.text in KEYWORDS:
-            raise WorksheetSyntaxError(f"expected {what}, got {t.text!r}", t.pos)
+        if t[0] != "NAME" or t[1] in KEYWORDS:
+            raise WorksheetSyntaxError(f"expected {what}, got {t[1]!r}", _pos(t))
         self.advance()
-        return t.text
+        return t[1]
 
     def declare(self, names, pos: Pos) -> tuple:
         """Bring `names` into scope for the rest of the worksheet."""
@@ -263,7 +290,7 @@ class _Parser:
     def comma_list(self, read) -> list:
         """Read one or more items with `read`, separated by `,`."""
         items = [read()]
-        while self.cur.kind == ",":
+        while self.cur[0] == ",":
             self.advance()
             items.append(read())
         return items
@@ -276,7 +303,7 @@ class _Parser:
     def block_sep(self):
         """Skip `;` / newline separators inside a brace block."""
         seen = False
-        while self.cur.kind in (";", "NEWLINE"):
+        while self.cur[0] in (";", "NEWLINE"):
             self.advance()
             seen = True
         return seen
@@ -290,7 +317,7 @@ class _Parser:
         if self.at_keyword("basis"):
             self.advance()
         basis = self.name_list("divisor name")
-        while self.block_sep() and self.cur.kind != "}":
+        while self.block_sep() and self.cur[0] != "}":
             if self.at_keyword("euler"):
                 self.advance()
                 self.expect("=", "expected '=' after 'euler'")
@@ -304,41 +331,41 @@ class _Parser:
         return SurfaceDecl(self.declare(basis, pos), tuple(gram), euler, pos=pos)
 
     def gram_entry(self) -> GramEntry:
-        t = self.cur
+        pos = _pos(self.cur)
         a = self.ident("divisor name")
         self.expect(".", "expected '.' in intersection entry")
         b = self.ident("divisor name")
         self.expect("=", "expected '=' in intersection entry")
-        return GramEntry(a, b, self.expr_required(), pos=t.pos)
+        return GramEntry(a, b, self.expr_required(), pos=pos)
 
     def lattice_block(self, name: str, pos: Pos) -> LatticeDecl:
         self.expect("{", "expected '{' after lattice name")
         items = []
         self.block_sep()
-        while self.cur.kind != "}":
-            t = self.cur
+        while self.cur[0] != "}":
+            at = _pos(self.cur)
             if self.at_keyword("basis"):
                 self.advance()
-                names = self.declare(self.name_list("class name"), t.pos)
-                items.append(BasisDecl(names, pos=t.pos))
+                names = self.declare(self.name_list("class name"), at)
+                items.append(BasisDecl(names, pos=at))
             elif self.at_keyword("unknown"):
                 self.advance()
-                names = self.declare(self.name_list("unknown name"), t.pos)
-                items.append(UnknownDecl(names, pos=t.pos))
+                names = self.declare(self.name_list("unknown name"), at)
+                items.append(UnknownDecl(names, pos=at))
             elif self.at_keyword("class"):
                 self.advance()
-                items.append(ClassDecl(*self.binding("class name", t.pos), pos=t.pos))
+                items.append(ClassDecl(*self.binding("class name", at), pos=at))
             elif self.at_keyword("canonical"):
                 self.advance()
                 self.expect("=", "expected '=' after 'canonical'")
-                items.append(CanonicalDecl(self.expr_required(), pos=t.pos))
-                self.declare(["K"], t.pos)
+                items.append(CanonicalDecl(self.expr_required(), pos=at))
+                self.declare(["K"], at)
             else:
                 items += self.comma_list(self.gram_entry)
-            if not self.block_sep() and self.cur.kind != "}":
+            if not self.block_sep() and self.cur[0] != "}":
                 raise WorksheetSyntaxError(
-                    f"expected ';' or '}}' in lattice block, got {self.cur.text!r}",
-                    self.cur.pos,
+                    f"expected ';' or '}}' in lattice block, got {self.cur[1]!r}",
+                    _pos(self.cur),
                 )
         self.expect("}")
         return LatticeDecl(name, tuple(items), pos=pos)
@@ -347,18 +374,18 @@ class _Parser:
         self.expect("{", "expected '{' after 'solve'")
         constraints = []
         self.block_sep()
-        while self.cur.kind != "}":
+        while self.cur[0] != "}":
             left = self.expr_required()
             self.expect("==", "expected '==' in solve constraint")
             right = self.expr_required()
             constraints.append((left, right))
-            if self.cur.kind == ",":
+            if self.cur[0] == ",":
                 self.advance()
                 self.block_sep()
-            elif not self.block_sep() and self.cur.kind != "}":
+            elif not self.block_sep() and self.cur[0] != "}":
                 raise WorksheetSyntaxError(
-                    f"expected ';' or '}}' in solve block, got {self.cur.text!r}",
-                    self.cur.pos,
+                    f"expected ';' or '}}' in solve block, got {self.cur[1]!r}",
+                    _pos(self.cur),
                 )
         self.expect("}")
         if not constraints:
@@ -368,103 +395,106 @@ class _Parser:
     # -- expressions --------------------------------------------------
 
     def expr_required(self):
-        if self.cur.kind in ("NEWLINE", "EOF"):
-            raise WorksheetSyntaxError("missing expression", self.cur.pos)
+        if self.cur[0] in ("NEWLINE", "EOF"):
+            raise WorksheetSyntaxError("missing expression", _pos(self.cur))
         return self.expr()
 
     def expr(self):
         depth = self.depth
         self.nest(self.cur)
         node = self.term()
-        while self.cur.kind in ("+", "-"):
+        while self.cur[0] in ("+", "-"):
             op = self.advance()
             self.nest(op)
-            node = BinOp(op.kind, node, self.term(), pos=op.pos)
+            node = _new(BinOp, (op[0], node, self.term(), _new(Pos, op[2:])))
         self.depth = depth
         return node
 
     def term(self):
+        """Products and quotients of atoms, each one possibly negated."""
         depth = self.depth
-        node = self.factor()
-        while self.cur.kind in ("*", "/"):
+        t = self.cur
+        node = self.atom() if t[0] != "-" else self.negated(t)
+        while self.cur[0] in ("*", "/"):
             op = self.advance()
             self.nest(op)
-            node = BinOp(op.kind, node, self.factor(), pos=op.pos)
+            t = self.cur
+            right = self.atom() if t[0] != "-" else self.negated(t)
+            node = _new(BinOp, (op[0], node, right, _new(Pos, op[2:])))
         self.depth = depth
         return node
 
-    def factor(self):
-        if self.cur.kind == "-":
-            t = self.advance()
-            return Neg(self.atom(), pos=t.pos)
-        return self.atom()
+    def negated(self, minus: tuple):
+        self.advance()
+        return _new(Neg, (self.atom(), _new(Pos, minus[2:])))
 
     def atom(self):
         """A literal, name, call or parenthesized expression, then its `.field`s."""
         t = self.cur
-        if t.kind == "INT":
+        kind, text = t[0], t[1]
+        if kind == "INT":
             self.advance()
-            node = IntLit(int(t.text), pos=t.pos)
-        elif t.kind == "(":
+            node = _new(IntLit, (self.integer(t), _new(Pos, t[2:])))
+        elif kind == "(":
             self.advance()
             node = self.expr()
             self.expect(")", "expected closing ')'")
-        elif t.kind != "NAME":
+        elif kind != "NAME":
             raise WorksheetSyntaxError(
-                f"expected an expression, got {t.text!r}"
-                if t.kind != "EOF"
+                f"expected an expression, got {text!r}"
+                if kind != "EOF"
                 else "missing expression",
-                t.pos,
+                _pos(t),
             )
-        elif t.text == "s" and self.tokens[self.i + 1].kind == "[":
+        elif text == "s" and self.tokens[self.i + 1][0] == "[":
             self.advance()
             self.advance()
             parts = []
-            if self.cur.kind != "]":  # s[] is the unit class
+            if self.cur[0] != "]":  # s[] is the unit class
                 parts = self.comma_list(self.partition_part)
             self.expect("]", "expected ']' closing Schubert class")
-            node = SchubertLit(tuple(parts), pos=t.pos)
-        elif t.text in KEYWORDS:
+            node = SchubertLit(tuple(parts), pos=_pos(t))
+        elif text in KEYWORDS:
             raise WorksheetSyntaxError(
-                f"keyword {t.text!r} cannot be used in an expression", t.pos
+                f"keyword {text!r} cannot be used in an expression", _pos(t)
             )
         else:
             self.advance()
-            if self.cur.kind in ("(", "{"):
-                if t.text not in BUILTINS:
-                    raise WorksheetSyntaxError(f"unknown function {t.text!r}", t.pos)
-                node = self.call(t) if self.cur.kind == "(" else self.brace_call(t)
-            elif t.text in self.scope:
-                node = Name(t.text, pos=t.pos)
+            if self.cur[0] in ("(", "{"):
+                if text not in BUILTINS:
+                    raise WorksheetSyntaxError(f"unknown function {text!r}", _pos(t))
+                node = self.call(t) if self.cur[0] == "(" else self.brace_call(t)
+            elif text in self.scope:
+                node = _new(Name, (text, _new(Pos, t[2:])))
             else:
-                raise WorksheetSyntaxError(f"use of undeclared name {t.text!r}", t.pos)
-        while self.cur.kind == ".":
+                raise WorksheetSyntaxError(f"use of undeclared name {text!r}", _pos(t))
+        while self.cur[0] == ".":
             dot = self.advance()
             self.nest(dot)
-            node = FieldAccess(node, self.ident("field name"), pos=dot.pos)
+            node = FieldAccess(node, self.ident("field name"), pos=_pos(dot))
         return node
 
     def partition_part(self) -> int:
-        return int(self.expect("INT", "expected partition part").text)
+        return self.integer(self.expect("INT", "expected partition part"))
 
-    def call(self, fname: Token) -> Call:
+    def call(self, fname: tuple) -> Call:
         self.expect("(")
         args, args2 = [], None
-        if self.cur.kind != ")":
+        if self.cur[0] != ")":
             args = self.comma_list(self.expr)
-            if self.cur.kind == ";":
+            if self.cur[0] == ";":
                 self.advance()
                 args2 = self.comma_list(self.expr)
         self.expect(")", "expected ')' closing call")
         return Call(
-            fname.text,
+            fname[1],
             tuple(args),
             tuple(args2) if args2 is not None else None,
             (),
-            pos=fname.pos,
+            pos=_pos(fname),
         )
 
-    def brace_call(self, fname: Token) -> Call:
+    def brace_call(self, fname: tuple) -> Call:
         self.expect("{")
         kwargs = {}
 
@@ -472,13 +502,13 @@ class _Parser:
             t = self.cur
             key = self.ident("argument name")
             if key in kwargs:
-                raise WorksheetSyntaxError(f"duplicate argument {key!r}", t.pos)
+                raise WorksheetSyntaxError(f"duplicate argument {key!r}", _pos(t))
             self.expect("=", "expected '=' after argument name")
             kwargs[key] = self.expr()
 
         self.comma_list(argument)
         self.expect("}", "expected '}' closing arguments")
-        return Call(fname.text, (), None, tuple(kwargs.items()), pos=fname.pos)
+        return Call(fname[1], (), None, tuple(kwargs.items()), pos=_pos(fname))
 
 
 def parse(text: str) -> WorksheetProgram:
@@ -490,8 +520,9 @@ def parse_expression(text: str):
     parser = _Parser(tokenize(text))
     expr = parser.expr_required()
     parser.skip_newlines()
-    if parser.cur.kind != "EOF":
-        raise WorksheetSyntaxError(f"trailing input {parser.cur.text!r}", parser.cur.pos)
+    t = parser.cur
+    if t[0] != "EOF":
+        raise WorksheetSyntaxError(f"trailing input {t[1]!r}", _pos(t))
     return expr
 
 

@@ -5,11 +5,12 @@ import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from typing import NamedTuple
 
 from chowkit.grassmann import SchubertElement, integrate
 from chowkit.partitions import complement_in_box, partition, weight
 from chowkit.worksheet.ast import Pos
-from chowkit.worksheet.parse import Token, WorksheetSyntaxError
+from chowkit.worksheet.parse import WorksheetSyntaxError
 
 
 def partitions_in_box(rows: int, cols: int, total: int | None = None):
@@ -231,6 +232,14 @@ _REFERENCE_TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+class Token(NamedTuple):
+    """A token of `reference_tokenize`, with its position as one `Pos`."""
+
+    kind: str
+    text: str
+    pos: Pos
 
 
 def reference_tokenize(text: str) -> list:

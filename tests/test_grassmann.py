@@ -2,7 +2,9 @@
 degrees, checked against the Pieri, Giambelli, duality and torus-localization
 oracles."""
 
+import gc
 import itertools
+import platform
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -333,8 +335,26 @@ def lr_cases(draw):
 # negative room would keep it
 @example(((7, 3), (2,), (4, 3, 2, 1, 1, 1)))
 @example(((5, 4, 3), (3, 1), (7, 5, 1, 1)))
+# s(2,2,1)^2 in Gr(3,5): every state dies at the first label
+@example(((2, 2, 1), (2, 2, 1), (2, 2, 2)))
 def test_lr_product_matches_the_reference_kernel(case):
     assert _lr_product(*case) == reference_lr_product(*case)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython's GC")
+# s(2,2,1)^2 in Gr(3,5) prunes every state at once; in Gr(10,20),
+# s(5,4,3,2,1)^2 keeps 1,433
+@pytest.mark.parametrize(
+    "lam, box", [((2, 2, 1), (2, 2, 2)), ((5, 4, 3, 2, 1), (10,) * 10)], ids=["gr35", "gr1020"]
+)
+def test_lr_product_leaves_no_cyclic_garbage(lam, box):
+    gc.collect()
+    gc.disable()
+    try:
+        _lr_product(lam, lam, box)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=30, deadline=None)

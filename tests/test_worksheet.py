@@ -1,7 +1,9 @@
 """Worksheet language: parsing, evaluation, round-trips, determinism."""
 
+import gc
 import importlib.util
 import pathlib
+import platform
 import re
 from fractions import Fraction
 
@@ -291,6 +293,15 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ("let a = b\nlet c = (\n", "line 1, column 9: use of undeclared name 'b'"),
         ("let P = pluecker{d=3, d=4}\n", "line 1, column 23: duplicate argument 'd'"),
         ("let P = (pluecker{d=3, nodes=0,\n  d=\n", "line 2, column 3: duplicate argument 'd'"),
+        ("let x = " + "1" * 5000, "line 1, column 9: integer literal longer than 4300 digits"),
+        (
+            "grassmannian (3, " + "1" * 5000 + ")\n",
+            "line 1, column 18: integer literal longer than 4300 digits",
+        ),
+        (
+            "grassmannian (3, 6)\nlet y = s[2, " + "1" * 5000 + "]\n",
+            "line 2, column 14: integer literal longer than 4300 digits",
+        ),
     ],
     ids=[
         "undeclared",
@@ -311,12 +322,22 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "scope-error-before-syntax-error",
         "duplicate-argument",
         "duplicate-argument-before-its-value",
+        "literal-too-long",
+        "grassmannian-too-long",
+        "partition-part-too-long",
     ],
 )
 def test_error_message_and_position(text, message):
     with pytest.raises(WorksheetSyntaxError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def test_an_integer_literal_of_the_cap_length_parses():
+    digits = "9" * 4300
+    program = parse(f"grassmannian (3, {digits})\nlet x = s[{digits}] + {digits}\n")
+    k_n, let = program.statements
+    assert k_n.n == let.expr.left.parts[0] == let.expr.right.value == int(digits)
 
 
 def test_unbalanced_bracket_reported():
@@ -613,8 +634,9 @@ def test_generated_programs_round_trip(text):
 
 
 def _source(token):
-    """The text a token was read from."""
-    return {"STRING": f'"{token.text}"', "NEWLINE": "\n"}.get(token.kind, token.text)
+    """The text a `(kind, text, line, col)` token was read from."""
+    kind, text = token[0], token[1]
+    return {"STRING": f'"{text}"', "NEWLINE": "\n"}.get(kind, text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -629,15 +651,113 @@ def _source(token):
 )
 def test_tokens_sit_at_their_positions(text):
     starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
-
-    def offset(pos):
-        return starts[pos.line - 1] + pos.col - 1
-
     tokens = tokenize(text)
     for token in tokens[:-1]:
-        assert text.startswith(_source(token), offset(token.pos)), token
-    assert tokens[-1].kind == "EOF"
-    assert offset(tokens[-1].pos) == len(text)
+        _, _, line, col = token
+        assert text.startswith(_source(token), starts[line - 1] + col - 1), token
+    kind, _, line, col = tokens[-1]
+    assert kind == "EOF"
+    assert starts[line - 1] + col - 1 == len(text)
+
+
+@pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.stem)
+def test_tokens_are_plain_tuples_the_gc_can_untrack(path):
+    tokens = tokenize(path.read_text(encoding="utf-8"))
+    assert [t for t in tokens if type(t) is not tuple] == []
+    assert [t for t in tokens if tuple(map(type, t)) != (str, str, int, int)] == []
+    if platform.python_implementation() == "CPython":
+        gc.collect()
+        assert [t for t in tokens if gc.is_tracked(t)] == []
+
+
+def _expression(draw, names, depth, inside, atom=False):
+    """Source text of an expression over `names`, an atom if `atom`.  Inside
+    ( ) or [ ] the gaps between tokens may also break the line and hold a
+    comment."""
+    gaps = ["", " ", "\t"] + (["\n  ", "  # (note)\n"] if inside else [])
+
+    def gap():
+        return draw(st.sampled_from(gaps))
+
+    def sub(inner=inside, atom=False):
+        return _expression(draw, names, depth + 1, inner, atom)
+
+    kinds = ["int", "name", "schubert"]
+    if depth < 3:
+        kinds += ["call", "brace", "paren", "field"] + ([] if atom else ["neg", "binop"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return draw(st.sampled_from(["0", "7", "042", "12345678901234567890"]))
+    if kind == "name":
+        return draw(st.sampled_from(names))
+    if kind == "schubert":
+        parts = draw(st.lists(st.sampled_from(["2", "1", "01"]), max_size=3))
+        return "s[" + gap() + f"{gap()},".join(parts) + gap() + "]"
+    if kind == "call":
+        args = [sub(True) for _ in range(draw(st.integers(1, 2)))]
+        rest = f";{gap()}{sub(True)}" if draw(st.booleans()) else ""
+        return draw(st.sampled_from(["pdeg", "genus", "hurwitz"])) + f"({', '.join(args)}{rest})"
+    if kind == "brace":
+        keys = draw(st.lists(st.sampled_from(["d", "nodes", "cusps"]), min_size=1, unique=True))
+        return "pluecker{" + ",".join(f"{gap()}{k}{gap()}={gap()}{sub()}" for k in keys) + "}"
+    if kind == "paren":
+        return f"({gap()}{sub(True)}{gap()})"
+    if kind == "neg":
+        return f"-{gap()}" + sub(atom=True)
+    if kind == "binop":
+        return f"{sub()}{gap()}{draw(st.sampled_from('+-*/'))}{gap()}{sub()}"
+    return f"{sub(atom=True)}{gap()}.{gap()}" + draw(st.sampled_from(["genus", "m"]))
+
+
+@st.composite
+def spaced_programs(draw):
+    text = "grassmannian (2, 4)\nunknown a, b\n"
+    names = ["a", "b"]
+    for name in ["c", "d", "e"][: draw(st.integers(1, 3))]:
+        text += f"let {name} = " + _expression(draw, names, 0, False)
+        text += draw(st.sampled_from(["\n", "  # note\n", "\n\n# note\n"]))
+        names.append(name)
+    return text
+
+
+def _nodes(x):
+    """Every node in `x`, which is a node or a tuple of nodes and values."""
+    if isinstance(x, ast._Node):
+        yield x
+        x = x[:-1]
+    if isinstance(x, tuple):
+        for item in x:
+            yield from _nodes(item)
+
+
+# what each node's position points at: a name, digits or one character
+_WORD = re.compile(r"[A-Za-z_][\w']*|\d+|.", re.DOTALL)
+_AT = {
+    ast.Name: lambda n: n.name,
+    ast.Call: lambda n: n.func,
+    ast.IntLit: lambda n: n.value,
+    ast.SchubertLit: lambda n: "s",
+    ast.BinOp: lambda n: n.op,
+    ast.Neg: lambda n: "-",
+    ast.FieldAccess: lambda n: ".",
+    ast.Let: lambda n: "let",
+    ast.UnknownDecl: lambda n: "unknown",
+    ast.GrassmannianDecl: lambda n: "grassmannian",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaced_programs())
+def test_node_positions_point_at_their_own_source(text):
+    # offsets come from the text's line starts, not from the lexer
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    nodes = list(_nodes(parse(text).statements))
+    assert {type(n) for n in nodes} <= set(_AT)
+    for node in nodes:
+        line, col = node.pos
+        word = _WORD.match(text, starts[line - 1] + col - 1)[0]
+        expected = _AT[type(node)](node)
+        assert (int(word) if type(node) is ast.IntLit else word) == expected, node
 
 
 ALPHABET = "abcsxKL_'0123456789 \t\n#\"()[]{},;.=+-*/$\u00e9\u00b2\u0663"
@@ -669,6 +789,11 @@ def test_parse_returns_or_raises_a_syntax_error(text):
         pass
 
 
+def _reference(text: str) -> list:
+    """`reference_tokenize`'s tokens as `(kind, text, line, col)` tuples."""
+    return [(t.kind, t.text, *t.pos) for t in reference_tokenize(text)]
+
+
 def _lexed(lex, text) -> str:
     """The tokens of `text` with their classes, or the syntax error it raises."""
     try:
@@ -685,17 +810,17 @@ def _lexed(lex, text) -> str:
     )
 )
 def test_tokenize_matches_the_reference_lexer(text):
-    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+    assert _lexed(tokenize, text) == _lexed(_reference, text)
 
 
 @pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.stem)
 def test_tokenize_matches_the_reference_lexer_on_the_shipped_worksheets(path):
     text = path.read_text(encoding="utf-8")
-    assert repr(tokenize(text)) == repr(reference_tokenize(text))
+    assert repr(tokenize(text)) == repr(_reference(text))
 
 
 SHIPPED_TOKENS = [
-    [t for t in tokenize(p.read_text(encoding="utf-8")) if t.kind != "EOF"]
+    [t for t in tokenize(p.read_text(encoding="utf-8")) if t[0] != "EOF"]
     for p in WORKSHEETS
 ]
 
