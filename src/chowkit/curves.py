@@ -18,7 +18,6 @@ from .linexpr import (
     NonlinearError,
     UnderdeterminedSystem,
     collapse,
-    solve_linear,
 )
 
 # The largest exponent `odd_theta_count` and `degeneration_multiplicity` raise
@@ -52,10 +51,11 @@ def plucker_solve(**given) -> dict:
     """Complete a partial set of Pluecker characters, given by name.
 
     Returns all seven characters, in `CHARACTERS` order.  Each unset one is
-    an unknown.  A relation that comes out linear in exactly one unknown is
-    solved for it by `solve_linear`, until no relation gives anything new; a
-    relation quadratic in an unset d or m is not used until that character
-    is known, since a linear solve cannot pick a root.  Raises
+    an unknown.  A relation that comes out linear in exactly one unknown,
+    c*x + k == 0, is solved for it in place: x = -k/c, an int when integral,
+    as `linexpr.solve_linear` gives it.  This goes on until no relation gives
+    anything new; a relation quadratic in an unset d or m is not used until
+    that character is known, since a linear solve cannot pick a root.  Raises
     InconsistentSystem if a relation fails on known values, and
     UnderdeterminedSystem if a character is left unset.
     """
@@ -72,8 +72,11 @@ def plucker_solve(**given) -> dict:
             except NonlinearError:
                 continue
             if isinstance(r, LinExpr):
-                if len(r.coeffs) == 1:
-                    vals.update(solve_linear([r]))
+                coeffs = r.coeffs
+                if len(coeffs) == 1:  # c*x + const == 0, with c != 0
+                    (name, c), = coeffs.items()
+                    value = Fraction(-r.const) / c
+                    vals[name] = value.numerator if value.denominator == 1 else value
                     changed = True
             elif r != 0:
                 known = ", ".join(

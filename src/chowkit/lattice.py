@@ -20,6 +20,7 @@ from .linexpr import (
     SpaceMismatch,
     UnderdeterminedSystem,
     collapse,
+    holds_unknown,
 )
 
 __all__ = [
@@ -54,7 +55,7 @@ class IntersectionForm:
 
     def pair(self, u: dict, v: dict) -> LinExpr:
         """Intersection number of two coefficient vectors over the basis."""
-        terms = []  # (key, c) of each term of each u[a] * v[b] * (a.b), summed once
+        terms = {}  # the terms of every u[a] * v[b] * (a.b), summed as they come
         for a, ca in u.items():
             for b, cb in v.items():
                 try:
@@ -64,8 +65,9 @@ class IntersectionForm:
                 c = ca * cb
                 if isinstance(c, LinExpr):  # NonlinearError if a.b holds unknowns too
                     c, entry = 1, c * entry
-                terms += [(key, c * x) for key, x in entry.terms.items()]
-        return LinExpr._make(None, terms)
+                for key, x in entry.terms.items():
+                    terms[key] = terms[key] + c * x if key in terms else c * x
+        return LinExpr._of(None, {key: x for key, x in terms.items() if x})
 
     def substitute(self, assignment: dict):
         """Resolve solved unknowns in place, rebuilding only the entries that
@@ -73,6 +75,11 @@ class IntersectionForm:
         for key, v in self.gram.items():
             if not v.is_constant:
                 self.gram[key] = v.substitute(assignment)
+
+    @property
+    def is_open(self) -> bool:
+        """Whether an entry still holds an unknown, so a solve can change it."""
+        return not all(v.is_constant for v in self.gram.values())
 
 
 class RuledLattice(IntersectionForm):
@@ -94,6 +101,10 @@ class RuledLattice(IntersectionForm):
         if self.canonical is not None:
             self.canonical = self.canonical.substitute(assignment)
         self.unknowns = [u for u in self.unknowns if u not in assignment]
+
+    @property
+    def is_open(self) -> bool:
+        return bool(self.unknowns) or super().is_open or holds_unknown(self.canonical)
 
     def __str__(self):
         head = f"lattice({', '.join(self.basis)}"

@@ -7,12 +7,20 @@ class coefficients), the symbolic surface ring (pairing symbols like
 ``H.K``), and the worksheet ``solve`` blocks.  Products of two non-constant
 expressions are rejected: every system the workbench handles is linear
 after expansion.
+
+A combination's terms are summed: distinct keys, no zero coefficient, and
+no LinExpr coefficient without unknowns.  The operations that can make like
+keys meet re-sum their terms (`_summed`): the constructors, `_make`, a
+product by a LinExpr, and `LinExpr.substitute`, which moves solved unknowns
+into the constant.  The others build the dict directly: `scale` by a
+nonzero scalar keeps every key and leaves no zero, `+` and `-` copy one
+side and add, test and collapse only the keys both sides hold, and
+`substitute` on a class changes coefficients, not keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from numbers import Rational
 
@@ -50,6 +58,12 @@ def collapse(x):
     return x
 
 
+def holds_unknown(value) -> bool:
+    """A LinExpr, or a combination with a LinExpr coefficient, which `solve` changes."""
+    return isinstance(value, LinExpr) or (isinstance(value, Combination) and any(
+        isinstance(c, LinExpr) for c in value.terms.values()))
+
+
 def _summed(pairs) -> dict:
     """The terms of sum(c * key) over (key, c) pairs: like keys added, zeros
     dropped, a LinExpr coefficient without unknowns collapsed."""
@@ -80,9 +94,14 @@ class Combination:
     @classmethod
     def _make(cls, space, pairs):
         """sum(c * key) over (key, c) pairs whose keys are known to be valid."""
+        return cls._of(space, _summed(pairs))
+
+    @classmethod
+    def _of(cls, space, terms: dict):
+        """The combination with `terms`, which are known to be summed."""
         out = cls.__new__(cls)
         out.space = space
-        out.terms = _summed(pairs)
+        out.terms = terms
         return out
 
     def _rank(self, key):
@@ -99,17 +118,31 @@ class Combination:
     def _operand(self, other):
         """`other` as a combination of this space, or None when it is not one."""
         if isinstance(other, Rational) and self.unit is not None:
-            return self._make(self.space, ((self.unit, other),))
+            return self._of(self.space, {self.unit: other} if other else {})
         if type(other) is not type(self):
             return None
         self._check(other)
         return other
 
-    def __add__(self, other):
+    def _merge(self, other, negate: bool):
+        """self + other, or self - other when `negate`; only shared keys are summed."""
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return self._make(self.space, chain(self.terms.items(), other.terms.items()))
+        terms = self.terms.copy()
+        for key, c in other.terms.items():
+            if key in terms:
+                c = terms[key] - c if negate else terms[key] + c
+                if c:
+                    terms[key] = collapse(c)
+                else:
+                    del terms[key]
+            else:
+                terms[key] = -c if negate else c
+        return self._of(self.space, terms)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     __radd__ = __add__
 
@@ -117,15 +150,16 @@ class Combination:
         return self.scale(-1)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else self + -other
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def scale(self, k):
         """k times this combination; k may be a LinExpr."""
-        return self._make(self.space, ((key, k * c) for key, c in self.terms.items()))
+        if isinstance(k, LinExpr):  # products may cancel, or lose their unknowns
+            return self._make(self.space, ((key, k * c) for key, c in self.terms.items()))
+        return self._of(self.space, {key: k * c for key, c in self.terms.items()} if k else {})
 
     def __mul__(self, k):
         if isinstance(k, (Rational, LinExpr)):
@@ -141,14 +175,15 @@ class Combination:
         return self.scale(Fraction(1) / k)
 
     def substitute(self, assignment: dict):
-        """Put in the values of solved unknowns: they sit in the coefficients,
-        and in a LinExpr also in the keys."""
-        keys = assignment if isinstance(self, LinExpr) else ()
-        return self._make(self.space, (
-            (ONE, c * _rational(assignment[key])) if key in keys
-            else (key, c.substitute(assignment) if isinstance(c, LinExpr) else c)
-            for key, c in self.terms.items()
-        ))
+        """Put in the values of solved unknowns, which sit in the coefficients."""
+        terms = {}
+        for key, c in self.terms.items():
+            if isinstance(c, LinExpr):
+                c = collapse(c.substitute(assignment))
+                if not c:
+                    continue
+            terms[key] = c
+        return self._of(self.space, terms)
 
     def __eq__(self, other):
         if isinstance(other, Rational):  # a scalar is that multiple of the unit
@@ -202,7 +237,7 @@ class LinExpr(Combination):
 
     @staticmethod
     def unknown(name: str) -> "LinExpr":
-        return LinExpr._make(None, ((name, 1),))
+        return LinExpr._of(None, {name: 1})
 
     @staticmethod
     def coerce(x) -> "LinExpr":
@@ -221,6 +256,13 @@ class LinExpr(Combination):
     @property
     def is_constant(self) -> bool:
         return self.terms.keys() <= {ONE}
+
+    def substitute(self, assignment: dict):
+        """Put in the values of solved unknowns: each moves into the constant."""
+        return self._make(None, (
+            (ONE, c * _rational(assignment[key])) if key in assignment else (key, c)
+            for key, c in self.terms.items()
+        ))
 
     def _rank(self, key):
         return (key == ONE, key)

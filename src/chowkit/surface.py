@@ -18,7 +18,7 @@ from math import comb
 from operator import mul
 
 from .lattice import IntersectionForm
-from .linexpr import ONE, Combination, LinExpr, collapse
+from .linexpr import ONE, Combination, LinExpr, collapse, holds_unknown
 
 
 POINT = 2  # the key of the point class in a SurfaceClass
@@ -42,16 +42,6 @@ class SurfaceRing(IntersectionForm):
                 if (a, b) not in self.gram:
                     raise ValueError(f"missing intersection number {a}.{b}")
 
-    @staticmethod
-    def symbolic(basis) -> "SurfaceRing":
-        """Ring whose pairings are free symbols `a.b`."""
-        basis = tuple(basis)
-        gram = {}
-        for i, a in enumerate(basis):
-            for b in basis[i:]:
-                gram[(a, b)] = LinExpr.unknown(f"{a}.{b}")
-        return SurfaceRing(basis, gram)
-
     def divisor(self, name: str) -> "SurfaceClass":
         return SurfaceClass(self, {name: 1})
 
@@ -59,6 +49,10 @@ class SurfaceRing(IntersectionForm):
         super().substitute(assignment)
         if isinstance(self.euler, LinExpr):
             self.euler = collapse(self.euler.substitute(assignment))
+
+    @property
+    def is_open(self) -> bool:
+        return holds_unknown(self.euler) or super().is_open
 
 
 class SurfaceClass(Combination):

@@ -1,7 +1,8 @@
 """AST for the worksheet language, with canonical pretty printing.
 
 Node equality is structural and ignores source positions, so
-parse(pretty_print(p)) == p is a meaningful round-trip law.
+parse(pretty_print(p)) == p is a meaningful round-trip law.  A position
+is a plain `(line, column)` tuple of ints, which the cyclic GC untracks.
 """
 
 from __future__ import annotations
@@ -10,19 +11,11 @@ from collections import namedtuple
 from typing import NamedTuple
 
 
-class Pos(NamedTuple):
-    line: int
-    col: int
-
-    def __str__(self):
-        return f"line {self.line}, column {self.col}"
-
-
 class WorksheetError(ValueError):
     """An error in a worksheet, tagged with the source position it concerns."""
 
-    def __init__(self, message: str, pos: Pos):
-        super().__init__(f"{pos}: {message}")
+    def __init__(self, message: str, pos: tuple):
+        super().__init__(f"line {pos[0]}, column {pos[1]}: {message}")
         self.message = message
         self.pos = pos
 

@@ -14,7 +14,7 @@ from operator import add, mul, sub, truediv
 
 from ..grassmann import GrassmannContext, SchubertElement
 from ..lattice import ClassExpr, IntersectionForm, RuledLattice
-from ..linexpr import Combination, LinExpr, collapse, solve_linear
+from ..linexpr import LinExpr, collapse, holds_unknown, solve_linear
 from ..surface import SurfaceClass, SurfaceRing
 from .ast import (
     Assert,
@@ -64,12 +64,6 @@ def _kind(value) -> str:
     return next(word for cls, word in KINDS if isinstance(value, cls))
 
 
-def _holds_unknown(value) -> bool:
-    """A LinExpr, or a combination with a LinExpr coefficient, which `solve` changes."""
-    return isinstance(value, LinExpr) or (isinstance(value, Combination) and any(
-        isinstance(c, LinExpr) for c in value.terms.values()))
-
-
 AssertionResult = namedtuple("AssertionResult", "expression expected actual passed")
 
 
@@ -102,7 +96,7 @@ class Evaluator:
     def __init__(self):
         self.env: dict = {}
         self.grassmann: GrassmannContext | None = None
-        self.spaces: list[IntersectionForm] = []  # what `solve` substitutes into
+        self.spaces: list[IntersectionForm] = []  # those a `solve` can change
         self.open: set = set()  # the names in `env` whose value holds an unknown
         self.report = EvaluationReport([], [], [])
 
@@ -154,7 +148,7 @@ class Evaluator:
     def bind(self, name: str, value):
         self.env[name] = value
         self.open.discard(name)
-        if _holds_unknown(value):
+        if holds_unknown(value):
             self.open.add(name)
         self.report.bindings.append((name, str(value)))
 
@@ -169,13 +163,13 @@ class Evaluator:
                 raise WorksheetRuntimeError(str(exc), g.pos)
         ring.euler = self.scalar(s.euler)
         ring.check_complete()
-        self.spaces.append(ring)
+        if ring.is_open:
+            self.spaces.append(ring)
         for name in s.basis:
             self.bind(name, ring.divisor(name))
 
     def lattice_decl(self, s: LatticeDecl):
         lat = RuledLattice([])
-        self.spaces.append(lat)
         self.bind(s.name, lat)
         for item in s.items:
             if isinstance(item, BasisDecl):
@@ -206,6 +200,8 @@ class Evaluator:
                     )
                 lat.canonical = value
                 self.bind("K", value)
+        if lat.is_open:
+            self.spaces.append(lat)
 
     def solve_block(self, s: SolveBlock):
         eqs = [self.scalar(left) - self.scalar(right) for left, right in s.constraints]
@@ -217,9 +213,10 @@ class Evaluator:
     def substitute_everywhere(self, assignment: dict):
         for space in self.spaces:
             space.substitute(assignment)
+        self.spaces = [space for space in self.spaces if space.is_open]
         for name in self.open:
             self.env[name] = collapse(self.env[name].substitute(assignment))
-        self.open = {name for name in self.open if _holds_unknown(self.env[name])}
+        self.open = {name for name in self.open if holds_unknown(self.env[name])}
 
     # -- expressions --------------------------------------------------
 

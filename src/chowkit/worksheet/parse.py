@@ -13,9 +13,9 @@ line, col)`, where `kind` is NAME, INT, STRING, NEWLINE, EOF or the
 punctuation itself.  It holds only `str` and `int`, so the cyclic GC
 untracks it.
 
-The parser keeps the token it is at in `cur`, and builds a `Pos` only
-for a node or an error.  The nodes it builds most (`IntLit`, `Name`,
-`BinOp`, `Neg`) and their positions are made positionally with
+The parser keeps the token it is at in `cur`.  A node's or an error's
+position is its token's `(line, col)` slice, `t[2:]`.  The nodes it builds
+most (`IntLit`, `Name`, `BinOp`, `Neg`) are made positionally with
 `tuple.__new__`, which skips the named tuples' Python-level `__new__`.
 It checks scope as it reads: every name is bound once (by `let`, `input`,
 `unknown`, a surface basis, a lattice, its `basis`, `unknown` and
@@ -27,6 +27,7 @@ undeclared name and calls no unknown function.
 from __future__ import annotations
 
 import re
+import sys
 
 from .ast import (
     Assert,
@@ -44,7 +45,6 @@ from .ast import (
     LatticeDecl,
     Name,
     Neg,
-    Pos,
     SchubertLit,
     SolveBlock,
     SurfaceDecl,
@@ -75,10 +75,18 @@ KEYWORDS = {
 # through: each (sub-)expression, field access and chained operator is one.
 MAX_DEPTH = 100
 
-# Longest integer literal, in digits.  It is Python's default limit on
-# converting a decimal string to `int`, so a longer literal is a positioned
-# syntax error with the same words on every version, not `int()`'s ValueError.
-MAX_DIGITS = 4300
+
+def max_digits() -> int:
+    """The longest integer literal, in digits, or 0 for no cap.
+
+    It is Python's own limit on `int(str)`, which PYTHONINTMAXSTRDIGITS and
+    `sys.set_int_max_str_digits` can move, so a longer literal is a positioned
+    syntax error, not `int()`'s ValueError.  Where Python has no such limit
+    (3.10 before 3.10.7), it is 4300, Python's default.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return 4300 if limit is None else limit()
+
 
 # One named group per token kind, after a prefix of blanks and comments.
 # `==` is tried before `=`.  `[^\W\d]` also admits numerals such as `²`, so a
@@ -105,11 +113,6 @@ _TOKEN = re.compile(
 )
 
 _new = tuple.__new__
-
-
-def _pos(t) -> Pos:
-    """The position of token `t`."""
-    return _new(Pos, t[2:])
 
 
 class WorksheetSyntaxError(WorksheetError):
@@ -151,8 +154,8 @@ def tokenize(text: str) -> list:
         else:
             c = text[start]
             if c == '"':
-                raise WorksheetSyntaxError("unterminated string literal", Pos(line, col))
-            raise WorksheetSyntaxError(f"unexpected character {c!r}", Pos(line, col))
+                raise WorksheetSyntaxError("unterminated string literal", (line, col))
+            raise WorksheetSyntaxError(f"unexpected character {c!r}", (line, col))
     return tokens
 
 
@@ -163,6 +166,7 @@ class _Parser:
         self.cur = tokens[0]  # the token at `i`; only `advance` moves them
         self.depth = 0
         self.scope = set()  # names bound so far; each is bound once
+        self.max_digits = max_digits()
 
     def advance(self) -> tuple:
         t = self.cur
@@ -176,7 +180,7 @@ class _Parser:
         if t[0] != kind:
             what = hint or f"expected {kind!r}"
             got = "end of input" if t[0] == "EOF" else repr(t[1])
-            raise WorksheetSyntaxError(f"{what}, got {got}", _pos(t))
+            raise WorksheetSyntaxError(f"{what}, got {got}", t[2:])
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
@@ -185,25 +189,24 @@ class _Parser:
     def expect_keyword(self, word: str) -> tuple:
         if not self.at_keyword(word):
             raise WorksheetSyntaxError(
-                f"expected keyword {word!r}, got {self.cur[1]!r}", _pos(self.cur)
+                f"expected keyword {word!r}, got {self.cur[1]!r}", self.cur[2:]
             )
         return self.advance()
 
     def nest(self, t: tuple):
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", _pos(t))
+            raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", t[2:])
 
     def skip_newlines(self):
         while self.cur[0] == "NEWLINE":
             self.advance()
 
     def integer(self, t: tuple) -> int:
-        """The value of the INT token `t`, at most MAX_DIGITS digits long."""
-        if len(t[1]) > MAX_DIGITS:
-            raise WorksheetSyntaxError(
-                f"integer literal longer than {MAX_DIGITS} digits", _pos(t)
-            )
+        """The value of the INT token `t`, at most `max_digits()` digits long."""
+        cap = self.max_digits
+        if cap and len(t[1]) > cap:
+            raise WorksheetSyntaxError(f"integer literal longer than {cap} digits", t[2:])
         return int(t[1])
 
     # -- program ------------------------------------------------------
@@ -220,7 +223,7 @@ class _Parser:
 
     def statement(self):
         t = self.cur
-        pos = _pos(t)
+        pos = t[2:]
         if self.at_keyword("let"):
             self.advance()
             return Let(*self.binding("binding name", pos), pos=pos)
@@ -267,11 +270,11 @@ class _Parser:
     def ident(self, what: str) -> str:
         t = self.cur
         if t[0] != "NAME" or t[1] in KEYWORDS:
-            raise WorksheetSyntaxError(f"expected {what}, got {t[1]!r}", _pos(t))
+            raise WorksheetSyntaxError(f"expected {what}, got {t[1]!r}", t[2:])
         self.advance()
         return t[1]
 
-    def declare(self, names, pos: Pos) -> tuple:
+    def declare(self, names, pos: tuple) -> tuple:
         """Bring `names` into scope for the rest of the worksheet."""
         for name in names:
             if name in self.scope:
@@ -279,7 +282,7 @@ class _Parser:
             self.scope.add(name)
         return tuple(names)
 
-    def binding(self, what: str, pos: Pos):
+    def binding(self, what: str, pos: tuple):
         """Read `NAME = EXPR`; NAME is in scope after EXPR, not inside it."""
         name = self.ident(what)
         self.expect("=", f"expected '=' after {what}")
@@ -308,7 +311,7 @@ class _Parser:
             seen = True
         return seen
 
-    def surface_block(self, pos: Pos) -> SurfaceDecl:
+    def surface_block(self, pos: tuple) -> SurfaceDecl:
         self.expect("{", "expected '{' after 'surface'")
         self.block_sep()
         gram = []
@@ -331,19 +334,19 @@ class _Parser:
         return SurfaceDecl(self.declare(basis, pos), tuple(gram), euler, pos=pos)
 
     def gram_entry(self) -> GramEntry:
-        pos = _pos(self.cur)
+        pos = self.cur[2:]
         a = self.ident("divisor name")
         self.expect(".", "expected '.' in intersection entry")
         b = self.ident("divisor name")
         self.expect("=", "expected '=' in intersection entry")
         return GramEntry(a, b, self.expr_required(), pos=pos)
 
-    def lattice_block(self, name: str, pos: Pos) -> LatticeDecl:
+    def lattice_block(self, name: str, pos: tuple) -> LatticeDecl:
         self.expect("{", "expected '{' after lattice name")
         items = []
         self.block_sep()
         while self.cur[0] != "}":
-            at = _pos(self.cur)
+            at = self.cur[2:]
             if self.at_keyword("basis"):
                 self.advance()
                 names = self.declare(self.name_list("class name"), at)
@@ -365,12 +368,12 @@ class _Parser:
             if not self.block_sep() and self.cur[0] != "}":
                 raise WorksheetSyntaxError(
                     f"expected ';' or '}}' in lattice block, got {self.cur[1]!r}",
-                    _pos(self.cur),
+                    self.cur[2:],
                 )
         self.expect("}")
         return LatticeDecl(name, tuple(items), pos=pos)
 
-    def solve_block(self, pos: Pos) -> SolveBlock:
+    def solve_block(self, pos: tuple) -> SolveBlock:
         self.expect("{", "expected '{' after 'solve'")
         constraints = []
         self.block_sep()
@@ -385,7 +388,7 @@ class _Parser:
             elif not self.block_sep() and self.cur[0] != "}":
                 raise WorksheetSyntaxError(
                     f"expected ';' or '}}' in solve block, got {self.cur[1]!r}",
-                    _pos(self.cur),
+                    self.cur[2:],
                 )
         self.expect("}")
         if not constraints:
@@ -396,7 +399,7 @@ class _Parser:
 
     def expr_required(self):
         if self.cur[0] in ("NEWLINE", "EOF"):
-            raise WorksheetSyntaxError("missing expression", _pos(self.cur))
+            raise WorksheetSyntaxError("missing expression", self.cur[2:])
         return self.expr()
 
     def expr(self):
@@ -406,7 +409,7 @@ class _Parser:
         while self.cur[0] in ("+", "-"):
             op = self.advance()
             self.nest(op)
-            node = _new(BinOp, (op[0], node, self.term(), _new(Pos, op[2:])))
+            node = _new(BinOp, (op[0], node, self.term(), op[2:]))
         self.depth = depth
         return node
 
@@ -420,13 +423,13 @@ class _Parser:
             self.nest(op)
             t = self.cur
             right = self.atom() if t[0] != "-" else self.negated(t)
-            node = _new(BinOp, (op[0], node, right, _new(Pos, op[2:])))
+            node = _new(BinOp, (op[0], node, right, op[2:]))
         self.depth = depth
         return node
 
     def negated(self, minus: tuple):
         self.advance()
-        return _new(Neg, (self.atom(), _new(Pos, minus[2:])))
+        return _new(Neg, (self.atom(), minus[2:]))
 
     def atom(self):
         """A literal, name, call or parenthesized expression, then its `.field`s."""
@@ -434,7 +437,7 @@ class _Parser:
         kind, text = t[0], t[1]
         if kind == "INT":
             self.advance()
-            node = _new(IntLit, (self.integer(t), _new(Pos, t[2:])))
+            node = _new(IntLit, (self.integer(t), t[2:]))
         elif kind == "(":
             self.advance()
             node = self.expr()
@@ -444,7 +447,7 @@ class _Parser:
                 f"expected an expression, got {text!r}"
                 if kind != "EOF"
                 else "missing expression",
-                _pos(t),
+                t[2:],
             )
         elif text == "s" and self.tokens[self.i + 1][0] == "[":
             self.advance()
@@ -453,25 +456,25 @@ class _Parser:
             if self.cur[0] != "]":  # s[] is the unit class
                 parts = self.comma_list(self.partition_part)
             self.expect("]", "expected ']' closing Schubert class")
-            node = SchubertLit(tuple(parts), pos=_pos(t))
+            node = SchubertLit(tuple(parts), pos=t[2:])
         elif text in KEYWORDS:
             raise WorksheetSyntaxError(
-                f"keyword {text!r} cannot be used in an expression", _pos(t)
+                f"keyword {text!r} cannot be used in an expression", t[2:]
             )
         else:
             self.advance()
             if self.cur[0] in ("(", "{"):
                 if text not in BUILTINS:
-                    raise WorksheetSyntaxError(f"unknown function {text!r}", _pos(t))
+                    raise WorksheetSyntaxError(f"unknown function {text!r}", t[2:])
                 node = self.call(t) if self.cur[0] == "(" else self.brace_call(t)
             elif text in self.scope:
-                node = _new(Name, (text, _new(Pos, t[2:])))
+                node = _new(Name, (text, t[2:]))
             else:
-                raise WorksheetSyntaxError(f"use of undeclared name {text!r}", _pos(t))
+                raise WorksheetSyntaxError(f"use of undeclared name {text!r}", t[2:])
         while self.cur[0] == ".":
             dot = self.advance()
             self.nest(dot)
-            node = FieldAccess(node, self.ident("field name"), pos=_pos(dot))
+            node = FieldAccess(node, self.ident("field name"), pos=dot[2:])
         return node
 
     def partition_part(self) -> int:
@@ -491,7 +494,7 @@ class _Parser:
             tuple(args),
             tuple(args2) if args2 is not None else None,
             (),
-            pos=_pos(fname),
+            pos=fname[2:],
         )
 
     def brace_call(self, fname: tuple) -> Call:
@@ -502,13 +505,13 @@ class _Parser:
             t = self.cur
             key = self.ident("argument name")
             if key in kwargs:
-                raise WorksheetSyntaxError(f"duplicate argument {key!r}", _pos(t))
+                raise WorksheetSyntaxError(f"duplicate argument {key!r}", t[2:])
             self.expect("=", "expected '=' after argument name")
             kwargs[key] = self.expr()
 
         self.comma_list(argument)
         self.expect("}", "expected '}' closing arguments")
-        return Call(fname[1], (), None, tuple(kwargs.items()), pos=_pos(fname))
+        return Call(fname[1], (), None, tuple(kwargs.items()), pos=fname[2:])
 
 
 def parse(text: str) -> WorksheetProgram:
@@ -522,7 +525,7 @@ def parse_expression(text: str):
     parser.skip_newlines()
     t = parser.cur
     if t[0] != "EOF":
-        raise WorksheetSyntaxError(f"trailing input {t[1]!r}", _pos(t))
+        raise WorksheetSyntaxError(f"trailing input {t[1]!r}", t[2:])
     return expr
 
 

@@ -3,13 +3,25 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import prod
+from numbers import Rational
 from typing import NamedTuple
 
+from chowkit.curves import _RELATIONS, CHARACTERS
 from chowkit.grassmann import SchubertElement, integrate
+from chowkit.linexpr import (
+    ONE,
+    InconsistentSystem,
+    LinExpr,
+    NonlinearError,
+    SpaceMismatch,
+    UnderdeterminedSystem,
+    collapse,
+    solve_linear,
+)
 from chowkit.partitions import complement_in_box, partition, weight
-from chowkit.worksheet.ast import Pos
+from chowkit.surface import SurfaceRing
 from chowkit.worksheet.parse import WorksheetSyntaxError
 
 
@@ -32,8 +44,6 @@ def partitions_in_box(rows: int, cols: int, total: int | None = None):
 def bilinear_sum(form, u: dict, v: dict):
     """sum(u[a] * v[b] * (a.b)) over an intersection form, one product at a
     time through the public LinExpr arithmetic."""
-    from chowkit.linexpr import LinExpr
-
     total = LinExpr(0)
     for a, ca in u.items():
         for b, cb in v.items():
@@ -43,6 +53,63 @@ def bilinear_sum(form, u: dict, v: dict):
                 raise ValueError(f"intersection number {a}.{b} was never declared")
             total = total + ca * cb * entry
     return total
+
+
+def symbolic_surface(basis) -> SurfaceRing:
+    """The surface ring whose pairings are the free symbols `a.b`."""
+    basis = tuple(basis)
+    gram = {}
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            gram[(a, b)] = LinExpr.unknown(f"{a}.{b}")
+    return SurfaceRing(basis, gram)
+
+
+# `Combination`'s arithmetic as it was when every operation re-summed its
+# terms: each builds its (key, coefficient) pairs and sums them afresh.
+
+
+def _resummed(like, pairs):
+    """The combination of `like`'s class and space that is sum(c * key)."""
+    terms = {}
+    for key, c in pairs:
+        terms[key] = terms[key] + c if key in terms else c
+    out = type(like).__new__(type(like))
+    out.space = like.space
+    out.terms = {key: collapse(c) for key, c in terms.items() if c}
+    return out
+
+
+def _resummed_operand(x, other):
+    if isinstance(other, Rational) and x.unit is not None:
+        return _resummed(x, ((x.unit, other),))
+    if type(other) is not type(x):
+        raise TypeError(f"cannot combine {type(x).__name__} with {type(other).__name__}")
+    if other.space != x.space:
+        raise SpaceMismatch(f"{type(x).__name__}s live on different spaces")
+    return other
+
+
+def resummed_add(x, y):
+    y = _resummed_operand(x, y)
+    return _resummed(x, chain(x.terms.items(), y.terms.items()))
+
+
+def resummed_scale(x, k):
+    return _resummed(x, ((key, k * c) for key, c in x.terms.items()))
+
+
+def resummed_sub(x, y):
+    return resummed_add(x, resummed_scale(_resummed_operand(x, y), -1))
+
+
+def resummed_substitute(x, assignment: dict):
+    keys = assignment if isinstance(x, LinExpr) else ()
+    return _resummed(x, (
+        (ONE, c * assignment[key]) if key in keys
+        else (key, resummed_substitute(c, assignment) if isinstance(c, LinExpr) else c)
+        for key, c in x.terms.items()
+    ))
 
 
 def pieri(e: SchubertElement, a: int) -> SchubertElement:
@@ -235,11 +302,11 @@ _REFERENCE_TOKEN = re.compile(
 
 
 class Token(NamedTuple):
-    """A token of `reference_tokenize`, with its position as one `Pos`."""
+    """A token of `reference_tokenize`, with its position as one `(line, col)`."""
 
     kind: str
     text: str
-    pos: Pos
+    pos: tuple
 
 
 def reference_tokenize(text: str) -> list:
@@ -253,14 +320,14 @@ def reference_tokenize(text: str) -> list:
         m = _REFERENCE_TOKEN.match(text, i)
         c = text[i]
         if m is None or (m.lastgroup == "NAME" and not (c.isalpha() or c == "_")):
-            pos = Pos(line, i - line_start + 1)
+            pos = (line, i - line_start + 1)
             if c == '"':
                 raise WorksheetSyntaxError("unterminated string literal", pos)
             raise WorksheetSyntaxError(f"unexpected character {c!r}", pos)
         kind, start, i = m.lastgroup, i, m.end()
         if kind is None:  # blanks or a comment
             continue
-        pos = Pos(line, start - line_start + 1)
+        pos = (line, start - line_start + 1)
         if kind == "NEWLINE":
             if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
                 tokens.append(Token("NEWLINE", "\n", pos))
@@ -276,8 +343,38 @@ def reference_tokenize(text: str) -> list:
             tokens.append(Token(p, p, pos))
         else:
             tokens.append(Token(kind, m.group(), pos))
-    tokens.append(Token("EOF", "", Pos(line, len(text) - line_start + 1)))
+    tokens.append(Token("EOF", "", (line, len(text) - line_start + 1)))
     return tokens
+
+
+def reference_plucker_solve(**given) -> dict:
+    """`curves.plucker_solve` as it was when each relation linear in one
+    unknown went through the general `solve_linear`."""
+    for name in given:
+        if name not in CHARACTERS:
+            raise ValueError(f"unknown Pluecker character {name!r}")
+    vals = {n: Fraction(given[n]) if n in given else LinExpr.unknown(n) for n in CHARACTERS}
+    changed = True
+    while changed:
+        changed = False
+        for rel in _RELATIONS:
+            try:
+                r = collapse(rel(**vals))
+            except NonlinearError:
+                continue
+            if isinstance(r, LinExpr):
+                if len(r.coeffs) == 1:
+                    vals.update(solve_linear([r]))
+                    changed = True
+            elif r != 0:
+                known = ", ".join(
+                    f"{n}={v}" for n, v in sorted(vals.items()) if not isinstance(v, LinExpr)
+                )
+                raise InconsistentSystem(f"relation violated on {known}")
+    unset = sorted(n for n, v in vals.items() if isinstance(v, LinExpr))
+    if unset:
+        raise UnderdeterminedSystem(f"cannot determine: {', '.join(unset)}")
+    return vals
 
 
 _DUAL = {"d": "m", "nodes": "bitangents", "cusps": "flexes"}

@@ -43,7 +43,7 @@ from chowkit.surface import (
 )
 from chowkit.worksheet import evaluate, parse, pretty_print
 
-from _oracles import dual_characters, duality_pair, partitions_in_box
+from _oracles import dual_characters, duality_pair, partitions_in_box, symbolic_surface
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -58,7 +58,7 @@ def verdict(num, label, ok):
 
 
 def test_criterion_01_jet_c2_symbolic_identity():
-    ring = SurfaceRing.symbolic(("H", "K"))
+    ring = symbolic_surface(("H", "K"))
     H = ring.divisor("H")
     K = ring.divisor("K")
     e = LinExpr.unknown("e")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dual_characters
+from _oracles import dual_characters, reference_plucker_solve
+from chowkit import curves
 from chowkit.curves import (
     MAX_EXPONENT,
     correspondence_coincidences,
@@ -20,6 +21,7 @@ from chowkit.curves import (
 )
 from chowkit.grassmann import GrassmannContext, SchubertElement, multiply, integrate
 from chowkit.linexpr import InconsistentSystem, UnderdeterminedSystem
+from chowkit.worksheet.builtins import BUILTINS
 
 CHARACTERS = ("d", "m", "nodes", "cusps", "bitangents", "flexes", "genus")
 
@@ -64,6 +66,70 @@ def test_plucker_underdetermined_and_inconsistent():
         plucker_solve(d=6)
     with pytest.raises(InconsistentSystem):
         plucker_solve(d=6, nodes=6, cusps=0, genus=5)
+
+
+def _typed(chars: dict) -> list:
+    return [(n, type(v), v) for n, v in chars.items()]
+
+
+def _pluecker_outcome(chars: dict):
+    """The `pluecker{...}` record, or the message it raises."""
+    try:
+        return _typed(BUILTINS["pluecker"].call([], chars))
+    except ValueError as exc:
+        return str(exc)
+
+
+# the (d, nodes) pairs of the worksheet-bulk suites' `pluecker{d=, nodes=}`
+BULK_CURVES = [(d, nodes) for d in range(3, 9) for nodes in range((d - 1) * (d - 2) // 2 + 1)]
+
+
+def test_pluecker_matches_the_solve_linear_path_on_the_bulk_curves(monkeypatch):
+    builtin = []
+    for d, nodes in BULK_CURVES:
+        data = plucker_solve(d=d, nodes=nodes, cusps=0)
+        assert _typed(data) == _typed(reference_plucker_solve(d=d, nodes=nodes, cusps=0))
+        # the dual curve, solved from its own degree and singularities
+        dual = dual_characters(data)
+        given = {n: dual[n] for n in ("d", "nodes", "cusps")}
+        assert plucker_solve(**given) == dual
+        assert _typed(plucker_solve(**given)) == _typed(reference_plucker_solve(**given))
+        builtin.append(_pluecker_outcome({"d": d, "nodes": nodes}))
+    monkeypatch.setattr(curves, "plucker_solve", reference_plucker_solve)
+    assert builtin == [_pluecker_outcome({"d": d, "nodes": n}) for d, n in BULK_CURVES]
+
+
+@pytest.mark.parametrize(
+    "given, error, message",
+    [
+        (
+            dict(d=6, nodes=6, cusps=0, genus=5),
+            InconsistentSystem,
+            "relation violated on bitangents=96, cusps=0, d=6, flexes=36, genus=5, m=18, nodes=6",
+        ),
+        (
+            dict(m=5, bitangents=0, flexes=0, d=3),
+            InconsistentSystem,
+            "relation violated on bitangents=0, d=3, flexes=0, m=5",
+        ),
+        (
+            dict(d=6),
+            UnderdeterminedSystem,
+            "cannot determine: bitangents, cusps, flexes, genus, m, nodes",
+        ),
+        (
+            dict(d=5, nodes=1),
+            UnderdeterminedSystem,
+            "cannot determine: bitangents, cusps, flexes, genus, m",
+        ),
+    ],
+    ids=["inconsistent", "inconsistent-dual", "underdetermined", "underdetermined-partly"],
+)
+def test_plucker_solve_error_messages(given, error, message):
+    for solve in (plucker_solve, reference_plucker_solve):
+        with pytest.raises(error) as exc:
+            solve(**given)
+        assert str(exc.value) == message
 
 
 def test_plucker_solve_rejects_an_unknown_character():

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import resummed_add, resummed_scale, resummed_sub, resummed_substitute
+from chowkit.lattice import ClassExpr, RuledLattice
 from chowkit.linexpr import (
     ONE,
+    Combination,
     InconsistentSystem,
     LinExpr,
     NonlinearError,
+    SpaceMismatch,
     UnderdeterminedSystem,
     collapse,
     solve_linear,
@@ -225,3 +229,101 @@ def test_printing_does_not_depend_on_insertion_order(terms, rng):
     rng.shuffle(shuffled)
     e, f = build(terms), build(shuffled)
     assert e == f and str(e) == str(f)
+
+
+# -- summed arithmetic against the re-summing oracle ----------------------
+
+LATTICE = RuledLattice(("a", "b", "c"))
+OTHER = RuledLattice(("a", "b", "c"))  # the same basis, another space
+
+small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+small_linexprs = st.builds(
+    LinExpr, small, st.dictionaries(st.sampled_from(("x", "y")), small, max_size=2)
+)
+# a class coefficient: a scalar, or a LinExpr that holds an unknown
+class_coefficients = st.one_of(small, small_linexprs.map(collapse))
+
+
+def classes(space):
+    return st.dictionaries(
+        st.sampled_from(space.basis), class_coefficients, max_size=3
+    ).map(lambda terms: ClassExpr(space, terms))
+
+
+def _shape(value):
+    """The class, space and terms of `value` in order, each coefficient with
+    its type; a scalar with its type."""
+    if isinstance(value, Combination):
+        return type(value), value.space, [(k, _shape(c)) for k, c in value.terms.items()]
+    return type(value), value
+
+
+def _result(f, *args):
+    """`_shape` of what f returns, or the exception's type (and message,
+    unless it is the TypeError of an unsupported operand)."""
+    try:
+        return _shape(f(*args))
+    except TypeError:
+        return TypeError
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _agree(x, y, k, assignment):
+    """Every summed operation on x matches the oracle that re-sums."""
+    pairs = [
+        (lambda: x + y, lambda: resummed_add(x, y)),
+        (lambda: x - y, lambda: resummed_sub(x, y)),
+        (lambda: x.scale(k), lambda: resummed_scale(x, k)),
+        (lambda: -x, lambda: resummed_scale(x, -1)),
+        (lambda: x.substitute(assignment), lambda: resummed_substitute(x, assignment)),
+    ]
+    if isinstance(y, (int, Fraction)):
+        pairs.append((lambda: y - x, lambda: resummed_add(resummed_scale(x, -1), y)))
+    for ours, oracle in pairs:
+        assert _result(ours) == _result(oracle)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_summed_arithmetic_matches_the_resumming_oracle(data):
+    if data.draw(st.booleans()):
+        same = small_linexprs
+        others = st.one_of(same, small)
+        k = data.draw(small)
+    else:
+        same = classes(LATTICE)
+        others = st.one_of(same, classes(OTHER), small)
+        k = data.draw(st.one_of(small, small_linexprs))
+    x = data.draw(same)
+    y = data.draw(st.one_of(
+        others,
+        st.just(x),  # x + x
+        st.just(resummed_scale(x, -1)),  # cancels to zero
+        st.builds(resummed_add, st.just(resummed_scale(x, -1)), same),  # in part
+    ))
+    assignment = data.draw(st.dictionaries(st.sampled_from(("x", "y")), small))
+    _agree(x, y, k, assignment)
+
+
+X, Y = LinExpr.unknown("x"), LinExpr.unknown("y")
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (X + 1, X + 1),
+        (2 * X - Y, Y - 2 * X),
+        (ClassExpr(LATTICE, {"a": X + 1, "b": 2}), ClassExpr(LATTICE, {"a": -X})),
+        (ClassExpr(LATTICE, {"a": X, "b": Fraction(1, 2)}), ClassExpr(LATTICE, {"b": Fraction(1, 2)})),
+        (ClassExpr(LATTICE, {"a": 1}), ClassExpr(OTHER, {"a": 1})),
+        (X + Fraction(1, 2), Fraction(1, 2)),
+    ],
+    ids=["x-plus-x", "cancels-to-zero", "collapses-to-a-scalar", "x-plus-x-class",
+         "space-mismatch", "scalar-operand"],
+)
+def test_summed_arithmetic_cases(x, y):
+    _agree(x, y, Fraction(-2, 3), {"x": 3})
+    if isinstance(y, Combination) and y.space is OTHER:
+        with pytest.raises(SpaceMismatch, match="^ClassExprs live on different spaces$"):
+            x + y

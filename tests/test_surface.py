@@ -20,6 +20,8 @@ from chowkit.surface import (
     triple_point_count,
 )
 
+from _oracles import symbolic_surface
+
 
 def k3_genus4_ring() -> SurfaceRing:
     """The numeric instance: K = 0, H^2 = 6, e = 24 enters via Omega."""
@@ -161,7 +163,7 @@ def test_jet_bundle_second_order_on_k3():
 
 
 def test_jet_c2_matches_triple_point_formula_symbolically():
-    ring = SurfaceRing.symbolic(("H", "K"))
+    ring = symbolic_surface(("H", "K"))
     H = ring.divisor("H")
     K = ring.divisor("K")
     e = LinExpr.unknown("e")

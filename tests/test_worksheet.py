@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 import platform
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from chowkit.worksheet import (
     pretty_print,
 )
 from chowkit.worksheet import ast
-from chowkit.worksheet.ast import ClassDecl, IntLit, Let, Pos
+from chowkit.worksheet.ast import ClassDecl, IntLit, Let
 from chowkit.worksheet.builtins import BUILTINS
 from chowkit.worksheet.evaluate import Evaluator
 from chowkit.worksheet.parse import tokenize
@@ -340,6 +341,53 @@ def test_an_integer_literal_of_the_cap_length_parses():
     assert k_n.n == let.expr.left.parts[0] == let.expr.right.value == int(digits)
 
 
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int(str) limit"
+)
+
+
+@pytest.fixture
+def int_max_str_digits():
+    """Sets Python's int(str) digit limit for one test, and restores it after."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@needs_int_limit
+def test_the_literal_cap_follows_a_lowered_python_limit(int_max_str_digits, tmp_path, capsys):
+    int_max_str_digits(640)
+    long, most = "1" * 1000, "7" * 640
+    for text, col in [(f"let x = {long}", 9), (f"grassmannian (3, {long})", 18),
+                      (f"grassmannian (2, 4)\nlet y = s[{long}]", 11)]:
+        with pytest.raises(WorksheetSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value).endswith(
+            f", column {col}: integer literal longer than 640 digits"
+        )
+    assert parse(f"let x = {most}").statements[0].expr.value == int(most)
+    path = tmp_path / "long.ws"
+    path.write_text(f"let x = {long}\n", encoding="utf-8")
+    assert main(["worksheet", "run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"{path}: error: line 1, column 9: integer literal longer than 640 digits"
+    )
+
+
+@needs_int_limit
+def test_a_python_limit_of_zero_lifts_the_literal_cap(int_max_str_digits):
+    int_max_str_digits(0)
+    digits = "1" * 5000
+    assert parse(f"let x = {digits}").statements[0].expr.value == int(digits)
+
+
+def test_the_literal_cap_is_4300_where_python_has_no_limit(monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    with pytest.raises(WorksheetSyntaxError) as exc:
+        parse("let x = " + "1" * 4301)
+    assert str(exc.value) == "line 1, column 9: integer literal longer than 4300 digits"
+
+
 def test_unbalanced_bracket_reported():
     with pytest.raises(WorksheetSyntaxError):
         parse("let x = s[2,1\n")
@@ -555,6 +603,68 @@ def test_a_class_left_open_by_one_solve_is_substituted_by_the_next():
     assert str(ev.env["C1"]) == "2*l + 3*F"
 
 
+def test_a_lattice_prints_its_unknowns_until_each_is_solved():
+    report = run(
+        "lattice L { basis l, F; unknown x, y; l.l = x, l.F = 1, F.F = 0 }\n"
+        "let M0 = L\n"
+        "solve { x == 2 }\n"
+        "let M1 = L\n"
+        "solve { y == 3 }\n"
+        "let M2 = L\n"
+        "let t = y + l * l\n"
+    )
+    assert report.bindings == [
+        ("L", "lattice()"), ("l", "l"), ("F", "F"), ("x", "x"), ("y", "y"),
+        ("M0", "lattice(l, F; unknown x, y)"),
+        ("x", "2"),
+        ("M1", "lattice(l, F; unknown y)"),
+        ("y", "3"),
+        ("M2", "lattice(l, F)"),
+        ("t", "5"),
+    ]
+
+
+def test_a_space_stays_open_until_nothing_in_it_holds_an_unknown():
+    program = parse(
+        "unknown a, w\n"
+        "lattice L { basis l, F; unknown u; l.l = 1, l.F = 1, F.F = 0 }\n"
+        "lattice N { basis p; p.p = 2 }\n"
+        "lattice Q { basis q; q.q = a + 1; canonical = w * q }\n"
+        "surface { H; H.H = 1; euler = a }\n"
+        "surface { E; E.E = -1; euler = 3 }\n"
+        "solve { a == 3 }\n"
+        "let M = L\n"
+        "solve { w == 2 }\n"
+        "let g = genus(q)\n"
+        "solve { u == 1 }\n"
+        "let M2 = L\n"
+    )
+    ev = Evaluator()
+    open_after = []
+    for s in program.statements:
+        ev.statement(s)
+        open_after.append([str(space) if hasattr(space, "unknowns") else space.basis
+                           for space in ev.spaces])
+    assert open_after == [
+        [],
+        ["lattice(l, F; unknown u)"],  # only its `unknown u` holds one
+        ["lattice(l, F; unknown u)"],  # N holds none
+        ["lattice(l, F; unknown u)", "lattice(q)"],
+        ["lattice(l, F; unknown u)", "lattice(q)", ("H",)],
+        ["lattice(l, F; unknown u)", "lattice(q)", ("H",)],
+        ["lattice(l, F; unknown u)", "lattice(q)"],  # only Q's canonical holds one
+        ["lattice(l, F; unknown u)", "lattice(q)"],
+        ["lattice(l, F; unknown u)"],
+        ["lattice(l, F; unknown u)"],
+        [],
+        [],
+    ]
+    assert ev.report.bindings[-6:] == [
+        ("a", "3"), ("M", "lattice(l, F; unknown u)"), ("w", "2"), ("g", "7"),
+        ("u", "1"), ("M2", "lattice(l, F)"),
+    ]
+
+
 @pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.name)
 def test_shipped_worksheets_all_pass(path):
     report = run(path.read_text(encoding="utf-8"))
@@ -578,15 +688,15 @@ def test_reformatting_leaves_the_program_equal():
 
 
 def test_nodes_compare_by_class_and_fields_not_position():
-    one = IntLit(1, Pos(1, 9))
-    let = Let("x", one, Pos(1, 1))
-    moved = Let("x", IntLit(1, Pos(3, 7)), Pos(3, 1))
+    one = IntLit(1, (1, 9))
+    let = Let("x", one, (1, 1))
+    moved = Let("x", IntLit(1, (3, 7)), (3, 1))
     assert let == moved and not let != moved
     assert hash(let) == hash(moved)
-    assert let != Let("y", one, Pos(1, 1))
-    assert let != ClassDecl("x", one, Pos(1, 1))
+    assert let != Let("y", one, (1, 1))
+    assert let != ClassDecl("x", one, (1, 1))
     assert let != ("x", one) and ("x", one) != let
-    assert let != ("x", one, Pos(1, 1))
+    assert let != ("x", one, (1, 1))
 
 
 def test_traced_statement_kinds_name_node_classes():
@@ -668,6 +778,16 @@ def test_tokens_are_plain_tuples_the_gc_can_untrack(path):
     if platform.python_implementation() == "CPython":
         gc.collect()
         assert [t for t in tokens if gc.is_tracked(t)] == []
+
+
+@pytest.mark.parametrize("path", WORKSHEETS, ids=lambda p: p.stem)
+def test_node_positions_are_plain_tuples_the_gc_can_untrack(path):
+    positions = [node.pos for node in _nodes(parse(path.read_text(encoding="utf-8")).statements)]
+    assert positions and [p for p in positions if type(p) is not tuple] == []
+    assert [p for p in positions if tuple(map(type, p)) != (int, int)] == []
+    if platform.python_implementation() == "CPython":
+        gc.collect()
+        assert [p for p in positions if gc.is_tracked(p)] == []
 
 
 def _expression(draw, names, depth, inside, atom=False):
