@@ -302,7 +302,7 @@ _REFERENCE_TOKEN = re.compile(
 
 
 class Token(NamedTuple):
-    """A token of `reference_tokenize`, with its position as one `(line, col)`."""
+    """A token of `reference_tokenize`, with its position as a `(line, col)` tuple."""
 
     kind: str
     text: str
