@@ -6,6 +6,10 @@
     chowkit chern tau H2 HK K2 E
     chowkit curve <builtin> <value>... [<name>=<value>]...
 
+Each value (EXPR, DIM, every curve and chern value) is one worksheet expression,
+evaluated under the --gr Grassmannian where there is one: `-1/2`, `3*2` and
+`pluecker{d=6, nodes=6}.genus` are values; `4.0`, `1e3` and `+3` are syntax errors.
+
 Exit codes: 0 success, 1 assertion failures under --strict, 2 bad arguments,
 parse or runtime errors.  All values print as exact integers or rationals.
 """
@@ -14,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 
 from .grassmann import GrassmannContext
 from .worksheet import evaluate, parse
@@ -25,15 +29,14 @@ from .worksheet.parse import parse_expression
 
 
 def _parse_gr(spec: str) -> GrassmannContext:
-    try:
-        k, n = (int(x) for x in spec.split(","))
-    except ValueError:
-        raise ValueError(f"bad --gr value {spec!r}: expected K,N, two integers such as 3,5") from None
-    return GrassmannContext(k, n)
+    m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", spec)  # as `grassmannian (K, N)` reads them
+    if m is None:
+        raise ValueError(f"bad --gr value {spec!r}: expected K,N, two integers such as 3,5")
+    return GrassmannContext(int(m[1]), int(m[2]))
 
 
-def _schubert_expr(text: str, ctx: GrassmannContext):
-    """Evaluate a standalone Schubert expression like 120*s[1,1,1]+16*s[2,1]."""
+def _value(text: str, ctx: GrassmannContext | None = None):
+    """Evaluate one command-line value, such as 120*s[1,1,1]+16*s[2,1] or -1/2."""
     ev = Evaluator()
     ev.grassmann = ctx
     return ev.eval(parse_expression(text))
@@ -85,7 +88,7 @@ def _run_builtin(name: str, tokens) -> int:
     """Call a worksheet builtin with command-line values and print the result.
 
     Positional values fill the builtin's argument groups in order and
-    `name=value` tokens fill its named arguments.
+    `name=value` tokens (a worksheet name before the first `=`) fill its named arguments.
     """
     builtin = BUILTINS.get(name)
     if builtin is None:
@@ -94,17 +97,13 @@ def _run_builtin(name: str, tokens) -> int:
     values, named = [], {}
     try:
         for token in tokens:
-            key, eq, text = token.partition("=")
-            try:
-                value = Fraction(text if eq else token)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"not an exact number: {token!r}") from None
-            if not eq:
-                values.append(value)
+            key, _, text = token.partition("=")
+            if not re.fullmatch(r"[A-Za-z_][\w']*", key):
+                values.append(_value(token))
             elif key in named:
                 raise ValueError(f"duplicate argument {key!r}")
             else:
-                named[key] = value
+                named[key] = _value(text)
         out = builtin.call(builtin.split(values), named)
         if isinstance(out, Record):
             out = " ".join(f"{k}={v}" for k, v in out.items())
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
     pdeg = schsub.add_parser("pdeg", help="Pluecker degree of a cycle")
     pdeg.add_argument("--gr", required=True, metavar="K,N")
     pdeg.add_argument("expr")
-    pdeg.add_argument("dim", type=int)
+    pdeg.add_argument("dim")
     mult = schsub.add_parser("mult", help="normal form of a Schubert expression")
     mult.add_argument("--gr", required=True, metavar="K,N")
     mult.add_argument("expr")
@@ -157,9 +156,9 @@ def main(argv=None) -> int:
     if args.command == "schubert":
         try:
             ctx = _parse_gr(args.gr)
-            value = schubert_class(_schubert_expr(args.expr, ctx))
+            value = schubert_class(_value(args.expr, ctx))
             if args.sch_command == "pdeg":
-                value = BUILTINS["pdeg"].call([[value, args.dim]], {})
+                value = BUILTINS["pdeg"].call([[value, _value(args.dim, ctx)]], {})
             print(value)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -86,7 +86,18 @@ class RuledLattice(IntersectionForm):
     def __init__(self, basis):
         super().__init__(basis)
         self.unknowns = []
-        self.canonical = None
+        self._canonical = None  # K's terms: a ClassExpr would hold the lattice, a cycle
+
+    @property
+    def canonical(self) -> "ClassExpr | None":
+        """The canonical class K, rebuilt from its terms on each read."""
+        return None if self._canonical is None else ClassExpr._of(self, self._canonical)
+
+    @canonical.setter
+    def canonical(self, K):
+        if K is not None and K.space is not self:
+            raise SpaceMismatch("the canonical class lives on another lattice")
+        self._canonical = None if K is None else K.terms
 
     def add_unknown(self, name: str) -> LinExpr:
         if name not in self.unknowns:

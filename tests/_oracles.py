@@ -4,11 +4,11 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import prod
+from math import comb, prod
 from numbers import Rational
 from typing import NamedTuple
 
-from chowkit.curves import _RELATIONS, CHARACTERS
+from chowkit.curves import _RELATIONS, CHARACTERS, plucker_solve
 from chowkit.grassmann import SchubertElement, integrate
 from chowkit.linexpr import (
     ONE,
@@ -385,3 +385,35 @@ def dual_characters(chars: dict) -> dict:
     """The Pluecker characters of the dual curve: d<->m, nodes<->bitangents,
     cusps<->flexes, the same genus."""
     return {_DUAL[n]: v for n, v in chars.items()}
+
+
+def odd_refinements(g: int) -> int:
+    """The quadratic refinements of the standard symplectic form on F_2^{2g}
+    with Arf invariant 1, counted one by one; these are the odd theta
+    characteristics of a genus-g curve (Mumford, "Theta characteristics of
+    an algebraic curve", 1971; Atiyah, "Riemann surfaces and spin
+    structures", 1971).
+
+    A vector is a pair (a, b) of g-bit masks over the symplectic basis e, f.
+    A refinement is fixed by its values qa, qb on the basis, and
+    q(a, b) = <a, qa> + <b, qb> + <a, b> mod 2.  Its Arf invariant is 1 when
+    q takes the value 1 on more than half of the 4^g vectors.
+    """
+    masks = range(2**g)
+    count = 0
+    for qa in masks:
+        for qb in masks:
+            ones = sum(
+                (a & qa ^ b & qb ^ a & b).bit_count() & 1 for a in masks for b in masks
+            )
+            count += 2 * ones > 4**g
+    return count
+
+
+def secants_by_projection(d: int, g: int) -> int:
+    """The degree of the secant variety of a degree-d, genus-g space curve,
+    C(d-1, 2) - g + C(d, 2), by another route: the secants through a general
+    point are the nodes of the projection from it, a plane curve of degree
+    d and genus g, whose nodes `plucker_solve` finds.  This is a second code
+    path through the Pluecker relations, not a second proof."""
+    return plucker_solve(d=d, genus=g, cusps=0)["nodes"] + comb(d, 2)

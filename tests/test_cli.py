@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from chowkit.cli import main
 from chowkit.worksheet import evaluate, parse
-from chowkit.worksheet.builtins import BUILTINS
+from chowkit.worksheet.builtins import BUILTINS, integer, number, scalar
+from chowkit.worksheet.evaluate import WorksheetRuntimeError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
@@ -104,17 +105,19 @@ def test_multiple_files_one_bad(tmp_path, capsys):
 
 
 def test_schubert_pdeg(capsys):
-    code, out, _ = run_cli(
-        capsys, "schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1] + 16*s[2,1]", "3"
-    )
-    assert code == 0
-    assert out.strip() == "152"
+    for dim in ("3", "1+2"):  # DIM is an expression too
+        code, out, _ = run_cli(
+            capsys, "schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1] + 16*s[2,1]", dim
+        )
+        assert code == 0
+        assert out.strip() == "152"
 
 
 def test_schubert_mult(capsys):
-    code, out, _ = run_cli(capsys, "schubert", "mult", "--gr", "3,5", "s[1]*s[1]*s[1]")
-    assert code == 0
-    assert out.strip() == "s[1,1,1] + 2*s[2,1]"
+    for gr in ("3,5", " 3 , 5 "):  # blanks around K and N, as in `grassmannian (3, 5)`
+        code, out, _ = run_cli(capsys, "schubert", "mult", "--gr", gr, "s[1]*s[1]*s[1]")
+        assert code == 0
+        assert out.strip() == "s[1,1,1] + 2*s[2,1]"
 
 
 def test_schubert_bad_expression_exits_2(capsys):
@@ -141,6 +144,10 @@ def test_curve_subcommands(capsys):
         (["curve", "glue_genus", "3", "4", "2"], "8"),
         (["curve", "glue_genus", "-1/2", "3", "1"], "5/2"),  # not read as an option
         (["chern", "tau", "-1/2", "0", "0", "0"], "-15/2"),
+        (["curve", "odd_theta", "2*2"], "120"),  # every value is a worksheet expression
+        (["curve", "coincidences", " 3", "1 "], "4"),
+        (["curve", "pluecker", "d=3*2", "nodes=6"],
+         "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -179,6 +186,71 @@ def test_curve_pluecker_matches_worksheet(capsys):
     record = evaluate(parse("let P = pluecker{d=6, nodes=6}\n")).bindings[0][1]
     fields = out.split()
     assert record == "{" + ", ".join(fields) + "}"
+
+
+# The builtins `chowkit curve` can call: every argument is a number.
+CONTEXT_FREE = sorted(
+    name
+    for name, b in BUILTINS.items()
+    if all(kind in (integer, number, scalar) for group in b.groups for _, kind in group)
+)
+VALUE_TEXTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.fractions(-12, 12, max_denominator=6).map(str),
+    st.builds("{}{}{}".format, st.integers(0, 9), st.sampled_from("+-*"), st.integers(0, 9)),
+)
+
+
+@st.composite
+def curve_calls(draw):
+    """A context-free builtin, its command-line words and its worksheet call."""
+    name = draw(st.sampled_from(CONTEXT_FREE))
+    b = BUILTINS[name]
+    if b.named:
+        keys = draw(st.lists(st.sampled_from(b.named), min_size=1, max_size=4, unique=True))
+        pairs = [f"{k}={draw(VALUE_TEXTS)}" for k in keys]
+        return name, pairs, "{" + ", ".join(pairs) + "}"
+    groups = [
+        draw(st.lists(VALUE_TEXTS, min_size=1, max_size=3))
+        if group[0][0].endswith("...")
+        else [draw(VALUE_TEXTS) for _ in group]
+        for group in b.groups
+    ]
+    words = [v for g in groups for v in g]
+    return name, words, "(" + "; ".join(", ".join(g) for g in groups) + ")"
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(call=curve_calls())
+def test_curve_prints_what_a_worksheet_binds(call, capsys):
+    name, words, args = call
+    got = run_cli(capsys, "curve", name, *words)
+    try:
+        report = evaluate(parse(f"let v = {name}{args}\n"))
+    except WorksheetRuntimeError as exc:  # the builtin refused the values
+        assert got == (2, "", f"error: {exc.message}\n")
+    else:
+        value = report.bindings[0][1]
+        if value.startswith("{"):  # a record prints as k=v words
+            value = " ".join(value[1:-1].split(", "))
+        assert got == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000"])
+def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
+    for argv, prefix in [
+        (["curve", "coincidences", spelling, "1"], "error: coincidences: line 1, column "),
+        (["curve", "pluecker", f"d={spelling}"], "error: pluecker: line 1, column "),
+        (["chern", "tau", "0", "0", "0", spelling], "error: tau: line 1, column "),
+        (["schubert", "pdeg", "--gr", "3,5", "s[1]", spelling], "error: line 1, column "),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -293,7 +365,7 @@ def test_curve_duplicate_argument_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
 
 
-@pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", ""])
+@pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", "", "1_0,+20", "+3,5"])
 def test_bad_gr_names_the_k_n_form(spec, capsys):
     code, out, err = run_cli(capsys, "schubert", "mult", "--gr", spec, "s[1]")
     want = f"error: bad --gr value {spec!r}: expected K,N, two integers such as 3,5\n"
@@ -350,7 +422,7 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["schubert", "mult", "--gr", "3,5", "pluecker{d=3}"],
         ["curve", "pluecker", "d=3", "d=4"],
         ["worksheet", "run", "DUPLICATE_ARGUMENT"],
-        ["curve", "coincidences", "0", "1e5000"],
+        ["curve", "coincidences", "9" * 4300, "1"],  # the sum has 4301 digits
         ["schubert", "mult", "--gr", "3", "s[1]"],
         ["schubert", "mult", "--gr", "3,5,7", "s[1]"],
         ["schubert", "mult", "--gr", "a,b", "s[1]"],

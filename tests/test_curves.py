@@ -1,12 +1,18 @@
 """Classical curve and scroll formulas."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dual_characters, reference_plucker_solve
+from _oracles import (
+    dual_characters,
+    odd_refinements,
+    reference_plucker_solve,
+    secants_by_projection,
+)
 from chowkit import curves
 from chowkit.curves import (
     MAX_EXPONENT,
@@ -261,6 +267,22 @@ def test_odd_theta_counts():
     assert odd_theta_count(2) == 6
     assert odd_theta_count(3) == 28
     assert odd_theta_count(4) == 120
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_odd_theta_counts_the_refinements_of_arf_invariant_one(g):
+    assert BUILTINS["odd_theta"].call([[g]], {}) == odd_refinements(g)
+
+
+@given(st.integers(3, 30), st.integers(0, 450))
+def test_secant_pluecker_counts_the_nodes_of_a_projection(d, g):
+    """Above g = C(d-1, 2) the projection would need a negative number of
+    nodes, and the builtin refuses the genus."""
+    if secants_by_projection(d, g) < comb(d, 2):
+        with pytest.raises(ValueError, match="cannot have genus"):
+            BUILTINS["secant_pluecker"].call([[d, g]], {})
+    else:
+        assert BUILTINS["secant_pluecker"].call([[d, g]], {}) == secants_by_projection(d, g)
 
 
 @given(st.integers(1, 12))

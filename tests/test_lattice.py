@@ -1,5 +1,8 @@
 """Intersection lattices on ruled surfaces: solving, adjunction, genus."""
 
+import gc
+import pathlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,10 @@ from chowkit.lattice import (
     intersect,
 )
 from chowkit.linexpr import LinExpr, SpaceMismatch, solve_linear
+from chowkit.worksheet import parse
+from chowkit.worksheet.evaluate import Evaluator
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def secant_scroll():
@@ -84,6 +91,31 @@ def test_adjunction_genus_when_unknowns_cancel():
     lat.set_gram("F", "F", 0)
     lat.canonical = ClassExpr(lat, {"l": -1})
     assert adjunction_genus(lat.generator("l")) == 1
+
+
+def test_a_lattice_with_a_canonical_class_is_freed_without_the_cyclic_gc():
+    text = (ROOT / "worksheets" / "step2_secants.ws").read_text(encoding="utf-8")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ev = Evaluator()
+        ev.run(parse(text))
+        lat = next(v for v in ev.env.values() if isinstance(v, RuledLattice))
+        assert lat.canonical is not None
+        ref = weakref.ref(lat)
+        del ev, lat
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_canonical_class_is_a_class_of_its_lattice():
+    lat, other = RuledLattice(("C",)), RuledLattice(("C",))
+    lat.canonical = ClassExpr(lat, {"C": 3})
+    assert lat.canonical == ClassExpr(lat, {"C": 3}) and lat.canonical.space is lat
+    with pytest.raises(SpaceMismatch, match="^the canonical class lives on another lattice$"):
+        lat.canonical = ClassExpr(other, {"C": 1})
 
 
 def test_adjunction_requires_even_self_plus_canonical():
