@@ -88,7 +88,8 @@ def _run_builtin(name: str, tokens) -> int:
     """Call a worksheet builtin with command-line values and print the result.
 
     Positional values fill the builtin's argument groups in order and
-    `name=value` tokens (a worksheet name before the first `=`) fill its named arguments.
+    `name=value` tokens (a worksheet name before the first `=`, blanks
+    around it allowed) fill its named arguments.
     """
     builtin = BUILTINS.get(name)
     if builtin is None:
@@ -98,6 +99,7 @@ def _run_builtin(name: str, tokens) -> int:
     try:
         for token in tokens:
             key, _, text = token.partition("=")
+            key = key.strip()
             if not re.fullmatch(r"[A-Za-z_][\w']*", key):
                 values.append(_value(token))
             elif key in named:

@@ -5,18 +5,31 @@ n-dimensional vector space; the class s[lam] has codimension |lam| and
 lam lives in the k x (n-k) box.  Partitions leaving the box multiply to
 zero silently (ring truncation).
 
-Products use the Littlewood-Richardson rule in one pass per term pair:
-the content's rows are added as horizontal strips under the lattice-word
-condition, with equal intermediate states merged, so every nu comes out
-at once and nothing leaves the box.  Three exact savings keep the pass
-short.  A state's lattice ceiling is capped at the next strip's size,
-since that strip has no more cells in all, so states that differ only in
-ceilings that cannot bind merge.  Each strip starts at its first row with
-a positive ceiling, since a row with no (i-1) above it can take no i.
-Rows with zero room are stepped over in a loop; negative room means the
-shape already sticks out of the bound, so that branch is still pruned.
+Products use the Littlewood-Richardson rule in one pass per term of the
+content factor: the content's rows are added as horizontal strips under
+the lattice-word condition, with equal intermediate states merged, so
+every nu comes out at once and nothing leaves the box.  The pass starts
+from every term of the other factor at once, each seed counted with its
+coefficient.  Merging states of different seeds is exact, because a
+state's future placements depend only on its shape and lattice ceiling:
+the merged count is the sum of c_lam times the paths from each lam.  The
+content is the factor with fewer terms, on a tie the one whose longest
+term has fewer rows, so s[1]^N is one pass per factor and a product of
+two single classes adds the one with fewer rows to the other.  A pair of
+coefficients with unknowns raises NonlinearError wherever their classes'
+product is not zero, even if the merged count cancels the unknowns.
+
+Three exact savings keep the pass short.  A state's lattice ceiling is
+capped at the next strip's size, since that strip has no more cells in
+all, so states that differ only in ceilings that cannot bind merge.  Each
+strip starts at its first row with a positive ceiling, since a row with
+no (i-1) above it can take no i.  Rows with zero room are stepped over in
+a loop; negative room means the shape already sticks out of the bound, so
+that branch is still pruned.
+
 `lr_coefficient` reads one nu from the same strip product.  Pluecker
-degrees come in closed form from the hook-length formula.  `pieri` is a
+degrees come in closed form from the hook-length formula, for a
+dimension in 0..k(n-k) unless the element is empty.  `pieri` is a
 test oracle in `tests/_oracles.py`, as are Giambelli products through it,
 the Pieri walk for degrees and the strip product before these savings.
 """
@@ -29,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linexpr import Combination, LinExpr
+from .linexpr import Combination, LinExpr, NonlinearError
 from .partitions import complement_in_box, conjugate, fits_in_box, partition, weight
 
 
@@ -102,15 +115,26 @@ def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
 
     `outer` lists the row lengths nu may not exceed: the k x (n-k) box for
     a product, nu itself for one coefficient; lam and mu have at most
-    len(outer) rows.  Shapes only grow, so pruning at `outer` is exact.
+    len(outer) rows.  The factor with fewer rows is the content.
+    """
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    return _strip_product({lam: 1}, mu, outer)
 
-    The factor with fewer rows is the content: starting from the other
-    one, strip i adds mu[i] cells labelled i as a horizontal strip.  The
-    reading word (right to left, top to bottom) stays a lattice word iff,
-    for every row r, the i's in rows <= r number at most the (i-1)'s in
-    rows < r, the state's ceiling at r.  A state is the shape and that
-    ceiling; equal states merge by adding their counts, so every nu comes
-    out of one pass.  Three exact savings cut the work per nu:
+
+def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
+    """{nu: sum of c * c^nu_{lam,mu} over the seeds {lam: c}}, nu inside `outer`.
+
+    Each seed has at most len(outer) rows; shapes only grow, so pruning at
+    `outer` is exact.  Starting from every seed at once, with its
+    coefficient as its count, strip i adds mu[i] cells labelled i as a
+    horizontal strip.  The reading word (right to left, top to bottom)
+    stays a lattice word iff, for every row r, the i's in rows <= r number
+    at most the (i-1)'s in rows < r, the state's ceiling at r.  A state is
+    the shape and that ceiling, and its future placements depend on
+    nothing else, so equal states merge by adding their counts, whichever
+    seed they came from: every nu of every seed comes out of one pass.
+    Three exact savings cut the work per nu:
 
     - The ceiling is capped at the next strip's size.  That strip has no
       more cells in all, so a higher ceiling never binds, and states that
@@ -121,12 +145,11 @@ def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
       room is skipped: room is negative only where the shape already
       sticks out of `outer`, and that branch must still be pruned.
     """
-    if len(mu) > len(lam):
-        lam, mu = mu, lam
     rows = len(outer)
     last = rows - 1
     # the first strip's ceiling is its own size, which never binds
-    states = {(tuple(lam) + (0,) * (rows - len(lam)), (mu[0] if mu else 0,) * rows): 1}
+    start = (mu[0] if mu else 0,) * rows
+    states = {(tuple(lam) + (0,) * (rows - len(lam)), start): c for lam, c in seeds.items()}
     for label, size in enumerate(mu, 1):
         final = label == len(mu)
         cap = 0 if final else mu[label]
@@ -194,16 +217,35 @@ def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
 
 
 def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
-    """Littlewood-Richardson product, truncated to the box."""
+    """Littlewood-Richardson product, truncated to the box.
+
+    The content is the factor with fewer terms, on a tie the one whose
+    longest term has fewer rows, on a further tie `e2`; one strip product
+    per content term, seeded with every term of the other factor, is
+    scaled by that term's coefficient.
+    """
     e1._check(e2)
     ctx = e1.ctx
-    box = (ctx.cols,) * ctx.rows
+    box = ctx.top_partition
+    if _content_rank(e1) < _content_rank(e2):
+        e1, e2 = e2, e1
+    seeds = e1.terms
+    for mu, c in e2.terms.items():
+        # a seed's unknowns times c's unknowns is not linear; the merged count
+        # could cancel them, so test each such pair that leaves a term
+        if isinstance(c, LinExpr) and any(
+            isinstance(c1, LinExpr) and _lr_product(lam, mu, box) for lam, c1 in seeds.items()
+        ):
+            raise NonlinearError("product of two expressions with unknowns is not linear")
     return SchubertElement._make(ctx, (
-        (nu, m * c1 * c2)
-        for lam, c1 in e1.terms.items()
-        for mu, c2 in e2.terms.items()
-        for nu, m in _lr_product(lam, mu, box).items()
+        (nu, m * c)
+        for mu, c in e2.terms.items()
+        for nu, m in _strip_product(seeds, mu, box).items()
     ))
+
+
+def _content_rank(e: SchubertElement) -> tuple:
+    return len(e.terms), max(map(len, e.terms), default=0)
 
 
 def integrate(e: SchubertElement):
@@ -231,6 +273,9 @@ def plucker_degree(e: SchubertElement, dim: int):
     counts them in closed form.
     """
     ctx = e.ctx
+    if e.terms and not 0 <= dim <= ctx.dimension:
+        raise ValueError(
+            f"dimension {dim} is out of range 0..{ctx.dimension} for Gr({ctx.k}, {ctx.n})")
     codim = ctx.dimension - dim
     if not e.is_pure(codim):
         raise ValueError(f"element is not pure of codimension {codim}")

@@ -120,6 +120,25 @@ def test_schubert_mult(capsys):
         assert out.strip() == "s[1,1,1] + 2*s[2,1]"
 
 
+HYPERPLANE_POWER = "*".join(["s[1]"] * 25)
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        # deg Gr(5,10): the standard tableaux of the 5 x 5 box
+        (["pdeg", "--gr", "5,10", HYPERPLANE_POWER, "0"], "701149020"),
+        (
+            ["mult", "--gr", "3,6", "(s[1] + 1/2*s[2]) * (s[1] - s[1,1])"],
+            "s[1,1] - s[1,1,1] + s[2] - 1/2*s[2,1] - 1/2*s[2,1,1] + 1/2*s[3] - 1/2*s[3,1]",
+        ),
+    ],
+    ids=["hyperplane-power", "two-term-factors"],
+)
+def test_schubert_multi_term_products(argv, value, capsys):
+    assert run_cli(capsys, "schubert", *argv) == (0, value + "\n", "")
+
+
 def test_schubert_bad_expression_exits_2(capsys):
     code, _, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "s[2,1", "3")
     assert code == 2
@@ -284,6 +303,12 @@ def test_schubert_pdeg_of_a_number_names_the_argument(capsys):
     assert (code, err) == (2, "error: expected a Schubert class, got 2\n")
 
 
+@pytest.mark.parametrize("dim", ["99999999999999999999", "-1", "7"])
+def test_schubert_pdeg_names_a_dimension_out_of_range(dim, capsys):
+    code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "s[1]", dim)
+    assert (code, out, err) == (2, "", f"error: dimension {dim} is out of range 0..6 for Gr(3, 5)\n")
+
+
 def test_schubert_pdeg_too_long_to_print_exits_2(capsys):
     # deg Gr(60, 120) has 5018 digits, above Python's limit for str(int)
     code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "60,120", "s[]", "3600")
@@ -360,9 +385,21 @@ def test_curve_unknown_argument_exits_2(capsys):
     assert err.startswith("error: pluecker: unknown argument 'q'")
 
 
-def test_curve_duplicate_argument_exits_2(capsys):
-    code, out, err = run_cli(capsys, "curve", "pluecker", "d=3", "d=4")
+@pytest.mark.parametrize("second", ["d=4", "d =4", " d=4"])
+def test_curve_duplicate_argument_exits_2(second, capsys):
+    code, out, err = run_cli(capsys, "curve", "pluecker", "d=3", second)
     assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
+
+
+@pytest.mark.parametrize("nodes", ["nodes=6", "nodes =6", " nodes=6", "nodes = 6"])
+def test_curve_named_value_may_have_blanks_around_its_name(nodes, capsys):
+    code, out, err = run_cli(capsys, "curve", "pluecker", "d=6", nodes)
+    assert (code, out, err) == (0, "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4\n", "")
+
+
+def test_curve_value_with_an_equals_sign_after_a_non_name_is_positional(capsys):
+    code, out, err = run_cli(capsys, "curve", "glue_genus", "pluecker{d=6, nodes=6}.genus", "0", "1")
+    assert (code, out, err) == (0, "4\n", "")
 
 
 @pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", "", "1_0,+20", "+3,5"])
@@ -427,6 +464,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["schubert", "mult", "--gr", "3,5,7", "s[1]"],
         ["schubert", "mult", "--gr", "a,b", "s[1]"],
         ["schubert", "pdeg", "--gr", "", "s[1]", "5"],
+        ["schubert", "pdeg", "--gr", "3,5", "s[1]", "99999999999999999999"],
+        ["schubert", "pdeg", "--gr", "3,5", "s[1]", "-1"],
     ],
     ids=[
         "zero-denominator",
@@ -450,6 +489,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "gr-three-numbers",
         "gr-not-numbers",
         "gr-empty",
+        "pdeg-dimension-above-range",
+        "pdeg-dimension-below-range",
     ],
 )
 def test_bad_input_exits_2_with_error(argv, tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chowkit.grassmann as grassmann
 from chowkit.grassmann import (
     GrassmannContext,
     _lr_product,
@@ -23,7 +24,7 @@ from chowkit.grassmann import (
     multiply,
     plucker_degree,
 )
-from chowkit.linexpr import LinExpr, SpaceMismatch
+from chowkit.linexpr import LinExpr, NonlinearError, SpaceMismatch
 from chowkit.partitions import (
     complement_in_box,
     conjugate,
@@ -45,6 +46,7 @@ G25 = GrassmannContext(2, 5)
 G35 = GrassmannContext(3, 5)
 G48 = GrassmannContext(4, 8)
 STAIRCASE = (5, 4, 3, 2, 1)
+A, B = LinExpr.unknown("a"), LinExpr.unknown("b")
 
 
 def sig(ctx, *lam):
@@ -341,6 +343,80 @@ def test_lr_product_matches_the_reference_kernel(case):
     assert _lr_product(*case) == reference_lr_product(*case)
 
 
+
+def per_pair_product(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
+    """`multiply` as it was: one reference strip product per pair of terms."""
+    box = e1.ctx.top_partition
+    return SchubertElement._make(e1.ctx, (
+        (nu, m * c1 * c2)
+        for lam, c1 in e1.terms.items()
+        for mu, c2 in e2.terms.items()
+        for nu, m in reference_lr_product(lam, mu, box).items()
+    ))
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 4)),
+    st.builds(
+        lambda x, k, j: k * x + j,
+        st.sampled_from([A, B]),
+        st.integers(-2, 2).filter(bool),
+        st.sampled_from([0, 1, -2, Fraction(1, 2)]),
+    ),
+)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two elements of 1-4 terms in a box up to 5 x 5."""
+    k, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ctx = GrassmannContext(k, k + c)
+    shapes = st.sampled_from(list(partitions_in_box(k, c)))
+    e1, e2 = (
+        SchubertElement(ctx, draw(st.dictionaries(shapes, coefficients, min_size=1, max_size=4)))
+        for _ in range(2)
+    )
+    return e1, e2
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs())
+# the unknowns of a*s[2] and -a*s[1,1] cancel in the seeded count of s[2,1],
+# while each pair's own product with b*s[1] is not linear
+@example((SchubertElement(G24, {(2,): A, (1, 1): -A}), SchubertElement(G24, {(1,): B})))
+# a*s[2,2] * b*s[1] is zero in the box, so it raises nothing
+@example((SchubertElement(G24, {(2, 2): A, (1,): 1}), SchubertElement(G24, {(1,): B})))
+@example((sig(G35, 1, 1, 1).scale(120) + sig(G35, 2, 1).scale(16), sig(G35, 1) * sig(G35, 1) * sig(G35, 1)))
+def test_multiply_matches_the_per_pair_sum(pair):
+    e1, e2 = pair
+    try:
+        want = per_pair_product(e1, e2)
+    except NonlinearError:
+        with pytest.raises(NonlinearError):
+            multiply(e1, e2)
+        return
+    got = multiply(e1, e2)
+    assert got.terms == want.terms
+    assert {nu: type(c) for nu, c in got.terms.items()} == {nu: type(c) for nu, c in want.terms.items()}
+    assert str(got) == str(want)
+
+
+def test_multiply_runs_one_strip_product_per_content_term(monkeypatch):
+    passes = []
+    kernel = grassmann._strip_product
+
+    def counted(seeds, mu, outer):
+        passes.append(mu)
+        return kernel(seeds, mu, outer)
+
+    monkeypatch.setattr(grassmann, "_strip_product", counted)
+    ctx = GrassmannContext(3, 6)
+    e = SchubertElement(ctx, {(1,): 2, (2,): 1, (1, 1): -1, (2, 1): Fraction(1, 2), (3,): 5})
+    assert multiply(e, sig(ctx, 1)) == per_pair_product(e, sig(ctx, 1))
+    assert passes == [(1,)]  # one pass seeded with all five terms, not five
+
+
 @pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython's GC")
 # s(2,2,1)^2 in Gr(3,5) prunes every state at once; in Gr(10,20),
 # s(5,4,3,2,1)^2 keeps 1,433
@@ -388,8 +464,6 @@ def test_plucker_degree_matches_the_pieri_walk_on_every_class():
     assert classes == 408
 
 
-A, B = LinExpr.unknown("a"), LinExpr.unknown("b")
-
 
 @pytest.mark.parametrize(
     "e, dim, want",
@@ -404,6 +478,12 @@ A, B = LinExpr.unknown("a"), LinExpr.unknown("b")
 def test_plucker_degree_edge_cases_match_the_pieri_walk(e, dim, want):
     for degree in (plucker_degree(e, dim), pieri_degree(e, dim)):
         assert degree == want and type(degree) is type(want)
+
+
+@pytest.mark.parametrize("dim", [-1, 7, 10 ** 20])
+def test_plucker_degree_rejects_a_dimension_out_of_range(dim):
+    with pytest.raises(ValueError, match=rf"^dimension {dim} is out of range 0\.\.6 for Gr\(3, 5\)$"):
+        plucker_degree(sig(G35, 1), dim)
 
 
 def test_mixed_codimension_is_a_grading_error_for_both_degrees():

@@ -506,6 +506,14 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
             "line 2, column 11: unsupported operand types for /:"
             " an expression with unknowns and an expression with unknowns",
         ),
+        (
+            "grassmannian (3, 5)\nlet d = pdeg(s[1], 7)\n",
+            "line 2, column 9: pdeg: dimension 7 is out of range 0..6 for Gr(3, 5)",
+        ),
+        (
+            "grassmannian (3, 5)\nlet d = pdeg(s[1], -1)\n",
+            "line 2, column 9: pdeg: dimension -1 is out of range 0..6 for Gr(3, 5)",
+        ),
     ],
     ids=[
         "grassmannian-out-of-range",
@@ -527,6 +535,8 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
         "negated-record",
         "number-over-unknown",
         "unknown-over-unknown",
+        "pdeg-dimension-above-range",
+        "pdeg-dimension-below-range",
     ],
 )
 def test_runtime_error_message_and_position(text, message):
