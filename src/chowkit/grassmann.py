@@ -149,7 +149,9 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     last = rows - 1
     # the first strip's ceiling is its own size, which never binds
     start = (mu[0] if mu else 0,) * rows
-    states = {(tuple(lam) + (0,) * (rows - len(lam)), start): c for lam, c in seeds.items()}
+    states = {}
+    for lam, c in seeds.items():
+        states[lam + (0,) * (rows - len(lam)), start] = c
     for label, size in enumerate(mu, 1):
         final = label == len(mu)
         cap = 0 if final else mu[label]
@@ -219,33 +221,29 @@ def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
 def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     """Littlewood-Richardson product, truncated to the box.
 
-    The content is the factor with fewer terms, on a tie the one whose
-    longest term has fewer rows, on a further tie `e2`; one strip product
-    per content term, seeded with every term of the other factor, is
-    scaled by that term's coefficient.
+    The content is the factor with fewer terms; between two single
+    classes it is the one with fewer rows, and otherwise on a tie `e2`.
+    One strip product per content term, seeded with every term of the
+    other factor, is scaled by that term's coefficient.
     """
     e1._check(e2)
     ctx = e1.ctx
-    box = ctx.top_partition
-    if _content_rank(e1) < _content_rank(e2):
-        e1, e2 = e2, e1
-    seeds = e1.terms
-    for mu, c in e2.terms.items():
+    seeds, content = e1.terms, e2.terms
+    # len(*terms) is the row count of a single class
+    if len(seeds) < len(content) or len(seeds) == len(content) == 1 and len(*seeds) < len(*content):
+        seeds, content = content, seeds
+    box = (ctx.cols,) * ctx.rows
+    out = []
+    for mu, c in content.items():
         # a seed's unknowns times c's unknowns is not linear; the merged count
         # could cancel them, so test each such pair that leaves a term
         if isinstance(c, LinExpr) and any(
             isinstance(c1, LinExpr) and _lr_product(lam, mu, box) for lam, c1 in seeds.items()
         ):
             raise NonlinearError("product of two expressions with unknowns is not linear")
-    return SchubertElement._make(ctx, (
-        (nu, m * c)
-        for mu, c in e2.terms.items()
-        for nu, m in _strip_product(seeds, mu, box).items()
-    ))
-
-
-def _content_rank(e: SchubertElement) -> tuple:
-    return len(e.terms), max(map(len, e.terms), default=0)
+        for nu, m in _strip_product(seeds, mu, box).items():
+            out.append((nu, m * c))
+    return SchubertElement._make(ctx, out)
 
 
 def integrate(e: SchubertElement):
@@ -272,11 +270,10 @@ def plucker_degree(e: SchubertElement, dim: int):
     of lam; the hook-length formula (Frame, Robinson and Thrall 1954)
     counts them in closed form.
     """
-    ctx = e.ctx
-    if e.terms and not 0 <= dim <= ctx.dimension:
-        raise ValueError(
-            f"dimension {dim} is out of range 0..{ctx.dimension} for Gr({ctx.k}, {ctx.n})")
-    codim = ctx.dimension - dim
+    ctx, top = e.ctx, e.ctx.dimension
+    if e.terms and not 0 <= dim <= top:
+        raise ValueError(f"dimension {dim} is out of range 0..{top} for Gr({ctx.k}, {ctx.n})")
+    codim = top - dim
     if not e.is_pure(codim):
         raise ValueError(f"element is not pure of codimension {codim}")
     return integrate(SchubertElement._make(ctx, (
