@@ -13,9 +13,9 @@ from every term of the other factor at once, each seed counted with its
 coefficient.  Merging states of different seeds is exact, because a
 state's future placements depend only on its shape and lattice ceiling:
 the merged count is the sum of c_lam times the paths from each lam.  The
-content is the factor with fewer terms, on a tie the one whose longest
-term has fewer rows, so s[1]^N is one pass per factor and a product of
-two single classes adds the one with fewer rows to the other.  A pair of
+content is the factor with fewer terms, and between two single classes
+the one with fewer rows, so s[1]^N is one pass per factor and a product
+of two single classes is the pass it was before seeding.  A pair of
 coefficients with unknowns raises NonlinearError wherever their classes'
 product is not zero, even if the merged count cancels the unknowns.
 

@@ -417,3 +417,53 @@ def secants_by_projection(d: int, g: int) -> int:
     d and genus g, whose nodes `plucker_solve` finds.  This is a second code
     path through the Pluecker relations, not a second proof."""
     return plucker_solve(d=d, genus=g, cusps=0)["nodes"] + comb(d, 2)
+
+
+# Each worksheet builtin and what checks it from outside its own code: the
+# tests that compare it with an independent oracle, or, for a one-line
+# formula, a note that names the formula it is by definition.
+BUILTIN_ORACLES = {
+    "integrate": ("test_grassmann.py::test_integrals_match_torus_localization",),
+    "pdeg": (
+        "test_grassmann.py::test_integrals_match_torus_localization",
+        "test_grassmann.py::test_plucker_degree_matches_the_pieri_walk_on_every_class",
+    ),
+    "salmon_cayley": ("test_curves.py::test_salmon_cayley_matches_schubert_oracle",),
+    "jet2_c2": (
+        "test_surface.py::test_sym_power_matches_splitting_oracle",
+        "test_surface.py::test_jet_c2_matches_triple_point_formula_symbolically",
+        "test_acceptance.py::test_criterion_01_jet_c2_symbolic_identity",
+    ),
+    "tau": (
+        "test_surface.py::test_jet_c2_matches_triple_point_formula_symbolically",
+        "test_surface.py::test_tau_matches_jet_c2_on_random_surfaces",
+    ),
+    "pluecker": (
+        "test_curves.py::test_plucker_dual_involution",
+        "test_curves.py::test_pluecker_matches_the_solve_linear_path_on_the_bulk_curves",
+    ),
+    "genus": ("test_lattice.py::test_pair_agrees_with_the_bilinear_sum",),
+    "odd_theta": ("test_curves.py::test_odd_theta_counts_the_refinements_of_arf_invariant_one",),
+    "secant_pluecker": ("test_curves.py::test_secant_pluecker_counts_the_nodes_of_a_projection",),
+    "hurwitz": (
+        "definitional: the Riemann-Hurwitz formula 2g' - 2 = n(2g - 2) + R,"
+        " solved for the total ramification R (Hartshorne, Algebraic Geometry, IV.2.4)",
+    ),
+    "coincidences": (
+        "definitional: Chasles' correspondence principle, a correspondence of"
+        " indices [e, f] on a line has e + f coincidences",
+    ),
+    "residual": (
+        "definitional: the specialization ledger, the total degree less the"
+        " multiplicity times the degree of each part that is accounted for",
+    ),
+    "degmult": (
+        "definitional: each tangency of the degeneration contributes multiplicity 2,"
+        " so `contacts` tangencies contribute 2^contacts",
+    ),
+    "glue_genus": (
+        "definitional: the arithmetic genus of two connected curves of genera p1 and p2"
+        " glued at `inter` nodes, p1 + p2 + inter - 1, from the additivity of the"
+        " Euler characteristic of the structure sheaf",
+    ),
+}

@@ -303,12 +303,6 @@ def test_schubert_pdeg_of_a_number_names_the_argument(capsys):
     assert (code, err) == (2, "error: expected a Schubert class, got 2\n")
 
 
-@pytest.mark.parametrize("dim", ["99999999999999999999", "-1", "7"])
-def test_schubert_pdeg_names_a_dimension_out_of_range(dim, capsys):
-    code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "s[1]", dim)
-    assert (code, out, err) == (2, "", f"error: dimension {dim} is out of range 0..6 for Gr(3, 5)\n")
-
-
 def test_schubert_pdeg_too_long_to_print_exits_2(capsys):
     # deg Gr(60, 120) has 5018 digits, above Python's limit for str(int)
     code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "60,120", "s[]", "3600")
@@ -385,21 +379,16 @@ def test_curve_unknown_argument_exits_2(capsys):
     assert err.startswith("error: pluecker: unknown argument 'q'")
 
 
-@pytest.mark.parametrize("second", ["d=4", "d =4", " d=4"])
-def test_curve_duplicate_argument_exits_2(second, capsys):
-    code, out, err = run_cli(capsys, "curve", "pluecker", "d=3", second)
-    assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
+def test_curve_duplicate_argument_exits_2(capsys):
+    for second in ("d=4", "d =4", " d=4"):  # blanks around the name are allowed
+        code, out, err = run_cli(capsys, "curve", "pluecker", "d=3", second)
+        assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
 
 
 @pytest.mark.parametrize("nodes", ["nodes=6", "nodes =6", " nodes=6", "nodes = 6"])
 def test_curve_named_value_may_have_blanks_around_its_name(nodes, capsys):
     code, out, err = run_cli(capsys, "curve", "pluecker", "d=6", nodes)
     assert (code, out, err) == (0, "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4\n", "")
-
-
-def test_curve_value_with_an_equals_sign_after_a_non_name_is_positional(capsys):
-    code, out, err = run_cli(capsys, "curve", "glue_genus", "pluecker{d=6, nodes=6}.genus", "0", "1")
-    assert (code, out, err) == (0, "4\n", "")
 
 
 @pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", "", "1_0,+20", "+3,5"])

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from _oracles import reference_tokenize
+from _oracles import BUILTIN_ORACLES, reference_tokenize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -418,6 +418,17 @@ def test_readme_lists_the_builtin_table():
         assert name + builtin.signature in block
 
 
+def test_every_builtin_has_an_oracle_or_a_definitional_note():
+    assert sorted(BUILTIN_ORACLES) == sorted(BUILTINS)
+    for name, checks in BUILTIN_ORACLES.items():
+        assert checks, name
+        for check in checks:
+            if check.startswith("definitional: "):
+                continue
+            module, _, test = check.partition("::")
+            assert callable(getattr(importlib.import_module(module[:-3]), test, None)), (name, check)
+
+
 def test_runtime_error_for_schubert_without_context():
     with pytest.raises(WorksheetRuntimeError):
         run("let e = s[1]\nlet d = pdeg(e, 1)\n")
@@ -507,8 +518,8 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
             " an expression with unknowns and an expression with unknowns",
         ),
         (
-            "grassmannian (3, 5)\nlet d = pdeg(s[1], 7)\n",
-            "line 2, column 9: pdeg: dimension 7 is out of range 0..6 for Gr(3, 5)",
+            "grassmannian (3, 5)\nlet d = pdeg(s[1], 99999999999999999999)\n",
+            "line 2, column 9: pdeg: dimension 99999999999999999999 is out of range 0..6 for Gr(3, 5)",
         ),
         (
             "grassmannian (3, 5)\nlet d = pdeg(s[1], -1)\n",
