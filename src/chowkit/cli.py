@@ -39,6 +39,7 @@ def _value(text: str, ctx: GrassmannContext | None = None):
     """Evaluate one command-line value, such as 120*s[1,1,1]+16*s[2,1] or -1/2."""
     ev = Evaluator()
     ev.grassmann = ctx
+    ev.no_grassmannian = "a Schubert class needs a Grassmannian: use chowkit schubert with --gr K,N"
     return ev.eval(parse_expression(text))
 
 

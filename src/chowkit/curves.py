@@ -18,6 +18,7 @@ from .linexpr import (
     NonlinearError,
     UnderdeterminedSystem,
     collapse,
+    shown,
 )
 
 # The largest exponent `odd_theta_count` and `degeneration_multiplicity` raise
@@ -95,7 +96,7 @@ def hurwitz_ramification(g_source: int, g_target: int, n: int) -> Fraction:
         raise ValueError("covering degree must be at least 1")
     r = Fraction(2 * g_source - 2 - n * (2 * g_target - 2))
     if r < 0:
-        raise ValueError(f"invalid cover data: ramification {r} < 0")
+        raise ValueError(f"invalid cover data: ramification {shown(r)} < 0")
     return r
 
 
@@ -139,7 +140,7 @@ def secant_plucker_degree(d: int, g: int) -> Fraction:
         raise ValueError("genus must be non-negative")
     through_point = comb(d - 1, 2) - g
     if through_point < 0:
-        raise ValueError(f"a degree-{d} space curve cannot have genus {g}")
+        raise ValueError(f"a degree-{shown(d)} space curve cannot have genus {shown(g)}")
     return Fraction(through_point + comb(d, 2))
 
 
@@ -148,7 +149,7 @@ def odd_theta_count(g: int) -> Fraction:
     if g < 1:
         raise ValueError("genus must be at least 1")
     if g > MAX_EXPONENT:
-        raise ValueError(f"genus {g} is above the cap of {MAX_EXPONENT}")
+        raise ValueError(f"genus {shown(g)} is above the cap of {MAX_EXPONENT}")
     return Fraction(2 ** (g - 1) * (2**g - 1))
 
 
@@ -157,7 +158,7 @@ def degeneration_multiplicity(contacts: int) -> Fraction:
     if contacts < 0:
         raise ValueError("contact count must be non-negative")
     if contacts > MAX_EXPONENT:
-        raise ValueError(f"contact count {contacts} is above the cap of {MAX_EXPONENT}")
+        raise ValueError(f"contact count {shown(contacts)} is above the cap of {MAX_EXPONENT}")
     return Fraction(2**contacts)
 
 
@@ -165,5 +166,5 @@ def residual_degree(total, parts) -> Fraction:
     """Residual of a specialization ledger; must be non-negative."""
     r = Fraction(total) - sum(Fraction(m) * Fraction(d) for m, d in parts)
     if r < 0:
-        raise ValueError(f"ledger residual {r} is negative")
+        raise ValueError(f"ledger residual {shown(r)} is negative")
     return r

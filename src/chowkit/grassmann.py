@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linexpr import Combination, LinExpr, NonlinearError
+from .linexpr import Combination, LinExpr, NonlinearError, shown
 from .partitions import complement_in_box, conjugate, fits_in_box, partition, weight
 
 
@@ -108,18 +108,6 @@ class SchubertElement(Combination):
 
     def is_pure(self, codim: int) -> bool:
         return all(weight(lam) == codim for lam in self.terms)
-
-
-def _lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
-    """{nu: c^nu_{lam,mu}} over the partitions nu inside `outer`.
-
-    `outer` lists the row lengths nu may not exceed: the k x (n-k) box for
-    a product, nu itself for one coefficient; lam and mu have at most
-    len(outer) rows.  The factor with fewer rows is the content.
-    """
-    if len(mu) > len(lam):
-        lam, mu = mu, lam
-    return _strip_product({lam: 1}, mu, outer)
 
 
 def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
@@ -215,7 +203,9 @@ def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if weight(nu) != weight(lam) + weight(mu) or max(len(lam), len(mu)) > len(nu):
         return 0
-    return _lr_product(lam, mu, nu).get(nu, 0)
+    if len(mu) > len(lam):  # the factor with fewer rows is the content
+        lam, mu = mu, lam
+    return _strip_product({lam: 1}, mu, nu).get(nu, 0)
 
 
 def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
@@ -235,10 +225,10 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     box = (ctx.cols,) * ctx.rows
     out = []
     for mu, c in content.items():
-        # a seed's unknowns times c's unknowns is not linear; the merged count
-        # could cancel them, so test each such pair that leaves a term
-        if isinstance(c, LinExpr) and any(
-            isinstance(c1, LinExpr) and _lr_product(lam, mu, box) for lam, c1 in seeds.items()
+        # a seed's unknowns times c's unknowns is not linear, even if the merged
+        # count cancels them; LR counts are positive, so this pass finds such a pair
+        if isinstance(c, LinExpr) and _strip_product(
+            {lam: 1 for lam, c1 in seeds.items() if isinstance(c1, LinExpr)}, mu, box
         ):
             raise NonlinearError("product of two expressions with unknowns is not linear")
         for nu, m in _strip_product(seeds, mu, box).items():
@@ -272,7 +262,7 @@ def plucker_degree(e: SchubertElement, dim: int):
     """
     ctx, top = e.ctx, e.ctx.dimension
     if e.terms and not 0 <= dim <= top:
-        raise ValueError(f"dimension {dim} is out of range 0..{top} for Gr({ctx.k}, {ctx.n})")
+        raise ValueError(f"dimension {shown(dim)} is out of range 0..{top} for Gr({ctx.k}, {ctx.n})")
     codim = top - dim
     if not e.is_pure(codim):
         raise ValueError(f"element is not pure of codimension {codim}")

@@ -21,7 +21,7 @@ side and add, test and collapse only the keys both sides hold, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, log10
 from numbers import Rational
 
 
@@ -46,6 +46,19 @@ def _rational(x):
     if not isinstance(x, Rational):
         raise TypeError(f"expected a rational scalar, got {x!r}")
     return x if isinstance(x, int) else Fraction(x)
+
+
+def shown(x) -> str:
+    """An exact number as a message shows it, which never fails: `str(x)`, but
+    an int too long for Python to print is its sign and length, `-<4516 digits>`."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{shown(x.numerator)}/{shown(x.denominator)}"
+    try:
+        return str(x)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        n = abs(int(x))
+        digits = int(n.bit_length() * log10(2)) + 1  # n's digits, or one more
+        return f"{'-' if x < 0 else ''}<{digits - (10 ** (digits - 1) > n)} digits>"
 
 
 ONE = 1  # the key of a LinExpr's constant term and of a surface's unit class

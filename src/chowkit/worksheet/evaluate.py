@@ -21,7 +21,6 @@ from .ast import (
     BasisDecl,
     BinOp,
     Call,
-    CanonicalDecl,
     ClassDecl,
     FieldAccess,
     GramEntry,
@@ -93,6 +92,9 @@ class EvaluationReport(namedtuple("EvaluationReport", "bindings assertions notes
 
 
 class Evaluator:
+    # what a Schubert literal reports where no Grassmannian is in force
+    no_grassmannian = "no grassmannian context declared before Schubert class"
+
     def __init__(self):
         self.env: dict = {}
         self.grassmann: GrassmannContext | None = None
@@ -152,15 +154,19 @@ class Evaluator:
             self.open.add(name)
         self.report.bindings.append((name, str(value)))
 
+    def set_gram(self, form: IntersectionForm, g: GramEntry):
+        """Set the entry `g` on a surface or lattice; an error is reported at `g`."""
+        value = self.scalar(g.expr)
+        try:
+            form.set_gram(g.a, g.b, value)
+        except ValueError as exc:
+            raise WorksheetRuntimeError(str(exc), g.pos)
+
     def surface_decl(self, s: SurfaceDecl):
         ring = SurfaceRing((), {})  # empty, so complete; entries are set one by one
         ring.basis = s.basis
         for g in s.gram:
-            value = self.scalar(g.expr)
-            try:
-                ring.set_gram(g.a, g.b, value)
-            except ValueError as exc:
-                raise WorksheetRuntimeError(str(exc), g.pos)
+            self.set_gram(ring, g)
         ring.euler = self.scalar(s.euler)
         ring.check_complete()
         if ring.is_open:
@@ -180,26 +186,16 @@ class Evaluator:
                 for n in item.names:
                     self.bind(n, lat.add_unknown(n))
             elif isinstance(item, GramEntry):
-                value = self.scalar(item.expr)
-                try:
-                    lat.set_gram(item.a, item.b, value)
-                except ValueError as exc:
-                    raise WorksheetRuntimeError(str(exc), item.pos)
-            elif isinstance(item, ClassDecl):
+                self.set_gram(lat, item)
+            else:  # a ClassDecl, or the CanonicalDecl that binds K
                 value = self.eval(item.expr)
+                named = isinstance(item, ClassDecl)
                 if not isinstance(value, ClassExpr):
-                    raise WorksheetRuntimeError(
-                        f"class {item.name!r} must be a lattice class", item.pos
-                    )
-                self.bind(item.name, value)
-            elif isinstance(item, CanonicalDecl):
-                value = self.eval(item.expr)
-                if not isinstance(value, ClassExpr):
-                    raise WorksheetRuntimeError(
-                        "canonical class must be a lattice class", item.pos
-                    )
-                lat.canonical = value
-                self.bind("K", value)
+                    what = f"class {item.name!r}" if named else "canonical class"
+                    raise WorksheetRuntimeError(f"{what} must be a lattice class", item.pos)
+                if not named:
+                    lat.canonical = value
+                self.bind(item.name if named else "K", value)
         if lat.is_open:
             self.spaces.append(lat)
 
@@ -230,9 +226,7 @@ class Evaluator:
             return self.binop(e.op, self.eval(e.left), self.eval(e.right), e.pos)
         if isinstance(e, SchubertLit):
             if self.grassmann is None:
-                raise WorksheetRuntimeError(
-                    "no grassmannian context declared before Schubert class", e.pos
-                )
+                raise WorksheetRuntimeError(self.no_grassmannian, e.pos)
             try:
                 return SchubertElement.sigma(self.grassmann, e.parts)
             except ValueError as exc:

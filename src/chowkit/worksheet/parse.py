@@ -1,9 +1,9 @@
 """Lexer and recursive-descent parser for `.ws` worksheet files.
 
-The grammar is line oriented: one statement per line, `#` comments,
-block constructs (`surface`, `lattice`, `solve`) in braces where both
-newlines and `;` separate sections and `,` separates items inside a
-section.  See the grammar section of the README.
+The grammar is line oriented: one statement per line, `#` comments, and
+the brace blocks `surface`, `lattice` and `solve`, all read by `block`:
+`;` or a newline ends a section, and `,` separates the items of a section
+and may end a line.  A surface declares `euler` once.  See the README.
 
 `tokenize` is one `finditer` pass of one regular expression: each match
 is one token together with the blanks and comments before it, and the
@@ -290,70 +290,82 @@ class _Parser:
         self.declare([name], pos)
         return name, expr
 
-    def comma_list(self, read) -> list:
-        """Read one or more items with `read`, separated by `,`."""
+    def comma_list(self, read, lines: bool = False) -> list:
+        """Read one or more items with `read`, separated by `,`; where `lines`,
+        as in a block, a `,` may end a line."""
         items = [read()]
         while self.cur[0] == ",":
             self.advance()
+            if lines and self.cur[0] == "NEWLINE":
+                self.advance()  # one token however many lines end here
             items.append(read())
         return items
 
-    def name_list(self, what: str) -> list:
-        return self.comma_list(lambda: self.ident(what))
+    def name_list(self, what: str, lines: bool = False) -> list:
+        return self.comma_list(lambda: self.ident(what), lines)
 
     # -- blocks -------------------------------------------------------
 
-    def block_sep(self):
-        """Skip `;` / newline separators inside a brace block."""
-        seen = False
-        while self.cur[0] in (";", "NEWLINE"):
-            self.advance()
-            seen = True
-        return seen
+    def block(self, what: str, section):
+        """Read `{ ... }`, calling `section` for each section: `;` or a newline
+        ends a section, and `,` separates its items (`comma_list` with `lines`)."""
+        self.expect("{", f"expected '{{' opening {what} block")
+        fresh = True  # after `{`, `;` or a newline, where a section may start
+        while self.cur[0] != "}" and self.cur[0] != "EOF":
+            if self.cur[0] == ";" or self.cur[0] == "NEWLINE":
+                self.advance()
+                fresh = True
+            elif fresh:
+                section()
+                fresh = False
+            else:
+                break
+        self.expect("}", f"expected ';' or '}}' in {what} block")
 
     def surface_block(self, pos: tuple) -> SurfaceDecl:
-        self.expect("{", "expected '{' after 'surface'")
-        self.block_sep()
-        gram = []
-        euler = None
-        # first section: comma-separated divisor names (optional 'basis')
-        if self.at_keyword("basis"):
-            self.advance()
-        basis = self.name_list("divisor name")
-        while self.block_sep() and self.cur[0] != "}":
-            if self.at_keyword("euler"):
+        basis, gram, euler = [], [], []
+
+        def section():
+            if not basis:  # the first section names the divisors
+                if self.at_keyword("basis"):
+                    self.advance()
+                basis.extend(self.name_list("divisor name", True))
+            elif self.at_keyword("euler"):
+                if euler:
+                    raise WorksheetSyntaxError("euler declared twice", self.cur[2:])
                 self.advance()
                 self.expect("=", "expected '=' after 'euler'")
-                euler = self.expr_required()
+                euler.append(self.expr_required())
             else:
-                gram += self.comma_list(self.gram_entry)
-        self.expect("}", "expected '}' closing surface block")
-        if euler is None:
+                gram.extend(self.comma_list(lambda: self.gram_entry("divisor name"), True))
+
+        self.block("surface", section)
+        if not euler:
             raise WorksheetSyntaxError("surface block must declare euler = ...", pos)
         # the divisors are bound once the block is read, as evaluation binds them
-        return SurfaceDecl(self.declare(basis, pos), tuple(gram), euler, pos=pos)
+        return SurfaceDecl(self.declare(basis, pos), tuple(gram), euler[0], pos=pos)
 
-    def gram_entry(self) -> GramEntry:
+    def gram_entry(self, what: str) -> GramEntry:
+        """`a.b = EXPR`, with `a` and `b` each a `what`."""
         pos = self.cur[2:]
-        a = self.ident("divisor name")
+        a = self.ident(what)
         self.expect(".", "expected '.' in intersection entry")
-        b = self.ident("divisor name")
+        b = self.ident(what)
         self.expect("=", "expected '=' in intersection entry")
         return GramEntry(a, b, self.expr_required(), pos=pos)
 
     def lattice_block(self, name: str, pos: tuple) -> LatticeDecl:
-        self.expect("{", "expected '{' after lattice name")
         items = []
-        self.block_sep()
-        while self.cur[0] != "}":
+
+        def section():
             at = self.cur[2:]
             if self.at_keyword("basis"):
                 self.advance()
-                names = self.declare(self.name_list("class name"), at)
+                names = self.declare(self.name_list("class name", True), at)
                 items.append(BasisDecl(names, pos=at))
             elif self.at_keyword("unknown"):
                 self.advance()
-                names = self.declare(self.name_list("unknown name"), at)
+                names = self.declare(self.name_list("unknown name", True), at)
                 items.append(UnknownDecl(names, pos=at))
             elif self.at_keyword("class"):
                 self.advance()
@@ -364,33 +376,20 @@ class _Parser:
                 items.append(CanonicalDecl(self.expr_required(), pos=at))
                 self.declare(["K"], at)
             else:
-                items += self.comma_list(self.gram_entry)
-            if not self.block_sep() and self.cur[0] != "}":
-                raise WorksheetSyntaxError(
-                    f"expected ';' or '}}' in lattice block, got {self.cur[1]!r}",
-                    self.cur[2:],
-                )
-        self.expect("}")
+                items.extend(self.comma_list(lambda: self.gram_entry("class name"), True))
+
+        self.block("lattice", section)
         return LatticeDecl(name, tuple(items), pos=pos)
 
     def solve_block(self, pos: tuple) -> SolveBlock:
-        self.expect("{", "expected '{' after 'solve'")
         constraints = []
-        self.block_sep()
-        while self.cur[0] != "}":
+
+        def constraint():
             left = self.expr_required()
             self.expect("==", "expected '==' in solve constraint")
-            right = self.expr_required()
-            constraints.append((left, right))
-            if self.cur[0] == ",":
-                self.advance()
-                self.block_sep()
-            elif not self.block_sep() and self.cur[0] != "}":
-                raise WorksheetSyntaxError(
-                    f"expected ';' or '}}' in solve block, got {self.cur[1]!r}",
-                    self.cur[2:],
-                )
-        self.expect("}")
+            constraints.append((left, self.expr_required()))
+
+        self.block("solve", lambda: self.comma_list(constraint, True))
         if not constraints:
             raise WorksheetSyntaxError("empty solve block", pos)
         return SolveBlock(tuple(constraints), pos=pos)

@@ -311,6 +311,31 @@ def test_schubert_pdeg_too_long_to_print_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on str(int)"
+)
+def test_schubert_pdeg_dimension_too_long_to_print_names_the_range(capsys):
+    huge = "*".join(["degmult(1000)"] * 15)  # 4516 digits
+    code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "s[1]", huge)
+    assert (code, out) == (2, "")
+    assert err == "error: dimension <4516 digits> is out of range 0..6 for Gr(3, 5)\n"
+
+
+def test_curve_schubert_value_names_the_command_that_takes_a_grassmannian(capsys):
+    code, out, err = run_cli(capsys, "curve", "glue_genus", "1", "2*s[1]", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: glue_genus: line 1, column 3: a Schubert class needs a Grassmannian:"
+        " use chowkit schubert with --gr K,N\n"
+    )
+    # a worksheet can declare one, and its message says so
+    with pytest.raises(WorksheetRuntimeError) as exc:
+        evaluate(parse("let x = 1 + s[1]\n"))
+    assert str(exc.value) == (
+        "line 1, column 13: no grassmannian context declared before Schubert class"
+    )
+
+
 @pytest.mark.parametrize(
     "expr, shown",
     [("2", "2"), ("pluecker{d=3}", "{d=3, m=6, nodes=0, cusps=0, bitangents=0, flexes=9, genus=1}")],

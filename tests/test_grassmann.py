@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import chowkit.grassmann as grassmann
 from chowkit.grassmann import (
     GrassmannContext,
-    _lr_product,
     SchubertElement,
+    _strip_product,
     integrate,
     lr_coefficient,
     multiply,
@@ -31,6 +31,7 @@ from chowkit.partitions import (
     fits_in_box,
     weight,
 )
+from chowkit.worksheet.builtins import BUILTINS
 
 from _oracles import (
     duality_pair,
@@ -340,7 +341,10 @@ def lr_cases(draw):
 # s(2,2,1)^2 in Gr(3,5): every state dies at the first label
 @example(((2, 2, 1), (2, 2, 1), (2, 2, 2)))
 def test_lr_product_matches_the_reference_kernel(case):
-    assert _lr_product(*case) == reference_lr_product(*case)
+    lam, mu, outer = case
+    if len(mu) > len(lam):  # the content has fewer rows, as lr_coefficient takes it
+        lam, mu = mu, lam
+    assert _strip_product({lam: 1}, mu, outer) == reference_lr_product(lam, mu, outer)
 
 
 
@@ -427,7 +431,7 @@ def test_lr_product_leaves_no_cyclic_garbage(lam, box):
     gc.collect()
     gc.disable()
     try:
-        _lr_product(lam, lam, box)
+        _strip_product({lam: 1}, lam, box)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -444,7 +448,7 @@ def test_untruncated_products_satisfy_the_hook_length_identity(k, seed):
         tuple(sorted((rng.randint(1, k) for _ in range(rng.randint(4, 5))), reverse=True))
         for _ in range(2)
     )
-    product = _lr_product(lam, mu, (lam[0] + mu[0],) * (len(lam) + len(mu)))
+    product = _strip_product({lam: 1}, mu, (lam[0] + mu[0],) * (len(lam) + len(mu)))
     total = sum(c * hook_count(nu) for nu, c in product.items())
     assert total == comb(weight(lam) + weight(mu), weight(lam)) * hook_count(lam) * hook_count(mu)
 
@@ -501,8 +505,9 @@ LOCALIZED = [G24, G25, G35, GrassmannContext(2, 6), GrassmannContext(3, 6),
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(LOCALIZED), st.integers(0, 10 ** 9))
 def test_integrals_match_torus_localization(ctx, seed):
-    # int s[lam] * s[mu] * s[1]^d over the whole box, by the LR product and by
-    # the closed-form degree, against localization at the torus fixed points
+    # int s[lam] * s[mu] * s[1]^d over the whole box, by the worksheet builtins
+    # `integrate` of the LR product and `pdeg`, the closed-form degree, against
+    # localization at the torus fixed points
     rng = random.Random(seed)
     lam = random_partition(ctx, rng)
     mu = rng.choice([
@@ -515,5 +520,5 @@ def test_integrals_match_torus_localization(ctx, seed):
     power = sig(ctx)
     for _ in range(d):
         power = multiply(power, sig(ctx, 1))
-    assert integrate(multiply(product, power)) == want
-    assert plucker_degree(product, d) == want
+    assert BUILTINS["integrate"].call([[multiply(product, power)]], {}) == want
+    assert BUILTINS["pdeg"].call([[product, d]], {}) == want

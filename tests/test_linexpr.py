@@ -1,6 +1,7 @@
 """Linear expressions in named unknowns and the exact linear solver."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from chowkit.linexpr import (
     SpaceMismatch,
     UnderdeterminedSystem,
     collapse,
+    shown,
     solve_linear,
 )
 
@@ -327,3 +329,15 @@ def test_summed_arithmetic_cases(x, y):
     if isinstance(y, Combination) and y.space is OTHER:
         with pytest.raises(SpaceMismatch, match="^ClassExprs live on different spaces$"):
             x + y
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on str(int)"
+)
+def test_shown_gives_the_length_of_a_number_too_long_to_print():
+    assert [shown(5), shown(Fraction(-3, 2)), shown(Fraction(4))] == ["5", "-3/2", "4"]
+    k = sys.get_int_max_str_digits()
+    for digits in (k + 1, 2 * k, 10 * k):
+        assert shown(10 ** digits - 1) == f"<{digits} digits>"
+        assert shown(-(10 ** (digits - 1))) == f"-<{digits} digits>"
+    assert shown(Fraction(1, 10 ** k)) == f"1/<{k + 1} digits>"

@@ -303,6 +303,37 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
             "grassmannian (3, 6)\nlet y = s[2, " + "1" * 5000 + "]\n",
             "line 2, column 14: integer literal longer than 4300 digits",
         ),
+        (
+            "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24; euler = 0 }\n"
+            "let t = jet2_c2(H)\n",
+            "line 1, column 56: euler declared twice",
+        ),
+        ("surface { H; H.H = 1, }\n", "line 1, column 23: expected divisor name, got '}'"),
+        ("lattice L { basis l; l.l = 0, }\n", "line 1, column 31: expected class name, got '}'"),
+        ("unknown a\nsolve { a == 1, }\n", "line 2, column 17: expected an expression, got '}'"),
+        ("unknown a\nsolve { a == 1,\n}\n", "line 3, column 1: expected an expression, got '}'"),
+        (
+            "unknown a, b\nsolve { a == 1, ; b == 2 }\n",
+            "line 2, column 17: expected an expression, got ';'",
+        ),
+        (
+            "surface { H; H.H = 1 euler = 2 }\n",
+            "line 1, column 22: expected ';' or '}' in surface block, got 'euler'",
+        ),
+        (
+            "lattice L { basis l; l.l = 0 class x = l }\n",
+            "line 1, column 30: expected ';' or '}' in lattice block, got 'class'",
+        ),
+        (
+            "unknown a\nsolve { a == 1 a }\n",
+            "line 2, column 16: expected ';' or '}' in solve block, got 'a'",
+        ),
+        (
+            "unknown a\nsolve { a == 1\n",
+            "line 3, column 1: expected ';' or '}' in solve block, got end of input",
+        ),
+        ("lattice L { basis l; l.1 = 0 }\n", "line 1, column 24: expected class name, got '1'"),
+        ("surface { H; H.1 = 0; euler = 1 }\n", "line 1, column 16: expected divisor name, got '1'"),
     ],
     ids=[
         "undeclared",
@@ -326,6 +357,18 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "literal-too-long",
         "grassmannian-too-long",
         "partition-part-too-long",
+        "euler-twice",
+        "surface-trailing-comma",
+        "lattice-trailing-comma",
+        "solve-trailing-comma",
+        "solve-comma-before-a-line-end-and-brace",
+        "solve-comma-before-semicolon",
+        "surface-missing-separator",
+        "lattice-missing-separator",
+        "solve-missing-separator",
+        "block-never-closed",
+        "lattice-entry-names-a-class",
+        "surface-entry-names-a-divisor",
     ],
 )
 def test_error_message_and_position(text, message):
@@ -451,6 +494,32 @@ def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
     product = " * ".join(["a"] * 15)
     with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 1: Exceeds the limit"):
         run(f"let a = degmult(1000)\nlet b = {product}\n")
+
+
+# 2^1000 to the 15th, 4516 digits, above Python's limit for str(int)
+HUGE = " * ".join(["degmult(1000)"] * 15)
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (f"pdeg(s[1], {HUGE})", "pdeg: dimension <4516 digits> is out of range 0..6 for Gr(3, 5)"),
+        (f"odd_theta({HUGE})", "odd_theta: genus <4516 digits> is above the cap of 1000"),
+        (f"degmult({HUGE})", "degmult: contact count <4516 digits> is above the cap of 1000"),
+        (f"hurwitz(0, {HUGE}, 2)", "hurwitz: invalid cover data: ramification -<4517 digits> < 0"),
+        (f"residual(1; {HUGE})", "residual: ledger residual -<4516 digits> is negative"),
+        (
+            f"secant_pluecker(3, {HUGE})",
+            "secant_pluecker: a degree-3 space curve cannot have genus <4516 digits>",
+        ),
+    ],
+    ids=["pdeg", "odd_theta", "degmult", "hurwitz", "residual", "secant_pluecker"],
+)
+def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message):
+    with pytest.raises(WorksheetRuntimeError) as exc:
+        run(f"grassmannian (3, 5)\nlet x = {call}\n")
+    assert str(exc.value) == f"line 2, column 9: {message}"
 
 
 @pytest.mark.parametrize(
@@ -735,6 +804,25 @@ def test_evaluation_is_deterministic(path):
     assert r1 == r2
 
 
+@pytest.mark.parametrize(
+    "lines, one_line",
+    [
+        (
+            "lattice L {\n  basis l, F\n  l.l = 0,\n  l.F = 1, F.F = 0\n}\n",
+            "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0 }\n",
+        ),
+        (
+            "surface {\n  H,\n  K\n  H.H = 6, H.K = 0,\n  K.K = 0\n  euler = 24\n}\n",
+            "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n",
+        ),
+        ("unknown a, b\nsolve {\n a == 1,\n b == 2\n}\n", "unknown a, b\nsolve { a == 1, b == 2 }\n"),
+    ],
+    ids=["lattice", "surface", "solve"],
+)
+def test_a_comma_may_end_a_line_in_every_block(lines, one_line):
+    assert parse(lines) == parse(one_line)
+
+
 names = st.sampled_from(["a", "b", "c", "d"])
 ints = st.integers(-50, 50)
 
@@ -762,6 +850,69 @@ def test_generated_programs_round_trip(text):
     assert parse(pretty_print(program)) == program
     report = evaluate(program)
     assert report.all_passed
+
+
+def _sections(draw, items: list) -> list:
+    """`items` in a drawn order, cut into one or more sections."""
+    items = draw(st.permutations(items))
+    cuts = sorted(draw(st.sets(st.integers(1, len(items) - 1)))) if len(items) > 1 else []
+    return [items[i:j] for i, j in zip([0, *cuts], [*cuts, len(items)])]
+
+
+def _block(head: str, sections: list, pick) -> str:
+    """`head { ... }` over `sections`, lists of items, with each separator
+    chosen by `pick` from its options: `;` or line ends between sections,
+    `,` with or without a line end between items."""
+    text = head + " {" + pick([" ", "", "\n", "; "])
+    for i, items in enumerate(sections):
+        if i:
+            text += pick(["; ", "\n", ";\n", "\n\n  ", " ; ;\n", "  # note\n"])
+        text += items[0]
+        for item in items[1:]:
+            text += pick([", ", ",\n", ",  # note\n  "]) + item
+    return text + pick([" }", "\n}", ";}", ";\n}"])
+
+
+@st.composite
+def block_programs(draw):
+    """A worksheet with a surface, a lattice and a solve block, twice: with
+    `; ` and `, ` as every separator, and with each separator drawn."""
+    h, k, kk, e, v, w = (draw(ints) for _ in range(6))
+    surface = [["H", "K"], *_sections(draw, [f"H.H = {h}", f"H.K = {k}", f"K.K = {kk}"])]
+    surface.insert(draw(st.integers(1, len(surface))), [f"euler = {e}"])
+    if draw(st.booleans()):
+        surface[0] = ["basis H", "K"]
+    lattice = [["basis l", "F"], ["unknown x"]] + draw(st.permutations(
+        _sections(draw, ["l.l = x", "l.F = 1", "F.F = 0"])
+        + [["class C = l + 2 * F"], ["class G = l - F"]]
+    ))
+    solve = _sections(draw, [f"l * l == {v}", f"u == {w}"])
+
+    def worksheet(pick):
+        return "\n".join([
+            "unknown u",
+            _block("surface", surface, pick),
+            f"assert jet2_c2(H) == tau({h}, {k}, {kk}, {e})",
+            _block("lattice L", lattice, pick),
+            _block("solve", solve, pick),
+            f"assert l * l == {v}",
+            f"assert u == {w}",
+            f"assert C * G == {v} + 1",
+        ]) + "\n"
+
+    return worksheet(lambda options: options[0]), worksheet(
+        lambda options: draw(st.sampled_from(options))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_programs())
+def test_every_layout_of_a_block_parses_to_the_same_node(texts):
+    plain, drawn = texts
+    program = parse(drawn)
+    assert program == parse(plain)
+    assert parse(pretty_print(program)) == program
+    assert evaluate(program).all_passed
 
 
 def _source(token):
