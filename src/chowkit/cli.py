@@ -1,14 +1,18 @@
 """Command-line front end.
 
     chowkit worksheet run <file>... [--json] [--strict]
-    chowkit schubert pdeg --gr K,N "EXPR" DIM
-    chowkit schubert mult --gr K,N "EXPR"
-    chowkit chern tau H2 HK K2 E
+    chowkit eval [--gr K,N] EXPR
     chowkit curve <builtin> <value>... [<name>=<value>]...
 
-Each value (EXPR, DIM, every curve and chern value) is one worksheet expression,
+Each value (EXPR and every curve value) is one worksheet expression,
 evaluated under the --gr Grassmannian where there is one: `-1/2`, `3*2` and
-`pluecker{d=6, nodes=6}.genus` are values; `4.0`, `1e3` and `+3` are syntax errors.
+`pluecker{d=6, nodes=6}.genus` are values; `4.0`, `1e3` and `+3` are syntax
+errors.  `eval` prints any value as a worksheet binds it; an EXPR that starts
+with `-` goes after `--`.  It replaces, as a contract change, the `schubert`
+and `chern` commands, which now exit 2: `schubert pdeg --gr K,N EXPR DIM` is
+`eval --gr K,N "pdeg(EXPR, DIM)"`, `schubert mult --gr K,N EXPR` is `eval
+--gr K,N EXPR` (a value that is not a Schubert class is printed, not refused),
+and `chern tau H2 HK K2 E` is `eval "tau(H2, HK, K2, E)"` or `curve tau ...`.
 
 Exit codes: 0 success, 1 assertion failures under --strict, 2 bad arguments,
 parse or runtime errors.  All values print as exact integers or rationals.
@@ -22,8 +26,9 @@ import re
 import sys
 
 from .grassmann import GrassmannContext
+from .linexpr import printed
 from .worksheet import evaluate, parse
-from .worksheet.builtins import BUILTINS, Record, schubert_class
+from .worksheet.builtins import BUILTINS, Record
 from .worksheet.evaluate import Evaluator
 from .worksheet.parse import parse_expression
 
@@ -39,7 +44,7 @@ def _value(text: str, ctx: GrassmannContext | None = None):
     """Evaluate one command-line value, such as 120*s[1,1,1]+16*s[2,1] or -1/2."""
     ev = Evaluator()
     ev.grassmann = ctx
-    ev.no_grassmannian = "a Schubert class needs a Grassmannian: use chowkit schubert with --gr K,N"
+    ev.no_grassmannian = "a Schubert class needs a Grassmannian: use chowkit eval with --gr K,N"
     return ev.eval(parse_expression(text))
 
 
@@ -85,37 +90,27 @@ def _print_report(path, report):
     print(f"  {passed}/{len(report.assertions)} assertions passed")
 
 
-def _run_builtin(name: str, tokens) -> int:
-    """Call a worksheet builtin with command-line values and print the result.
+def _curve_line(builtin, tokens) -> str:
+    """The line `chowkit curve` prints for a builtin and its command-line values.
 
     Positional values fill the builtin's argument groups in order and
     `name=value` tokens (a worksheet name before the first `=`, blanks
     around it allowed) fill its named arguments.
     """
-    builtin = BUILTINS.get(name)
-    if builtin is None:
-        print(f"error: unknown curve formula {name!r}", file=sys.stderr)
-        return 2
     values, named = [], {}
-    try:
-        for token in tokens:
-            key, _, text = token.partition("=")
-            key = key.strip()
-            if not re.fullmatch(r"[A-Za-z_][\w']*", key):
-                values.append(_value(token))
-            elif key in named:
-                raise ValueError(f"duplicate argument {key!r}")
-            else:
-                named[key] = _value(text)
-        out = builtin.call(builtin.split(values), named)
-        if isinstance(out, Record):
-            out = " ".join(f"{k}={v}" for k, v in out.items())
-        out = str(out)  # fails on an int too long to print, before anything is printed
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        print(f"error: {name}: {exc}", file=sys.stderr)
-        return 2
-    print(out)
-    return 0
+    for token in tokens:
+        key, _, text = token.partition("=")
+        key = key.strip()
+        if not re.fullmatch(r"[A-Za-z_][\w']*", key):
+            values.append(_value(token))
+        elif key in named:
+            raise ValueError(f"duplicate argument {key!r}")
+        else:
+            named[key] = _value(text)
+    out = builtin.call(builtin.split(values), named)
+    if isinstance(out, Record):
+        return " ".join(f"{k}={printed(v, k)}" for k, v in out.items())
+    return printed(out, "the result")
 
 
 def main(argv=None) -> int:
@@ -131,43 +126,35 @@ def main(argv=None) -> int:
         "--strict", action="store_true", help="exit 1 if any assertion fails"
     )
 
-    sch = sub.add_parser("schubert", help="Schubert calculus expressions")
-    schsub = sch.add_subparsers(dest="sch_command", required=True)
-    pdeg = schsub.add_parser("pdeg", help="Pluecker degree of a cycle")
-    pdeg.add_argument("--gr", required=True, metavar="K,N")
-    pdeg.add_argument("expr")
-    pdeg.add_argument("dim")
-    mult = schsub.add_parser("mult", help="normal form of a Schubert expression")
-    mult.add_argument("--gr", required=True, metavar="K,N")
-    mult.add_argument("expr")
-
-    chern = sub.add_parser("chern", help="surface characteristic classes")
-    chern.add_argument(
-        "formula", choices=["tau"], help="tau: triple-point count from H2 HK K2 e"
-    )
+    ev = sub.add_parser("eval", help="print the value of one worksheet expression")
+    ev.add_argument("--gr", metavar="K,N", help="the Grassmannian of Schubert classes")
+    ev.add_argument("expr")
     curve = sub.add_parser(
         "curve", help="call a worksheet builtin that needs no worksheet context"
     )
     curve.add_argument("formula")
-    for p in (chern, curve):  # the values follow a positional, so they may start with '-'
-        p.add_argument("args", nargs=argparse.REMAINDER)
+    # the values follow a positional, so they may start with '-'
+    curve.add_argument("args", nargs=argparse.REMAINDER)
 
     args = ap.parse_args(argv)
 
     if args.command == "worksheet":
         return _run_worksheets(args)
-    if args.command == "schubert":
-        try:
-            ctx = _parse_gr(args.gr)
-            value = schubert_class(_value(args.expr, ctx))
-            if args.sch_command == "pdeg":
-                value = BUILTINS["pdeg"].call([[value, _value(args.dim, ctx)]], {})
-            print(value)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    return _run_builtin(args.formula, args.args)
+    prefix = ""  # a curve error names its builtin
+    try:
+        if args.command == "eval":
+            ctx = None if args.gr is None else _parse_gr(args.gr)
+            out = printed(_value(args.expr, ctx), "the result")
+        elif args.formula in BUILTINS:
+            prefix = f"{args.formula}: "
+            out = _curve_line(BUILTINS[args.formula], args.args)
+        else:
+            raise ValueError(f"unknown curve formula {args.formula!r}")
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return 2
+    print(out)  # rendered in full above, so a failure prints nothing
+    return 0
 
 
 if __name__ == "__main__":

@@ -49,16 +49,27 @@ def _rational(x):
 
 
 def shown(x) -> str:
-    """An exact number as a message shows it, which never fails: `str(x)`, but
-    an int too long for Python to print is its sign and length, `-<4516 digits>`."""
+    """A value as a message shows it, which never fails: `str(x)`, but an int
+    too long for Python to print is its sign and length, `-<4516 digits>`, and
+    any other value that holds one is `<a value too long to print>`."""
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{shown(x.numerator)}/{shown(x.denominator)}"
     try:
         return str(x)
     except ValueError:  # over sys.get_int_max_str_digits()
+        if not isinstance(x, Rational):
+            return "<a value too long to print>"
         n = abs(int(x))
         digits = int(n.bit_length() * log10(2)) + 1  # n's digits, or one more
         return f"{'-' if x < 0 else ''}<{digits - (10 ** (digits - 1) > n)} digits>"
+
+
+def printed(x, what: str) -> str:
+    """`str(x)`, or a ValueError naming `what` when x holds a number too long to print."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ValueError(f"cannot print {what}: {shown(x)}") from None
 
 
 ONE = 1  # the key of a LinExpr's constant term and of a surface's unit class

@@ -16,7 +16,7 @@ from numbers import Rational
 from .. import curves, grassmann, lattice, surface
 from ..grassmann import SchubertElement
 from ..lattice import ClassExpr
-from ..linexpr import LinExpr, collapse
+from ..linexpr import LinExpr, collapse, shown
 from ..surface import SurfaceClass
 
 
@@ -36,14 +36,14 @@ class Record(dict):
 def integer(v) -> int:
     if isinstance(v, Rational) and v.denominator == 1:
         return int(v)
-    raise ValueError(f"expected an integer, got {v}")
+    raise ValueError(f"expected an integer, got {shown(v)}")
 
 
 def _kind(what, test):
     def kind(v):
         if test(v):
             return v
-        raise ValueError(f"expected {what}, got {v}")
+        raise ValueError(f"expected {what}, got {shown(v)}")
 
     return kind
 

@@ -14,7 +14,7 @@ from operator import add, mul, sub, truediv
 
 from ..grassmann import GrassmannContext, SchubertElement
 from ..lattice import ClassExpr, IntersectionForm, RuledLattice
-from ..linexpr import LinExpr, collapse, holds_unknown, solve_linear
+from ..linexpr import LinExpr, collapse, holds_unknown, printed, shown, solve_linear
 from ..surface import SurfaceClass, SurfaceRing
 from .ast import (
     Assert,
@@ -128,8 +128,8 @@ class Evaluator:
             self.report.assertions.append(
                 AssertionResult(
                     expression=f"{_fmt_expr(s.left)} == {_fmt_expr(s.right)}",
-                    expected=str(right),
-                    actual=str(left),
+                    expected=printed(right, "the right side"),
+                    actual=printed(left, "the left side"),
                     passed=left == right,
                 )
             )
@@ -152,7 +152,7 @@ class Evaluator:
         self.open.discard(name)
         if holds_unknown(value):
             self.open.add(name)
-        self.report.bindings.append((name, str(value)))
+        self.report.bindings.append((name, printed(value, name)))
 
     def set_gram(self, form: IntersectionForm, g: GramEntry):
         """Set the entry `g` on a surface or lattice; an error is reported at `g`."""
@@ -243,7 +243,7 @@ class Evaluator:
             base = self.eval(e.base)
             if not isinstance(base, Record):
                 raise WorksheetRuntimeError(
-                    f"cannot access field {e.name!r} on {base}", e.pos
+                    f"cannot access field {e.name!r} on {shown(base)}", e.pos
                 )
             if e.name not in base:
                 raise WorksheetRuntimeError(
@@ -274,7 +274,7 @@ class Evaluator:
         v = self.eval(e)
         if isinstance(v, (int, Fraction, LinExpr)):
             return v
-        raise WorksheetRuntimeError(f"expected a scalar value, got {v}", e.pos)
+        raise WorksheetRuntimeError(f"expected a scalar value, got {shown(v)}", e.pos)
 
     # -- builtin functions --------------------------------------------
 

@@ -175,12 +175,15 @@ class _Parser:
             self.cur = self.tokens[self.i]
         return t
 
-    def expect(self, kind: str, hint: str | None = None) -> tuple:
+    def unexpected(self, what: str) -> WorksheetSyntaxError:
+        """The error for `what` where the current token stands."""
         t = self.cur
-        if t[0] != kind:
-            what = hint or f"expected {kind!r}"
-            got = "end of input" if t[0] == "EOF" else repr(t[1])
-            raise WorksheetSyntaxError(f"{what}, got {got}", t[2:])
+        got = "end of input" if t[0] == "EOF" else repr(t[1])
+        return WorksheetSyntaxError(f"{what}, got {got}", t[2:])
+
+    def expect(self, kind: str, hint: str | None = None) -> tuple:
+        if self.cur[0] != kind:
+            raise self.unexpected(hint or f"expected {kind!r}")
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
@@ -188,9 +191,7 @@ class _Parser:
 
     def expect_keyword(self, word: str) -> tuple:
         if not self.at_keyword(word):
-            raise WorksheetSyntaxError(
-                f"expected keyword {word!r}, got {self.cur[1]!r}", self.cur[2:]
-            )
+            raise self.unexpected(f"expected keyword {word!r}")
         return self.advance()
 
     def nest(self, t: tuple):
@@ -261,16 +262,15 @@ class _Parser:
         if self.at_keyword("solve"):
             self.advance()
             return self.solve_block(pos)
-        raise WorksheetSyntaxError(
+        raise self.unexpected(
             "expected a statement (let, input, assert, grassmannian, surface,"
-            f" lattice, solve, unknown), got {t[1]!r}",
-            pos,
+            " lattice, solve, unknown)"
         )
 
     def ident(self, what: str) -> str:
         t = self.cur
         if t[0] != "NAME" or t[1] in KEYWORDS:
-            raise WorksheetSyntaxError(f"expected {what}, got {t[1]!r}", t[2:])
+            raise self.unexpected(f"expected {what}")
         self.advance()
         return t[1]
 

@@ -430,19 +430,23 @@ BUILTIN_ORACLES = {
     ),
     "salmon_cayley": ("test_curves.py::test_salmon_cayley_matches_schubert_oracle",),
     "jet2_c2": (
-        "test_surface.py::test_sym_power_matches_splitting_oracle",
+        "test_surface.py::test_tau_matches_jet_c2_on_random_surfaces",
         "test_surface.py::test_jet_c2_matches_triple_point_formula_symbolically",
+        "test_surface.py::test_sym_power_matches_splitting_oracle",
         "test_acceptance.py::test_criterion_01_jet_c2_symbolic_identity",
     ),
     "tau": (
-        "test_surface.py::test_jet_c2_matches_triple_point_formula_symbolically",
         "test_surface.py::test_tau_matches_jet_c2_on_random_surfaces",
+        "test_surface.py::test_jet_c2_matches_triple_point_formula_symbolically",
     ),
     "pluecker": (
         "test_curves.py::test_plucker_dual_involution",
         "test_curves.py::test_pluecker_matches_the_solve_linear_path_on_the_bulk_curves",
     ),
-    "genus": ("test_lattice.py::test_pair_agrees_with_the_bilinear_sum",),
+    "genus": (
+        "test_lattice.py::test_genus_builtin_matches_the_bilinear_sum",
+        "test_lattice.py::test_pair_agrees_with_the_bilinear_sum",
+    ),
     "odd_theta": ("test_curves.py::test_odd_theta_counts_the_refinements_of_arf_invariant_one",),
     "secant_pluecker": ("test_curves.py::test_secant_pluecker_counts_the_nodes_of_a_projection",),
     "hurwitz": (

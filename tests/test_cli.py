@@ -107,7 +107,7 @@ def test_multiple_files_one_bad(tmp_path, capsys):
 def test_schubert_pdeg(capsys):
     for dim in ("3", "1+2"):  # DIM is an expression too
         code, out, _ = run_cli(
-            capsys, "schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1] + 16*s[2,1]", dim
+            capsys, "eval", "--gr", "3,5", f"pdeg(120*s[1,1,1] + 16*s[2,1], {dim})"
         )
         assert code == 0
         assert out.strip() == "152"
@@ -115,7 +115,7 @@ def test_schubert_pdeg(capsys):
 
 def test_schubert_mult(capsys):
     for gr in ("3,5", " 3 , 5 "):  # blanks around K and N, as in `grassmannian (3, 5)`
-        code, out, _ = run_cli(capsys, "schubert", "mult", "--gr", gr, "s[1]*s[1]*s[1]")
+        code, out, _ = run_cli(capsys, "eval", "--gr", gr, "s[1]*s[1]*s[1]")
         assert code == 0
         assert out.strip() == "s[1,1,1] + 2*s[2,1]"
 
@@ -127,28 +127,78 @@ HYPERPLANE_POWER = "*".join(["s[1]"] * 25)
     "argv, value",
     [
         # deg Gr(5,10): the standard tableaux of the 5 x 5 box
-        (["pdeg", "--gr", "5,10", HYPERPLANE_POWER, "0"], "701149020"),
+        (["--gr", "5,10", f"pdeg({HYPERPLANE_POWER}, 0)"], "701149020"),
         (
-            ["mult", "--gr", "3,6", "(s[1] + 1/2*s[2]) * (s[1] - s[1,1])"],
+            ["--gr", "3,6", "(s[1] + 1/2*s[2]) * (s[1] - s[1,1])"],
             "s[1,1] - s[1,1,1] + s[2] - 1/2*s[2,1] - 1/2*s[2,1,1] + 1/2*s[3] - 1/2*s[3,1]",
         ),
     ],
     ids=["hyperplane-power", "two-term-factors"],
 )
 def test_schubert_multi_term_products(argv, value, capsys):
-    assert run_cli(capsys, "schubert", *argv) == (0, value + "\n", "")
+    assert run_cli(capsys, "eval", *argv) == (0, value + "\n", "")
 
 
 def test_schubert_bad_expression_exits_2(capsys):
-    code, _, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "s[2,1", "3")
+    code, _, err = run_cli(capsys, "eval", "--gr", "3,5", "pdeg(s[2,1, 3)")
     assert code == 2
     assert err
 
 
 def test_chern_tau(capsys):
-    code, out, _ = run_cli(capsys, "chern", "tau", "6", "0", "0", "24")
+    code, out, _ = run_cli(capsys, "eval", "tau(6, 0, 0, 24)")
     assert code == 0
     assert out.strip() == "210"
+
+
+def test_eval_prints_a_record_as_a_worksheet_binds_it(capsys):
+    code, out, err = run_cli(capsys, "eval", "pluecker{d=6, nodes=6}")
+    assert (code, err) == (0, "")
+    assert out == evaluate(parse("let P = pluecker{d=6, nodes=6}\n")).bindings[0][1] + "\n"
+
+
+def test_eval_takes_an_expression_that_starts_with_minus_after_double_dash(capsys):
+    assert run_cli(capsys, "eval", "--", "-1/2") == (0, "-1/2\n", "")
+    with pytest.raises(SystemExit) as exc:  # without `--` it reads as an option
+        main(["eval", "--gr", "3,5", "-s[1]"])
+    assert exc.value.code == 2
+
+
+def test_eval_without_gr_names_the_option_a_schubert_class_needs(capsys):
+    code, out, err = run_cli(capsys, "eval", "s[1]")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 1, column 1: a Schubert class needs a Grassmannian:"
+        " use chowkit eval with --gr K,N\n"
+    )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on str(int)"
+)
+def test_eval_of_a_result_too_long_to_print_gives_its_length(capsys):
+    huge = "*".join(["degmult(1000)"] * 15)  # 4516 digits
+    code, out, err = run_cli(capsys, "eval", huge)
+    assert (code, out, err) == (2, "", "error: cannot print the result: <4516 digits>\n")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on str(int)"
+)
+def test_curve_argument_too_long_to_print_gives_its_length(capsys):
+    huge = "*".join(["degmult(1000)"] * 15)  # 4516 digits
+    code, out, err = run_cli(capsys, "curve", "odd_theta", f"{huge}/3")
+    want = "error: odd_theta: expected an integer, got <4516 digits>/3\n"
+    assert (code, out, err) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv", [["schubert", "mult", "--gr", "3,5", "s[1]"],
+                                  ["chern", "tau", "6", "0", "0", "24"]])
+def test_schubert_and_chern_commands_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_curve_subcommands(capsys):
@@ -162,7 +212,7 @@ def test_curve_subcommands(capsys):
         (["curve", "tau", "6", "0", "0", "24"], "210"),
         (["curve", "glue_genus", "3", "4", "2"], "8"),
         (["curve", "glue_genus", "-1/2", "3", "1"], "5/2"),  # not read as an option
-        (["chern", "tau", "-1/2", "0", "0", "0"], "-15/2"),
+        (["eval", "--", "tau(-1/2, 0, 0, 0)"], "-15/2"),
         (["curve", "odd_theta", "2*2"], "120"),  # every value is a worksheet expression
         (["curve", "coincidences", " 3", "1 "], "4"),
         (["curve", "pluecker", "d=3*2", "nodes=6"],
@@ -264,8 +314,8 @@ def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
     for argv, prefix in [
         (["curve", "coincidences", spelling, "1"], "error: coincidences: line 1, column "),
         (["curve", "pluecker", f"d={spelling}"], "error: pluecker: line 1, column "),
-        (["chern", "tau", "0", "0", "0", spelling], "error: tau: line 1, column "),
-        (["schubert", "pdeg", "--gr", "3,5", "s[1]", spelling], "error: line 1, column "),
+        (["eval", f"tau(0, 0, 0, {spelling})"], "error: line 1, column "),
+        (["eval", "--gr", "3,5", f"pdeg(s[1], {spelling})"], "error: line 1, column "),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -289,23 +339,21 @@ def test_curve_pluecker_rejects_characters_of_no_plane_curve(args, bad, capsys):
 
 
 def test_schubert_expression_is_followed_only_by_blank_lines_and_comments(capsys):
-    ok = run_cli(capsys, "schubert", "mult", "--gr", "3,5", "s[1] # c\n\n")
+    ok = run_cli(capsys, "eval", "--gr", "3,5", "s[1] # c\n\n")
     assert ok == (0, "s[1]\n", "")
-    code, out, err = run_cli(
-        capsys, "schubert", "mult", "--gr", "3,5", "s[1] # c\n\n s[2]\n"
-    )
+    code, out, err = run_cli(capsys, "eval", "--gr", "3,5", "s[1] # c\n\n s[2]\n")
     assert (code, out) == (2, "")
     assert err == "error: line 3, column 2: trailing input 's'\n"
 
 
 def test_schubert_pdeg_of_a_number_names_the_argument(capsys):
-    code, _, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "2", "0")
-    assert (code, err) == (2, "error: expected a Schubert class, got 2\n")
+    code, _, err = run_cli(capsys, "eval", "--gr", "3,5", "pdeg(2, 0)")
+    assert (code, err) == (2, "error: line 1, column 1: pdeg: expected a Schubert class, got 2\n")
 
 
 def test_schubert_pdeg_too_long_to_print_exits_2(capsys):
     # deg Gr(60, 120) has 5018 digits, above Python's limit for str(int)
-    code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "60,120", "s[]", "3600")
+    code, out, err = run_cli(capsys, "eval", "--gr", "60,120", "pdeg(s[], 3600)")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -316,9 +364,12 @@ def test_schubert_pdeg_too_long_to_print_exits_2(capsys):
 )
 def test_schubert_pdeg_dimension_too_long_to_print_names_the_range(capsys):
     huge = "*".join(["degmult(1000)"] * 15)  # 4516 digits
-    code, out, err = run_cli(capsys, "schubert", "pdeg", "--gr", "3,5", "s[1]", huge)
+    code, out, err = run_cli(capsys, "eval", "--gr", "3,5", f"pdeg(s[1], {huge})")
     assert (code, out) == (2, "")
-    assert err == "error: dimension <4516 digits> is out of range 0..6 for Gr(3, 5)\n"
+    assert err == (
+        "error: line 1, column 1: pdeg: dimension <4516 digits> is out of range 0..6"
+        " for Gr(3, 5)\n"
+    )
 
 
 def test_curve_schubert_value_names_the_command_that_takes_a_grassmannian(capsys):
@@ -326,7 +377,7 @@ def test_curve_schubert_value_names_the_command_that_takes_a_grassmannian(capsys
     assert (code, out) == (2, "")
     assert err == (
         "error: glue_genus: line 1, column 3: a Schubert class needs a Grassmannian:"
-        " use chowkit schubert with --gr K,N\n"
+        " use chowkit eval with --gr K,N\n"
     )
     # a worksheet can declare one, and its message says so
     with pytest.raises(WorksheetRuntimeError) as exc:
@@ -334,16 +385,6 @@ def test_curve_schubert_value_names_the_command_that_takes_a_grassmannian(capsys
     assert str(exc.value) == (
         "line 1, column 13: no grassmannian context declared before Schubert class"
     )
-
-
-@pytest.mark.parametrize(
-    "expr, shown",
-    [("2", "2"), ("pluecker{d=3}", "{d=3, m=6, nodes=0, cusps=0, bitangents=0, flexes=9, genus=1}")],
-    ids=["number", "record"],
-)
-def test_schubert_mult_of_a_non_class_names_the_value(expr, shown, capsys):
-    code, out, err = run_cli(capsys, "schubert", "mult", "--gr", "3,5", expr)
-    assert (code, out, err) == (2, "", f"error: expected a Schubert class, got {shown}\n")
 
 
 SCHUBERT_FRAGMENTS = [
@@ -358,15 +399,18 @@ SCHUBERT_FRAGMENTS = [
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    command=st.sampled_from(["pdeg", "mult"]),
+    gr=st.sampled_from([[], ["--gr", "3,5"]]),
     expr=st.lists(st.sampled_from(SCHUBERT_FRAGMENTS), max_size=12).map("".join),
-    dim=st.integers(0, 6),
+    dim=st.one_of(st.none(), st.integers(0, 6)),
 )
-def test_schubert_expressions_keep_the_exit_code_contract(command, expr, dim, capsys):
-    dims = [str(dim)] if command == "pdeg" else []
-    code = main(["schubert", command, "--gr", "3,5", expr, *dims])
+def test_schubert_expressions_keep_the_exit_code_contract(gr, expr, dim, capsys):
+    if dim is not None:
+        expr = f"pdeg({expr}, {dim})"
+    code = main(["eval", *gr, "--", expr])
+    out, err = capsys.readouterr()
     assert code in (0, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "") == (out != "")
 
 
 CURVE_NUMBERS = st.one_of(
@@ -418,7 +462,7 @@ def test_curve_named_value_may_have_blanks_around_its_name(nodes, capsys):
 
 @pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", "", "1_0,+20", "+3,5"])
 def test_bad_gr_names_the_k_n_form(spec, capsys):
-    code, out, err = run_cli(capsys, "schubert", "mult", "--gr", spec, "s[1]")
+    code, out, err = run_cli(capsys, "eval", "--gr", spec, "s[1]")
     want = f"error: bad --gr value {spec!r}: expected K,N, two integers such as 3,5\n"
     assert (code, out, err) == (2, "", want)
 
@@ -459,27 +503,25 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     [
         ["curve", "coincidences", "1/0", "2"],
         ["curve", "odd_theta", "1001"],
-        ["chern", "tau", "1/0", "0", "0", "0"],
-        ["schubert", "mult", "--gr", "3,x", "s[1]"],
-        ["schubert", "mult", "--gr", "5,3", "s[1]"],
-        ["schubert", "mult", "--gr", "3,5", "x"],
-        ["schubert", "mult", "--gr", "3,5", "frob(1)"],
+        ["eval", "tau(1/0, 0, 0, 0)"],
+        ["eval", "--gr", "3,x", "s[1]"],
+        ["eval", "--gr", "5,3", "s[1]"],
+        ["eval", "--gr", "3,5", "x"],
+        ["eval", "--gr", "3,5", "frob(1)"],
         ["worksheet", "run", "NOT_UTF8"],
         ["worksheet", "run", "DEEP_PARENS"],
         ["worksheet", "run", "LONG_SUM"],
-        ["schubert", "pdeg", "--gr", "3,5", "2", "0"],
-        ["schubert", "pdeg", "--gr", "3,5", "120*s[1,1,1]\n+ 16*s[2,1]", "3"],
-        ["schubert", "mult", "--gr", "3,5", "2"],
-        ["schubert", "mult", "--gr", "3,5", "pluecker{d=3}"],
+        ["eval", "--gr", "3,5", "pdeg(2, 0)"],
+        ["eval", "--gr", "3,5", "120*s[1,1,1]\n+ 16*s[2,1]"],
         ["curve", "pluecker", "d=3", "d=4"],
         ["worksheet", "run", "DUPLICATE_ARGUMENT"],
         ["curve", "coincidences", "9" * 4300, "1"],  # the sum has 4301 digits
-        ["schubert", "mult", "--gr", "3", "s[1]"],
-        ["schubert", "mult", "--gr", "3,5,7", "s[1]"],
-        ["schubert", "mult", "--gr", "a,b", "s[1]"],
-        ["schubert", "pdeg", "--gr", "", "s[1]", "5"],
-        ["schubert", "pdeg", "--gr", "3,5", "s[1]", "99999999999999999999"],
-        ["schubert", "pdeg", "--gr", "3,5", "s[1]", "-1"],
+        ["eval", "--gr", "3", "s[1]"],
+        ["eval", "--gr", "3,5,7", "s[1]"],
+        ["eval", "--gr", "a,b", "s[1]"],
+        ["eval", "--gr", "", "pdeg(s[1], 5)"],
+        ["eval", "--gr", "3,5", "pdeg(s[1], 99999999999999999999)"],
+        ["eval", "--gr", "3,5", "pdeg(s[1], -1)"],
     ],
     ids=[
         "zero-denominator",
@@ -494,8 +536,6 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         "flat-sum",
         "pdeg-of-a-number",
         "trailing-line",
-        "mult-of-a-number",
-        "mult-of-a-record",
         "curve-duplicate-argument",
         "worksheet-duplicate-argument",
         "value-too-long-to-print",

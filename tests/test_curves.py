@@ -226,11 +226,13 @@ def schubert_scroll_degree(n1, n2, n3):
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
 def test_salmon_cayley_matches_schubert_oracle(n1, n2, n3):
     # no incidences: degree is the Schubert count 2 n1 n2 n3
-    deg, m1, m2, m3 = salmon_cayley(n1, n2, n3, 0, 0, 0)
-    assert deg == schubert_scroll_degree(n1, n2, n3)
-    assert m1 == n2 * n3
-    assert m2 == n1 * n3
-    assert m3 == n1 * n2
+    got = BUILTINS["salmon_cayley"].call([[n1, n2, n3], [0, 0, 0]], {})
+    assert got == {
+        "degree": schubert_scroll_degree(n1, n2, n3),
+        "m1": n2 * n3,
+        "m2": n1 * n3,
+        "m3": n1 * n2,
+    }
 
 
 @settings(max_examples=60, deadline=None)

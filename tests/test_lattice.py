@@ -21,8 +21,9 @@ from chowkit.lattice import (
     genus_additivity,
     intersect,
 )
-from chowkit.linexpr import LinExpr, SpaceMismatch, solve_linear
+from chowkit.linexpr import LinExpr, SpaceMismatch, collapse, solve_linear
 from chowkit.worksheet import parse
+from chowkit.worksheet.builtins import BUILTINS
 from chowkit.worksheet.evaluate import Evaluator
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -234,6 +235,35 @@ def test_pair_agrees_with_the_bilinear_sum(form, data):
         typed = [sorted((str(k), type(c), c) for k, c in e.terms.items())
                  for e in (ours[0], bilinear_sum(form, u, v))]
         assert typed[0] == typed[1]
+
+
+def genus_by_the_bilinear_sum(form, c: dict, k: dict | None):
+    """1 + (C.C + C.K)/2 through the public LinExpr arithmetic, or the error."""
+    if k is None:
+        raise ValueError("lattice has no canonical class")
+    twice = collapse(bilinear_sum(form, c, c) + bilinear_sum(form, c, k)) - 2
+    if twice % 2:
+        raise ValueError(f"C^2 + C.K = {twice + 2} is odd")
+    return twice // 2 + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_genus_builtin_matches_the_bilinear_sum(data):
+    basis = ("l", "F", "E")[: data.draw(st.integers(1, 3))]
+    entries = st.integers(-5, 5)
+    lat = RuledLattice(basis)
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            if data.draw(st.integers(0, 6)):  # now and then an entry is left out
+                lat.set_gram(a, b, data.draw(entries))
+    vectors = st.dictionaries(st.sampled_from(basis), st.integers(-4, 4), max_size=3)
+    C, k = ClassExpr(lat, data.draw(vectors)), data.draw(st.none() | vectors)
+    if k is not None:
+        lat.canonical = ClassExpr(lat, k)
+        k = lat.canonical.terms  # without its zero coefficients, as C's
+    got = outcome(lambda C: BUILTINS["genus"].call([[C]], {}), C)
+    assert got == outcome(genus_by_the_bilinear_sum, lat, C.terms, k)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from chowkit.surface import (
     tensor_line,
     triple_point_count,
 )
+from chowkit.worksheet.builtins import BUILTINS
 
 from _oracles import symbolic_surface
 
@@ -164,35 +165,45 @@ def test_jet_bundle_second_order_on_k3():
 
 def test_jet_c2_matches_triple_point_formula_symbolically():
     ring = symbolic_surface(("H", "K"))
-    H = ring.divisor("H")
-    K = ring.divisor("K")
-    e = LinExpr.unknown("e")
-    omega = cotangent_bundle(K, euler=e)
-    J = jet_chern(H, 2, omega)
-    formula = triple_point_count(
-        ring.pair({"H": Fraction(1)}, {"H": Fraction(1)}),
-        ring.pair({"H": Fraction(1)}, {"K": Fraction(1)}),
-        ring.pair({"K": Fraction(1)}, {"K": Fraction(1)}),
-        e,
-    )
-    diff = J.c2 - formula
-    assert diff == 0
+    ring.euler = LinExpr.unknown("e")
+    pairings = [LinExpr.unknown(p) for p in ("H.H", "H.K", "K.K")]
+    jet = BUILTINS["jet2_c2"].call([[ring.divisor("H")]], {})
+    assert jet == BUILTINS["tau"].call([[*pairings, ring.euler]], {})
+
+
+def jet2_c2_by_chern_roots(h2, hk, k2, e):
+    """c2 of the second jet bundle of L on a surface, from explicit Chern roots.
+
+    The roots of J^2(L) are L + i*a + j*b for i + j <= 2, where a and b are
+    the roots of the cotangent bundle: a + b = K and a.b = e.  c2 is the sum
+    of the products of pairs of roots.  The pairings L.a and a.a are free
+    symbols, so the answer is taken at two choices of them, which must agree.
+    """
+    La, aa = LinExpr.unknown("La"), LinExpr.unknown("aa")
+    Lb, bb = hk - La, k2 - 2 * e - aa  # L.b = L.K - L.a; b.b = K.K - 2 a.b - a.a
+
+    def dot(r, s):
+        (i, j), (k, l) = r, s
+        return h2 + (i + k) * La + (j + l) * Lb + i * k * aa + (i * l + j * k) * e + j * l * bb
+
+    roots = [(i, j) for i in range(3) for j in range(3 - i)]
+    c2 = sum((dot(r, s) for r, s in itertools.combinations(roots, 2)), LinExpr(0))
+    values = {collapse(c2.substitute({"La": x, "aa": y})) for x, y in ((0, 0), (1, 3))}
+    assert len(values) == 1, "the roots' pairings should not matter"
+    return values.pop()
+
+
+surface_numbers = st.fractions(-30, 30, max_denominator=4)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_tau_matches_jet_c2_on_random_surfaces(seed):
-    rng = random.Random(seed)
-    h2 = Fraction(rng.randint(-10, 10))
-    hk = Fraction(rng.randint(-10, 10))
-    k2 = Fraction(rng.randint(-10, 10))
-    e = Fraction(rng.randint(-30, 30))
+@given(surface_numbers, surface_numbers, surface_numbers, surface_numbers)
+def test_tau_matches_jet_c2_on_random_surfaces(h2, hk, k2, e):
     gram = {("H", "H"): h2, ("H", "K"): hk, ("K", "K"): k2}
-    ring = SurfaceRing(("H", "K"), gram)
-    H = ring.divisor("H")
-    K = ring.divisor("K")
-    J = jet_chern(H, 2, cotangent_bundle(K, euler=e))
-    assert J.c2 == triple_point_count(h2, hk, k2, e)
+    ring = SurfaceRing(("H", "K"), gram, euler=e)
+    want = jet2_c2_by_chern_roots(h2, hk, k2, e)
+    assert BUILTINS["jet2_c2"].call([[ring.divisor("H")]], {}) == want
+    assert BUILTINS["tau"].call([[h2, hk, k2, e]], {}) == want
 
 
 def test_triple_point_headline_value():

@@ -334,6 +334,9 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ),
         ("lattice L { basis l; l.1 = 0 }\n", "line 1, column 24: expected class name, got '1'"),
         ("surface { H; H.1 = 0; euler = 1 }\n", "line 1, column 16: expected divisor name, got '1'"),
+        ("unknown", "line 1, column 8: expected unknown name, got end of input"),
+        ("lattice L { basis", "line 1, column 18: expected class name, got end of input"),
+        ('input x = 1', "line 1, column 12: expected keyword 'from', got end of input"),
     ],
     ids=[
         "undeclared",
@@ -369,6 +372,9 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "block-never-closed",
         "lattice-entry-names-a-class",
         "surface-entry-names-a-divisor",
+        "name-at-end-of-input",
+        "class-name-at-end-of-input",
+        "keyword-at-end-of-input",
     ],
 )
 def test_error_message_and_position(text, message):
@@ -485,19 +491,49 @@ def test_exponent_cap_is_a_runtime_error_with_a_position(call):
 
 def test_a_degree_too_long_to_print_is_a_runtime_error_with_a_position():
     # deg Gr(60, 120) has 5018 digits, above Python's limit for str(int)
-    with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 1: Exceeds the limit"):
+    with pytest.raises(WorksheetRuntimeError) as exc:
         run("grassmannian (60, 120)\nlet d = pdeg(s[], 3600)\n")
+    assert str(exc.value) == "line 2, column 1: cannot print d: <5018 digits>"
 
 
 def test_a_value_too_long_to_print_is_a_runtime_error_with_a_position():
     # 2^1000 to the 15th has 4516 digits, above Python's limit for str(int)
     product = " * ".join(["a"] * 15)
-    with pytest.raises(WorksheetRuntimeError, match=r"^line 2, column 1: Exceeds the limit"):
+    with pytest.raises(WorksheetRuntimeError) as exc:
         run(f"let a = degmult(1000)\nlet b = {product}\n")
+    assert str(exc.value) == "line 2, column 1: cannot print b: <4516 digits>"
 
 
 # 2^1000 to the 15th, 4516 digits, above Python's limit for str(int)
 HUGE = " * ".join(["degmult(1000)"] * 15)
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"let B = {HUGE}\n", "line 1, column 1: cannot print B: <4516 digits>"),
+        (f"let B = -{HUGE}/3\n", "line 1, column 1: cannot print B: -<4516 digits>/3"),
+        (
+            f"grassmannian (3, 5)\nlet B = {HUGE}*s[1]\n",
+            "line 2, column 1: cannot print B: <a value too long to print>",
+        ),
+        (f"assert {HUGE} == 1\n", "line 1, column 1: cannot print the left side: <4516 digits>"),
+        (
+            f"let x = odd_theta({HUGE}/3)\n",
+            "line 1, column 9: odd_theta: expected an integer, got <4516 digits>/3",
+        ),
+        (
+            f"grassmannian (3, 5)\nlet x = pdeg(s[1], {HUGE}*s[1])\n",
+            "line 2, column 9: pdeg: expected an integer, got <a value too long to print>",
+        ),
+    ],
+    ids=["let", "let-fraction", "let-class", "assert", "integer-argument", "class-argument"],
+)
+def test_a_value_too_long_to_print_names_where_it_stands(text, message):
+    with pytest.raises(WorksheetRuntimeError) as exc:
+        run(text)
+    assert str(exc.value) == message
 
 
 @needs_int_limit
