@@ -2,17 +2,24 @@
 
     chowkit worksheet run <file>... [--json] [--strict]
     chowkit eval [--gr K,N] EXPR
-    chowkit curve <builtin> <value>... [<name>=<value>]...
 
-Each value (EXPR and every curve value) is one worksheet expression,
-evaluated under the --gr Grassmannian where there is one: `-1/2`, `3*2` and
+EXPR is one worksheet expression, evaluated under the --gr Grassmannian
+where there is one: `-1/2`, `3*2`, `odd_theta(4)` and
 `pluecker{d=6, nodes=6}.genus` are values; `4.0`, `1e3` and `+3` are syntax
-errors.  `eval` prints any value as a worksheet binds it; an EXPR that starts
-with `-` goes after `--`.  It replaces, as a contract change, the `schubert`
-and `chern` commands, which now exit 2: `schubert pdeg --gr K,N EXPR DIM` is
-`eval --gr K,N "pdeg(EXPR, DIM)"`, `schubert mult --gr K,N EXPR` is `eval
---gr K,N EXPR` (a value that is not a Schubert class is printed, not refused),
-and `chern tau H2 HK K2 E` is `eval "tau(H2, HK, K2, E)"` or `curve tau ...`.
+errors.  `eval` prints any value as a worksheet binds it, a record in braces;
+an EXPR that starts with `-` goes after `--`.
+
+`eval` replaces, as a contract change, the `schubert`, `chern` and `curve`
+commands, which now exit 2: `schubert pdeg --gr K,N EXPR DIM` is `eval --gr
+K,N "pdeg(EXPR, DIM)"`, `schubert mult --gr K,N EXPR` is `eval --gr K,N EXPR`
+(a value that is not a Schubert class is printed, not refused), `chern tau
+H2 HK K2 E` is `eval "tau(H2, HK, K2, E)"`, and `curve NAME V...` is `eval
+"NAME(V, ...)"` with `;` between argument groups, so `curve salmon_cayley 1
+6 18 0 0 36` is `eval "salmon_cayley(1, 6, 18; 0, 0, 36)"` and `curve
+pluecker d=6 nodes=6` is `eval "pluecker{d=6, nodes=6}"`, which prints
+`{d=6, m=18, ...}` where `curve` printed `d=6 m=18 ...`; an error starts
+with its place in EXPR, `error: line 1, column 1: odd_theta: ...`, where
+`curve` wrote `error: odd_theta: ...`.
 
 Exit codes: 0 success, 1 assertion failures under --strict, 2 bad arguments,
 parse or runtime errors.  All values print as exact integers or rationals.
@@ -28,7 +35,6 @@ import sys
 from .grassmann import GrassmannContext
 from .linexpr import printed
 from .worksheet import evaluate, parse
-from .worksheet.builtins import BUILTINS, Record
 from .worksheet.evaluate import Evaluator
 from .worksheet.parse import parse_expression
 
@@ -41,7 +47,7 @@ def _parse_gr(spec: str) -> GrassmannContext:
 
 
 def _value(text: str, ctx: GrassmannContext | None = None):
-    """Evaluate one command-line value, such as 120*s[1,1,1]+16*s[2,1] or -1/2."""
+    """Evaluate an `eval` EXPR, such as 120*s[1,1,1]+16*s[2,1] or -1/2."""
     ev = Evaluator()
     ev.grassmann = ctx
     ev.no_grassmannian = "a Schubert class needs a Grassmannian: use chowkit eval with --gr K,N"
@@ -90,29 +96,6 @@ def _print_report(path, report):
     print(f"  {passed}/{len(report.assertions)} assertions passed")
 
 
-def _curve_line(builtin, tokens) -> str:
-    """The line `chowkit curve` prints for a builtin and its command-line values.
-
-    Positional values fill the builtin's argument groups in order and
-    `name=value` tokens (a worksheet name before the first `=`, blanks
-    around it allowed) fill its named arguments.
-    """
-    values, named = [], {}
-    for token in tokens:
-        key, _, text = token.partition("=")
-        key = key.strip()
-        if not re.fullmatch(r"[A-Za-z_][\w']*", key):
-            values.append(_value(token))
-        elif key in named:
-            raise ValueError(f"duplicate argument {key!r}")
-        else:
-            named[key] = _value(text)
-    out = builtin.call(builtin.split(values), named)
-    if isinstance(out, Record):
-        return " ".join(f"{k}={printed(v, k)}" for k, v in out.items())
-    return printed(out, "the result")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="chowkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -129,29 +112,16 @@ def main(argv=None) -> int:
     ev = sub.add_parser("eval", help="print the value of one worksheet expression")
     ev.add_argument("--gr", metavar="K,N", help="the Grassmannian of Schubert classes")
     ev.add_argument("expr")
-    curve = sub.add_parser(
-        "curve", help="call a worksheet builtin that needs no worksheet context"
-    )
-    curve.add_argument("formula")
-    # the values follow a positional, so they may start with '-'
-    curve.add_argument("args", nargs=argparse.REMAINDER)
 
     args = ap.parse_args(argv)
 
     if args.command == "worksheet":
         return _run_worksheets(args)
-    prefix = ""  # a curve error names its builtin
     try:
-        if args.command == "eval":
-            ctx = None if args.gr is None else _parse_gr(args.gr)
-            out = printed(_value(args.expr, ctx), "the result")
-        elif args.formula in BUILTINS:
-            prefix = f"{args.formula}: "
-            out = _curve_line(BUILTINS[args.formula], args.args)
-        else:
-            raise ValueError(f"unknown curve formula {args.formula!r}")
+        ctx = None if args.gr is None else _parse_gr(args.gr)
+        out = printed(_value(args.expr, ctx), "the result")
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        print(f"error: {prefix}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(out)  # rendered in full above, so a failure prints nothing
     return 0

@@ -81,7 +81,7 @@ def plucker_solve(**given) -> dict:
                     changed = True
             elif r != 0:
                 known = ", ".join(
-                    f"{n}={v}" for n, v in sorted(vals.items()) if not isinstance(v, LinExpr)
+                    f"{n}={shown(v)}" for n, v in sorted(vals.items()) if not isinstance(v, LinExpr)
                 )
                 raise InconsistentSystem(f"relation violated on {known}")
     unset = sorted(n for n, v in vals.items() if isinstance(v, LinExpr))

@@ -21,6 +21,7 @@ from .linexpr import (
     UnderdeterminedSystem,
     collapse,
     holds_unknown,
+    shown,
 )
 
 __all__ = [
@@ -161,8 +162,10 @@ def adjunction_genus(C: ClassExpr) -> int:
     val = collapse(intersect(C, C) + intersect(C, K))
     if isinstance(val, LinExpr):
         raise ValueError("genus requires fully numeric intersection data")
+    if val.denominator != 1:
+        raise ValueError(f"C^2 + C.K = {shown(val)} is not an integer")
     if val % 2 != 0:
-        raise ValueError(f"C^2 + C.K = {val} is odd")
+        raise ValueError(f"C^2 + C.K = {shown(val)} is odd")
     return 1 + val // 2
 
 

@@ -1,8 +1,8 @@
 """The builtin functions of the worksheet language, in one table.
 
 `BUILTINS` maps each name to its argument groups, the function it calls
-and the names of its keyword arguments.  The parser, the evaluator and
-the `chowkit curve` command all read this table.
+and the names of its keyword arguments.  The parser and the evaluator
+read this table.
 
 Entries call the kernels through their module (`curves.odd_theta_count`)
 at call time, so a wrapper installed on a module attribute sees the call.
@@ -98,11 +98,6 @@ class Builtin(namedtuple("Builtin", "groups run named", defaults=((),))):
         kwargs = {k: number(v) for k, v in named.items()}
         return self.run(*args, **kwargs)
 
-    def split(self, values: list) -> list:
-        """Fill the groups in order from a flat list; a call has at most two."""
-        n = len(self.groups[0]) if len(self.groups) == 2 else len(values)
-        return [values[:n], values[n:]]
-
 
 def _jet2_c2(D):
     ring = D.space
@@ -123,7 +118,7 @@ def _pluecker(**chars):
     data = curves.plucker_solve(**chars)
     # a plane curve and its dual are curves of degree at least 2, not lines or points
     bad = [
-        f"{c}={v}"
+        f"{c}={shown(v)}"
         for c, v in data.items()
         if v < (2 if c in ("d", "m") else 0) or v.denominator != 1
     ]

@@ -18,6 +18,8 @@ from chowkit.worksheet.evaluate import WorksheetRuntimeError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
+# the record `pluecker{d=6, nodes=6}` prints: the nodal sextic
+SEXTIC = "{d=6, m=18, nodes=6, cusps=0, bitangents=96, flexes=36, genus=4}"
 
 
 def run_cli(capsys, *argv):
@@ -187,13 +189,14 @@ def test_eval_of_a_result_too_long_to_print_gives_its_length(capsys):
 )
 def test_curve_argument_too_long_to_print_gives_its_length(capsys):
     huge = "*".join(["degmult(1000)"] * 15)  # 4516 digits
-    code, out, err = run_cli(capsys, "curve", "odd_theta", f"{huge}/3")
-    want = "error: odd_theta: expected an integer, got <4516 digits>/3\n"
+    code, out, err = run_cli(capsys, "eval", f"odd_theta({huge}/3)")
+    want = "error: line 1, column 1: odd_theta: expected an integer, got <4516 digits>/3\n"
     assert (code, out, err) == (2, "", want)
 
 
 @pytest.mark.parametrize("argv", [["schubert", "mult", "--gr", "3,5", "s[1]"],
-                                  ["chern", "tau", "6", "0", "0", "24"]])
+                                  ["chern", "tau", "6", "0", "0", "24"],
+                                  ["curve", "odd_theta", "4"]])
 def test_schubert_and_chern_commands_are_gone(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -203,33 +206,28 @@ def test_schubert_and_chern_commands_are_gone(argv, capsys):
 
 def test_curve_subcommands(capsys):
     cases = [
-        (["curve", "odd_theta", "4"], "120"),
-        (["curve", "hurwitz", "13", "4", "2"], "12"),
-        (["curve", "coincidences", "72", "540"], "612"),
-        (["curve", "secant_pluecker", "6", "4"], "21"),
-        (["curve", "degmult", "3"], "8"),
-        (["curve", "residual", "624", "216", "360", "32"], "16"),
-        (["curve", "tau", "6", "0", "0", "24"], "210"),
-        (["curve", "glue_genus", "3", "4", "2"], "8"),
-        (["curve", "glue_genus", "-1/2", "3", "1"], "5/2"),  # not read as an option
-        (["eval", "--", "tau(-1/2, 0, 0, 0)"], "-15/2"),
-        (["curve", "odd_theta", "2*2"], "120"),  # every value is a worksheet expression
-        (["curve", "coincidences", " 3", "1 "], "4"),
-        (["curve", "pluecker", "d=3*2", "nodes=6"],
-         "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4"),
+        ("odd_theta(4)", "120"),
+        ("hurwitz(13, 4, 2)", "12"),
+        ("coincidences(72, 540)", "612"),
+        ("secant_pluecker(6, 4)", "21"),
+        ("degmult(3)", "8"),
+        ("residual(624; 216, 360, 32)", "16"),
+        ("tau(6, 0, 0, 24)", "210"),
+        ("glue_genus(3, 4, 2)", "8"),
+        ("glue_genus(-1/2, 3, 1)", "5/2"),
+        ("tau(-1/2, 0, 0, 0)", "-15/2"),
+        ("odd_theta(2*2)", "120"),  # every argument is a worksheet expression
+        (" coincidences( 3,1 ) ", "4"),
+        ("pluecker{d=3*2, nodes=6}", SEXTIC),
     ]
-    for argv, expected in cases:
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert out.strip() == expected
+    for text, expected in cases:
+        assert run_cli(capsys, "eval", "--", text) == (0, expected + "\n", "")
 
 
 def test_curve_salmon_cayley(capsys):
-    code, out, _ = run_cli(
-        capsys, "curve", "salmon_cayley", "1", "6", "18", "0", "0", "36"
-    )
+    code, out, _ = run_cli(capsys, "eval", "salmon_cayley(1, 6, 18; 0, 0, 36)")
     assert code == 0
-    assert out.strip() == "degree=180 m1=72 m2=18 m3=6"
+    assert out == "{degree=180, m1=72, m2=18, m3=6}\n"
 
 
 def test_importing_the_cli_loads_no_dataclasses():
@@ -242,22 +240,22 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 
 def test_curve_pluecker(capsys):
-    code, out, _ = run_cli(capsys, "curve", "pluecker", "d=6", "nodes=6", "cusps=0")
+    code, out, _ = run_cli(capsys, "eval", "pluecker{d=6, nodes=6, cusps=0}")
     assert code == 0
     assert "bitangents=96" in out
     assert "genus=4" in out
 
 
 def test_curve_pluecker_matches_worksheet(capsys):
-    code, out, _ = run_cli(capsys, "curve", "pluecker", "d=6", "nodes=6")
+    code, out, _ = run_cli(capsys, "eval", "pluecker{d=6, nodes=6}")
     assert code == 0
-    assert out == "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4\n"
-    record = evaluate(parse("let P = pluecker{d=6, nodes=6}\n")).bindings[0][1]
-    fields = out.split()
-    assert record == "{" + ", ".join(fields) + "}"
+    assert out == SEXTIC + "\n"
+    for field in out[1:-2].split(", "):  # each field reads as the record prints it
+        key, value = field.split("=")
+        assert run_cli(capsys, "eval", f"pluecker{{d=6, nodes=6}}.{key}") == (0, value + "\n", "")
 
 
-# The builtins `chowkit curve` can call: every argument is a number.
+# The builtins that take numbers only, which a worksheet calls without a context.
 CONTEXT_FREE = sorted(
     name
     for name, b in BUILTINS.items()
@@ -272,21 +270,19 @@ VALUE_TEXTS = st.one_of(
 
 @st.composite
 def curve_calls(draw):
-    """A context-free builtin, its command-line words and its worksheet call."""
+    """A call of a context-free builtin with the right shape of arguments."""
     name = draw(st.sampled_from(CONTEXT_FREE))
     b = BUILTINS[name]
     if b.named:
         keys = draw(st.lists(st.sampled_from(b.named), min_size=1, max_size=4, unique=True))
-        pairs = [f"{k}={draw(VALUE_TEXTS)}" for k in keys]
-        return name, pairs, "{" + ", ".join(pairs) + "}"
+        return name + "{" + ", ".join(f"{k}={draw(VALUE_TEXTS)}" for k in keys) + "}"
     groups = [
         draw(st.lists(VALUE_TEXTS, min_size=1, max_size=3))
         if group[0][0].endswith("...")
         else [draw(VALUE_TEXTS) for _ in group]
         for group in b.groups
     ]
-    words = [v for g in groups for v in g]
-    return name, words, "(" + "; ".join(", ".join(g) for g in groups) + ")"
+    return name + "(" + "; ".join(", ".join(g) for g in groups) + ")"
 
 
 @settings(
@@ -296,30 +292,26 @@ def curve_calls(draw):
 )
 @given(call=curve_calls())
 def test_curve_prints_what_a_worksheet_binds(call, capsys):
-    name, words, args = call
-    got = run_cli(capsys, "curve", name, *words)
+    got = run_cli(capsys, "eval", call)
     try:
-        report = evaluate(parse(f"let v = {name}{args}\n"))
+        report = evaluate(parse(f"let v = {call}\n"))
     except WorksheetRuntimeError as exc:  # the builtin refused the values
-        assert got == (2, "", f"error: {exc.message}\n")
+        column = exc.pos[1] - len("let v = ")
+        assert got == (2, "", f"error: line 1, column {column}: {exc.message}\n")
     else:
-        value = report.bindings[0][1]
-        if value.startswith("{"):  # a record prints as k=v words
-            value = " ".join(value[1:-1].split(", "))
-        assert got == (0, value + "\n", "")
+        assert got == (0, report.bindings[0][1] + "\n", "")
 
 
 @pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000"])
 def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
-    for argv, prefix in [
-        (["curve", "coincidences", spelling, "1"], "error: coincidences: line 1, column "),
-        (["curve", "pluecker", f"d={spelling}"], "error: pluecker: line 1, column "),
-        (["eval", f"tau(0, 0, 0, {spelling})"], "error: line 1, column "),
-        (["eval", "--gr", "3,5", f"pdeg(s[1], {spelling})"], "error: line 1, column "),
+    for argv in [
+        ["pluecker{d=%s}" % spelling],
+        [f"tau(0, 0, 0, {spelling})"],
+        ["--gr", "3,5", f"pdeg(s[1], {spelling})"],
     ]:
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out) == (2, "")
-        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert err.startswith("error: line 1, column ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -334,8 +326,9 @@ def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
     ids=["negative-characters", "fractional-degree", "degree-zero", "line", "dual-degree-zero"],
 )
 def test_curve_pluecker_rejects_characters_of_no_plane_curve(args, bad, capsys):
-    code, out, err = run_cli(capsys, "curve", "pluecker", *args)
-    assert (code, out, err) == (2, "", f"error: pluecker: no plane curve has {bad}\n")
+    code, out, err = run_cli(capsys, "eval", "pluecker{" + ", ".join(args) + "}")
+    want = f"error: line 1, column 1: pluecker: no plane curve has {bad}\n"
+    assert (code, out, err) == (2, "", want)
 
 
 def test_schubert_expression_is_followed_only_by_blank_lines_and_comments(capsys):
@@ -373,10 +366,10 @@ def test_schubert_pdeg_dimension_too_long_to_print_names_the_range(capsys):
 
 
 def test_curve_schubert_value_names_the_command_that_takes_a_grassmannian(capsys):
-    code, out, err = run_cli(capsys, "curve", "glue_genus", "1", "2*s[1]", "0")
+    code, out, err = run_cli(capsys, "eval", "glue_genus(1, 2*s[1], 0)")
     assert (code, out) == (2, "")
     assert err == (
-        "error: glue_genus: line 1, column 3: a Schubert class needs a Grassmannian:"
+        "error: line 1, column 17: a Schubert class needs a Grassmannian:"
         " use chowkit eval with --gr K,N\n"
     )
     # a worksheet can declare one, and its message says so
@@ -433,31 +426,39 @@ CURVE_ARGUMENTS = st.one_of(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(name=st.sampled_from(sorted(BUILTINS)), args=st.lists(CURVE_ARGUMENTS, max_size=7))
-def test_every_builtin_keeps_the_exit_code_contract(name, args, capsys):
-    code = main(["curve", name, *args])
+@given(
+    name=st.sampled_from(sorted(BUILTINS)),
+    groups=st.lists(st.lists(CURVE_ARGUMENTS, max_size=4), min_size=1, max_size=2),
+    braces=st.booleans(),
+)
+def test_every_builtin_keeps_the_exit_code_contract(name, groups, braces, capsys):
+    if braces:  # the groups' arguments, in one list
+        text = name + "{" + ", ".join(a for g in groups for a in g) + "}"
+    else:  # a second group follows a ';'
+        text = name + "(" + "; ".join(", ".join(g) for g in groups) + ")"
+    code = main(["eval", "--", text])
+    out, err = capsys.readouterr()
     assert code in (0, 2)
-    err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert (code == 0) == (err == "")
+    assert (code == 0) == (err == "") == (out != "")
 
 
 def test_curve_unknown_argument_exits_2(capsys):
-    code, _, err = run_cli(capsys, "curve", "pluecker", "q=3")
+    code, _, err = run_cli(capsys, "eval", "pluecker{q=3}")
     assert code == 2
-    assert err.startswith("error: pluecker: unknown argument 'q'")
+    assert err.startswith("error: line 1, column 1: pluecker: unknown argument 'q'")
 
 
 def test_curve_duplicate_argument_exits_2(capsys):
-    for second in ("d=4", "d =4", " d=4"):  # blanks around the name are allowed
-        code, out, err = run_cli(capsys, "curve", "pluecker", "d=3", second)
-        assert (code, out, err) == (2, "", "error: pluecker: duplicate argument 'd'\n")
+    for second in ("d=4", "d =4", "d = 4"):  # blanks around '=' are allowed
+        code, out, err = run_cli(capsys, "eval", f"pluecker{{d=3, {second}}}")
+        assert (code, out, err) == (2, "", "error: line 1, column 15: duplicate argument 'd'\n")
 
 
 @pytest.mark.parametrize("nodes", ["nodes=6", "nodes =6", " nodes=6", "nodes = 6"])
 def test_curve_named_value_may_have_blanks_around_its_name(nodes, capsys):
-    code, out, err = run_cli(capsys, "curve", "pluecker", "d=6", nodes)
-    assert (code, out, err) == (0, "d=6 m=18 nodes=6 cusps=0 bitangents=96 flexes=36 genus=4\n", "")
+    code, out, err = run_cli(capsys, "eval", f"pluecker{{d=6,{nodes}}}")
+    assert (code, out, err) == (0, SEXTIC + "\n", "")
 
 
 @pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", "", "1_0,+20", "+3,5"])
@@ -468,20 +469,18 @@ def test_bad_gr_names_the_k_n_form(spec, capsys):
 
 
 def test_curve_missing_argument_exits_2(capsys):
-    code, _, err = run_cli(capsys, "curve", "odd_theta")
+    code, _, err = run_cli(capsys, "eval", "odd_theta()")
     assert code == 2
-    assert err.startswith("error: odd_theta: wrong number of arguments")
-    assert "expected (g)" in err
+    assert err == "error: line 1, column 1: odd_theta: wrong number of arguments, expected (g)\n"
 
 
 def test_curve_unknown_formula_exits_2(capsys):
-    code, _, err = run_cli(capsys, "curve", "frobnicate", "1")
-    assert code == 2
-    assert "unknown curve formula" in err
+    code, _, err = run_cli(capsys, "eval", "frobnicate(1)")
+    assert (code, err) == (2, "error: line 1, column 1: unknown function 'frobnicate'\n")
 
 
 def test_curve_bad_arity_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "curve", "odd_theta", "4", "5")
+    code, _, _ = run_cli(capsys, "eval", "odd_theta(4, 5)")
     assert code == 2
 
 
@@ -501,8 +500,8 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["curve", "coincidences", "1/0", "2"],
-        ["curve", "odd_theta", "1001"],
+        ["eval", "coincidences(1/0, 2)"],
+        ["eval", "odd_theta(1001)"],
         ["eval", "tau(1/0, 0, 0, 0)"],
         ["eval", "--gr", "3,x", "s[1]"],
         ["eval", "--gr", "5,3", "s[1]"],
@@ -513,9 +512,9 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
         ["worksheet", "run", "LONG_SUM"],
         ["eval", "--gr", "3,5", "pdeg(2, 0)"],
         ["eval", "--gr", "3,5", "120*s[1,1,1]\n+ 16*s[2,1]"],
-        ["curve", "pluecker", "d=3", "d=4"],
+        ["eval", "pluecker{d=3, d=4}"],
         ["worksheet", "run", "DUPLICATE_ARGUMENT"],
-        ["curve", "coincidences", "9" * 4300, "1"],  # the sum has 4301 digits
+        ["eval", f"coincidences({'9' * 4300}, 1)"],  # the sum has 4301 digits
         ["eval", "--gr", "3", "s[1]"],
         ["eval", "--gr", "3,5,7", "s[1]"],
         ["eval", "--gr", "a,b", "s[1]"],

@@ -527,8 +527,16 @@ HUGE = " * ".join(["degmult(1000)"] * 15)
             f"grassmannian (3, 5)\nlet x = pdeg(s[1], {HUGE}*s[1])\n",
             "line 2, column 9: pdeg: expected an integer, got <a value too long to print>",
         ),
+        (  # (B + 1)^2 for B = 2^8000 has 4817 digits
+            "lattice L { basis l; l.l = 1; canonical = 0*l }\n"
+            f"let g = genus(({' * '.join(['degmult(1000)'] * 8)} + 1)*l)\n",
+            "line 2, column 9: genus: C^2 + C.K = <4817 digits> is odd",
+        ),
     ],
-    ids=["let", "let-fraction", "let-class", "assert", "integer-argument", "class-argument"],
+    ids=[
+        "let", "let-fraction", "let-class", "assert", "integer-argument", "class-argument",
+        "genus",
+    ],
 )
 def test_a_value_too_long_to_print_names_where_it_stands(text, message):
     with pytest.raises(WorksheetRuntimeError) as exc:
@@ -549,8 +557,21 @@ def test_a_value_too_long_to_print_names_where_it_stands(text, message):
             f"secant_pluecker(3, {HUGE})",
             "secant_pluecker: a degree-3 space curve cannot have genus <4516 digits>",
         ),
+        (
+            f"pluecker{{d={HUGE}, m=3, nodes=0, cusps=0}}",
+            "pluecker: relation violated on cusps=0, d=<4516 digits>, m=3, nodes=0",
+        ),
+        (f"pluecker{{d=-{HUGE}}}", "pluecker: no plane curve has d=-<4516 digits>"),
+        (
+            f"pluecker{{d={HUGE}/7}}",
+            "pluecker: no plane curve has d=<4516 digits>/7, m=<9031 digits>/49,"
+            " bitangents=<18062 digits>/2401, flexes=<9032 digits>/49, genus=<9031 digits>/49",
+        ),
     ],
-    ids=["pdeg", "odd_theta", "degmult", "hurwitz", "residual", "secant_pluecker"],
+    ids=[
+        "pdeg", "odd_theta", "degmult", "hurwitz", "residual", "secant_pluecker",
+        "pluecker-inconsistent", "pluecker-negative-degree", "pluecker-fractional-degree",
+    ],
 )
 def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message):
     with pytest.raises(WorksheetRuntimeError) as exc:
@@ -630,6 +651,10 @@ def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message)
             "grassmannian (3, 5)\nlet d = pdeg(s[1], -1)\n",
             "line 2, column 9: pdeg: dimension -1 is out of range 0..6 for Gr(3, 5)",
         ),
+        (
+            "lattice L { basis l; l.l = 1; canonical = l }\nlet g = genus(1/2*l)\n",
+            "line 2, column 9: genus: C^2 + C.K = 3/4 is not an integer",
+        ),
     ],
     ids=[
         "grassmannian-out-of-range",
@@ -653,6 +678,7 @@ def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message)
         "unknown-over-unknown",
         "pdeg-dimension-above-range",
         "pdeg-dimension-below-range",
+        "genus-not-an-integer",
     ],
 )
 def test_runtime_error_message_and_position(text, message):
