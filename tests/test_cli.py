@@ -305,7 +305,7 @@ def test_curve_prints_what_a_worksheet_binds(call, capsys):
 @pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000"])
 def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
     for argv in [
-        ["pluecker{d=%s}" % spelling],
+        [f"pluecker{{d={spelling}}}"],
         [f"tau(0, 0, 0, {spelling})"],
         ["--gr", "3,5", f"pdeg(s[1], {spelling})"],
     ]:
