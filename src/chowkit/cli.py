@@ -97,7 +97,9 @@ def _print_report(path, report):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="chowkit", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="chowkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     ws = sub.add_parser("worksheet", help="run worksheet files")

@@ -19,13 +19,22 @@ of two single classes is the pass it was before seeding.  A pair of
 coefficients with unknowns raises NonlinearError wherever their classes'
 product is not zero, even if the merged count cancels the unknowns.
 
-Three exact savings keep the pass short.  A state's lattice ceiling is
-capped at the next strip's size, since that strip has no more cells in
-all, so states that differ only in ceilings that cannot bind merge.  Each
-strip starts at its first row with a positive ceiling, since a row with
-no (i-1) above it can take no i.  Rows with zero room are stepped over in
-a loop; negative room means the shape already sticks out of the bound, so
-that branch is still pruned.
+Five exact savings keep the pass short.  `multiply` cuts the box to
+len(lam) + len(mu) rows, the most any nu of the product has, so a small
+product on a big Grassmannian pays only for the rows it reaches.  A
+state's lattice ceiling is capped at the next strip's size, since that
+strip has no more cells in all, so states that differ only in ceilings
+that cannot bind merge.  Each strip starts at its first row with a
+positive ceiling, since a row with no (i-1) above it can take no i.  Rows
+with zero room are stepped over in a loop; negative room means the shape
+already sticks out of the bound, so that branch is still pruned.  A strip
+of one cell, all of s[1]^N and the last strip of a staircase, is placed
+by a plain scan down the rows under the same rules.
+
+A product may make at most MAX_STATES strip states, counted over all its
+strips; past that it raises ValueError, about 1.5 s into the work, so a
+cheap product on a big Grassmannian still runs and an expensive one on
+any Grassmannian is refused.
 
 `lr_coefficient` reads one nu from the same strip product.  Pluecker
 degrees come in closed form from the hook-length formula, for a
@@ -110,6 +119,13 @@ class SchubertElement(Combination):
         return all(weight(lam) == codim for lam in self.terms)
 
 
+MAX_STATES = 100_000  # strip states one product may make, about 1.5 s of work
+
+
+def _over_budget(made: int) -> ValueError:
+    return ValueError(f"Schubert product needs more than {MAX_STATES} strip states (stopped at {made})")
+
+
 def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     """{nu: sum of c * c^nu_{lam,mu} over the seeds {lam: c}}, nu inside `outer`.
 
@@ -122,7 +138,7 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     the shape and that ceiling, and its future placements depend on
     nothing else, so equal states merge by adding their counts, whichever
     seed they came from: every nu of every seed comes out of one pass.
-    Three exact savings cut the work per nu:
+    Four exact savings cut the work per nu:
 
     - The ceiling is capped at the next strip's size.  That strip has no
       more cells in all, so a higher ceiling never binds, and states that
@@ -132,6 +148,12 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     - A row with no room is stepped over in a loop, not a call.  Only zero
       room is skipped: room is negative only where the shape already
       sticks out of `outer`, and that branch must still be pruned.
+    - A strip of one cell is placed by a scan down the rows, under the
+      walk's rules and in its order, with no walk built.
+
+    The states made over all strips are checked against MAX_STATES once
+    per input state, so the budget costs nothing per emitted state and
+    fires at most one input state's output past it.
     """
     rows = len(outer)
     last = rows - 1
@@ -140,53 +162,78 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     states = {}
     for lam, c in seeds.items():
         states[lam + (0,) * (rows - len(lam)), start] = c
+    budget = MAX_STATES  # states the strips still left may make
     for label, size in enumerate(mu, 1):
         final = label == len(mu)
         cap = 0 if final else mu[label]
         merged = {}
+        if size == 1:
+            # the walk below for one cell: each row it can take, top row first
+            for (shape, ceiling), count in states.items():
+                if len(merged) > budget:
+                    raise _over_budget(MAX_STATES - budget + len(merged))
+                floor = shape[last]
+                for r in range(ceiling.count(0), rows):
+                    top = outer[r]
+                    if r and shape[r - 1] < top:
+                        top = shape[r - 1]
+                    if top <= floor:
+                        break  # rows r.. hold no more cells
+                    room = top - shape[r]
+                    if room < 0:
+                        break  # the shape sticks out of `outer`
+                    if room:
+                        new = list(shape)
+                        new[r] += 1
+                        key = (tuple(new), None if final else (0,) * (r + 1) + (cap,) * (last - r))
+                        merged[key] = merged.get(key, 0) + count
+        else:
 
-        def rec(r, left):
-            while True:
-                top = outer[r]
-                if r and shape[r - 1] < top:
-                    top = shape[r - 1]
-                if left > top - floor:
-                    return  # rows r.. hold at most top - shape[last] more cells
-                high = top - shape[r]
-                if ceiling[r] - below[r] < high:
-                    high = ceiling[r] - below[r]
-                if high or r == last:
-                    break
-                r += 1  # no room in row r
-                below[r] = below[r - 1]
-            if high >= left:  # the strip can end in row r
-                new[r] = shape[r] + left
-                if final:
-                    key = (tuple(new), None)
-                else:  # the next ceiling: below[:r + 1] is sorted, rows j.. reach the cap
-                    j = bisect_left(below, cap, 0, r + 1)
-                    key = (tuple(new), tuple(below[:j]) + (cap,) * (rows - j))
-                merged[key] = merged.get(key, 0) + count
-                high = left - 1
-            if r < last:
-                for add in range(high + 1):
-                    new[r] = shape[r] + add
-                    below[r + 1] = below[r] + add
-                    rec(r + 1, left - add)
-            new[r] = shape[r]
+            def rec(r, left):
+                while True:
+                    top = outer[r]
+                    if r and shape[r - 1] < top:
+                        top = shape[r - 1]
+                    if left > top - floor:
+                        return  # rows r.. hold at most top - shape[last] more cells
+                    high = top - shape[r]
+                    if ceiling[r] - below[r] < high:
+                        high = ceiling[r] - below[r]
+                    if high or r == last:
+                        break
+                    r += 1  # no room in row r
+                    below[r] = below[r - 1]
+                if high >= left:  # the strip can end in row r
+                    new[r] = shape[r] + left
+                    if final:
+                        key = (tuple(new), None)
+                    else:  # the next ceiling: below[:r + 1] is sorted, rows j.. reach the cap
+                        j = bisect_left(below, cap, 0, r + 1)
+                        key = (tuple(new), tuple(below[:j]) + (cap,) * (rows - j))
+                    merged[key] = merged.get(key, 0) + count
+                    high = left - 1
+                if r < last:
+                    for add in range(high + 1):
+                        new[r] = shape[r] + add
+                        below[r + 1] = below[r] + add
+                        rec(r + 1, left - add)
+                new[r] = shape[r]
 
-        for (shape, ceiling), count in states.items():
-            if size > ceiling[last]:
-                continue  # too few (i-1)s above the last row
-            new = list(shape)
-            below = [0] * rows  # cells of this strip in rows < r
-            floor = shape[last]
-            rec(ceiling.count(0), size)  # the ceiling never falls: zeros lead
-        # `rec` reaches itself through its closure cell; unbound here, it and
-        # the states its cells hold are freed on return, not by the cyclic GC
-        del rec
+            for (shape, ceiling), count in states.items():
+                if len(merged) > budget:
+                    raise _over_budget(MAX_STATES - budget + len(merged))
+                if size > ceiling[last]:
+                    continue  # too few (i-1)s above the last row
+                new = list(shape)
+                below = [0] * rows  # cells of this strip in rows < r
+                floor = shape[last]
+                rec(ceiling.count(0), size)  # the ceiling never falls: zeros lead
+            # `rec` reaches itself through its closure cell; unbound here, it and
+            # the states its cells hold are freed on return, not by the cyclic GC
+            del rec
         if not merged:
             return {}  # every state died: no later strip can be placed
+        budget -= len(merged)
         states = merged
     out = {}
     for (shape, _), c in states.items():
@@ -222,16 +269,23 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     # len(*terms) is the row count of a single class
     if len(seeds) < len(content) or len(seeds) == len(content) == 1 and len(*seeds) < len(*content):
         seeds, content = content, seeds
-    box = (ctx.cols,) * ctx.rows
+    box = (ctx.n - ctx.k,) * ctx.k  # fields, not properties: this runs per call
+    deepest = 0  # rows of the longest seed; a loop costs less than max(map(...)) here
+    for lam in seeds:
+        if len(lam) > deepest:
+            deepest = len(lam)
     out = []
     for mu, c in content.items():
+        # each column of nu/lam holds distinct labels 1..len(mu), so nu has at
+        # most len(lam) + len(mu) rows
+        cut = box[:deepest + len(mu)]
         # a seed's unknowns times c's unknowns is not linear, even if the merged
         # count cancels them; LR counts are positive, so this pass finds such a pair
         if isinstance(c, LinExpr) and _strip_product(
-            {lam: 1 for lam, c1 in seeds.items() if isinstance(c1, LinExpr)}, mu, box
+            {lam: 1 for lam, c1 in seeds.items() if isinstance(c1, LinExpr)}, mu, cut
         ):
             raise NonlinearError("product of two expressions with unknowns is not linear")
-        for nu, m in _strip_product(seeds, mu, box).items():
+        for nu, m in _strip_product(seeds, mu, cut).items():
             out.append((nu, m * c))
     return SchubertElement._make(ctx, out)
 

@@ -76,9 +76,12 @@ ONE = 1  # the key of a LinExpr's constant term and of a surface's unit class
 
 
 def collapse(x):
-    """A LinExpr without unknowns as its scalar; any other value unchanged."""
+    """A LinExpr without unknowns as its scalar, an int when it is integral;
+    any other value unchanged.  A LinExpr sum drops a constant that cancels
+    and takes the next one's type, so only this makes the type canonical."""
     if isinstance(x, LinExpr) and x.is_constant:
-        return x.const
+        c = x.const
+        return c.numerator if c.denominator == 1 else c
     return x
 
 

@@ -470,6 +470,9 @@ class _Parser:
                 node = _new(Name, (text, t[2:]))
             else:
                 raise WorksheetSyntaxError(f"use of undeclared name {text!r}", t[2:])
+        if kind == "INT" and self.cur[0] == "." and self.tokens[self.i + 1][0] != "NAME":
+            # 4.0, 0.5 or 4.: a decimal, where a field name would be an error
+            raise WorksheetSyntaxError("numbers are exact, such as 4 or 9/2, and have no decimal point", t[2:])
         while self.cur[0] == ".":
             dot = self.advance()
             self.nest(dot)

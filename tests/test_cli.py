@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chowkit.grassmann as grassmann
 from chowkit.cli import main
 from chowkit.worksheet import evaluate, parse
 from chowkit.worksheet.builtins import BUILTINS, integer, number, scalar
@@ -139,6 +140,14 @@ HYPERPLANE_POWER = "*".join(["s[1]"] * 25)
 )
 def test_schubert_multi_term_products(argv, value, capsys):
     assert run_cli(capsys, "eval", *argv) == (0, value + "\n", "")
+
+
+def test_a_cheap_product_on_a_big_grassmannian_runs_and_a_costly_one_exits_2(capsys, monkeypatch):
+    assert run_cli(capsys, "eval", "--gr", "14,28", "s[1]*s[1]") == (0, "s[1,1] + s[2]\n", "")
+    # s(5,4,3,2,1)^2 in Gr(10,20) makes 4,519 strip states
+    monkeypatch.setattr(grassmann, "MAX_STATES", 1000)
+    want = "error: line 1, column 13: Schubert product needs more than 1000 strip states (stopped at 1002)\n"
+    assert run_cli(capsys, "eval", "--gr", "10,20", "s[5,4,3,2,1]*s[5,4,3,2,1]") == (2, "", want)
 
 
 def test_schubert_bad_expression_exits_2(capsys):
@@ -302,16 +311,27 @@ def test_curve_prints_what_a_worksheet_binds(call, capsys):
         assert got == (0, report.bindings[0][1] + "\n", "")
 
 
-@pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000"])
+@pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000", "4."])
 def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
-    for argv in [
-        [f"pluecker{{d={spelling}}}"],
-        [f"tau(0, 0, 0, {spelling})"],
-        ["--gr", "3,5", f"pdeg(s[1], {spelling})"],
+    for argv, column in [
+        ([f"pluecker{{d={spelling}}}"], 12),
+        ([f"tau(0, 0, 0, {spelling})"], 14),
+        (["--gr", "3,5", f"pdeg(s[1], {spelling})"], 12),
     ]:
         code, out, err = run_cli(capsys, "eval", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1, column ") and err.count("\n") == 1, err
+        if "." in spelling:  # at the literal, not at what follows the point
+            assert err == f"error: line 1, column {column}: numbers are exact, such as 4 or 9/2, and have no decimal point\n"
+
+
+def test_help_keeps_the_usage_lines_apart(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for usage in ["    chowkit worksheet run <file>... [--json] [--strict]", "    chowkit eval [--gr K,N] EXPR"]:
+        assert usage in lines
 
 
 @pytest.mark.parametrize(

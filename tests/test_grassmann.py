@@ -337,7 +337,12 @@ def lr_cases(draw):
 # room for the strip: the branch is dead, and a kernel that stepped over
 # negative room would keep it
 @example(((7, 3), (2,), (4, 3, 2, 1, 1, 1)))
+# the one-cell last strip meets a row that sticks out of outer: the answer
+# is {}, and a scan that stepped over that row would give {(7, 5, 3, 1): 1}
 @example(((5, 4, 3), (3, 1), (7, 5, 1, 1)))
+# the one-cell strip of 2s on states whose first row has zero ceiling: a
+# scan from row 0 would put a 2 with no 1 above it
+@example(((2, 1), (2, 1), (3, 3, 3)))
 # s(2,2,1)^2 in Gr(3,5): every state dies at the first label
 @example(((2, 2, 1), (2, 2, 1), (2, 2, 2)))
 def test_lr_product_matches_the_reference_kernel(case):
@@ -392,6 +397,12 @@ def factor_pairs(draw):
 # a*s[2,2] * b*s[1] is zero in the box, so it raises nothing
 @example((SchubertElement(G24, {(2, 2): A, (1,): 1}), SchubertElement(G24, {(1,): B})))
 @example((sig(G35, 1, 1, 1).scale(120) + sig(G35, 2, 1).scale(16), sig(G35, 1) * sig(G35, 1) * sig(G35, 1)))
+# the s[3] coefficient sums to -3 in both; the seeded sum cancels b and
+# the constant, so the type follows the last addend unless collapse fixes it
+@example((
+    SchubertElement(GrassmannContext(1, 4), {(): 2, (1,): -3, (2,): Fraction(1), (3,): B + 1}),
+    SchubertElement(GrassmannContext(1, 4), {(3,): B + 1, (): Fraction(1), (1,): -3, (2,): B + 1}),
+))
 def test_multiply_matches_the_per_pair_sum(pair):
     e1, e2 = pair
     try:
@@ -419,6 +430,46 @@ def test_multiply_runs_one_strip_product_per_content_term(monkeypatch):
     e = SchubertElement(ctx, {(1,): 2, (2,): 1, (1, 1): -1, (2, 1): Fraction(1, 2), (3,): 5})
     assert multiply(e, sig(ctx, 1)) == per_pair_product(e, sig(ctx, 1))
     assert passes == [(1,)]  # one pass seeded with all five terms, not five
+
+
+@pytest.mark.parametrize("ctx", [GrassmannContext(14, 28), GrassmannContext(10, 20)], ids=["gr1428", "gr1020"])
+def test_multiply_cuts_the_box_to_the_rows_a_product_reaches(ctx, monkeypatch):
+    outers = []
+    kernel = grassmann._strip_product
+
+    def recorded(seeds, mu, outer):
+        outers.append(len(outer))
+        return kernel(seeds, mu, outer)
+
+    monkeypatch.setattr(grassmann, "_strip_product", recorded)
+    e1 = SchubertElement(ctx, {(2, 1): A + 1, (3,): 2, (1, 1, 1): Fraction(1, 2)})
+    e2 = SchubertElement(ctx, {(2, 2): 1, (1,): -3})
+    got, want = multiply(e1, e2), per_pair_product(e1, e2)  # the reference walks the full box
+    assert got.terms == want.terms and str(got) == str(want)
+    assert {nu: type(c) for nu, c in got.terms.items()} == {nu: type(c) for nu, c in want.terms.items()}
+    # the deepest seed has 3 rows, and each content term adds at most its own
+    assert outers == [5, 4]
+    # the nonlinearity pass runs on the cut box too, and finds a*s[2,1] * b*s[1]
+    outers.clear()
+    with pytest.raises(NonlinearError):
+        per_pair_product(e1, SchubertElement(ctx, {(1,): B, (2,): 1}))
+    with pytest.raises(NonlinearError):
+        multiply(e1, SchubertElement(ctx, {(1,): B, (2,): 1}))
+    assert outers == [4]
+
+
+def test_a_product_past_the_state_budget_is_refused_part_way(monkeypatch):
+    # s(5,4,3,2,1)^2 in Gr(10,20) makes 4,519 states over its five strips
+    monkeypatch.setattr(grassmann, "MAX_STATES", 1000)
+    ctx = GrassmannContext(10, 20)
+    with pytest.raises(ValueError, match=r"^Schubert product needs more than 1000 strip states") as exc:
+        multiply(sig(ctx, *STAIRCASE), sig(ctx, *STAIRCASE))
+    # checked once per input state, so it fires within one state's output
+    # past the budget: after real work, and long before the product's end
+    made = int(exc.value.args[0].rpartition("stopped at ")[2].rstrip(")"))
+    assert 1000 < made <= 1100
+    monkeypatch.setattr(grassmann, "MAX_STATES", 4519)
+    assert len(multiply(sig(ctx, *STAIRCASE), sig(ctx, *STAIRCASE)).terms) == 1433
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython's GC")
