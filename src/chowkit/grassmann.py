@@ -32,7 +32,7 @@ of one cell, all of s[1]^N and the last strip of a staircase, is placed
 by a plain scan down the rows under the same rules.
 
 A product may make at most MAX_STATES strip states, counted over all its
-strips; past that it raises ValueError, about 1.5 s into the work, so a
+strips; past that it raises ValueError, about 1.3 s into the work, so a
 cheap product on a big Grassmannian still runs and an expensive one on
 any Grassmannian is refused.
 
@@ -119,7 +119,7 @@ class SchubertElement(Combination):
         return all(weight(lam) == codim for lam in self.terms)
 
 
-MAX_STATES = 100_000  # strip states one product may make, about 1.5 s of work
+MAX_STATES = 100_000  # strip states one product may make: about 1.3 s on 2 vCPUs, CPython 3.11
 
 
 def _over_budget(made: int) -> ValueError:
