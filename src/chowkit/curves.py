@@ -12,14 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linexpr import (
-    InconsistentSystem,
-    LinExpr,
-    NonlinearError,
-    UnderdeterminedSystem,
-    collapse,
-    shown,
-)
+from .linexpr import InconsistentSystem, UnderdeterminedSystem, shown
 
 # The largest exponent `odd_theta_count` and `degeneration_multiplicity` raise
 # 2 to.  It is checked before the power is taken, so a huge argument costs
@@ -36,25 +29,25 @@ CHARACTERS = ("d", "m", "nodes", "cusps", "bitangents", "flexes", "genus")
 # The five Pluecker relations (Griffiths-Harris, *Principles of Algebraic
 # Geometry*, 2.4), each an expression in the characters that vanishes on a
 # plane curve; the genus formula is doubled, so no relation divides.  Three
-# are quadratic in d and two in m.
+# are quadratic in d and two in m.  A row is (q, linear, quadratic): the
+# relation is quadratic(q) plus c * x for each (x, c) in linear.
 _RELATIONS = (
-    lambda d, m, nodes, cusps, **_: m - d * (d - 1) + 2 * nodes + 3 * cusps,
-    lambda d, nodes, cusps, flexes, **_: flexes - 3 * d * (d - 2) + 6 * nodes + 8 * cusps,
-    lambda d, m, bitangents, flexes, **_: d - m * (m - 1) + 2 * bitangents + 3 * flexes,
-    lambda m, bitangents, flexes, cusps, **_: (
-        cusps - 3 * m * (m - 2) + 6 * bitangents + 8 * flexes
-    ),
-    lambda d, nodes, cusps, genus, **_: 2 * (genus + nodes + cusps) - (d - 1) * (d - 2),
+    ("d", (("m", 1), ("nodes", 2), ("cusps", 3)), lambda d: -d * (d - 1)),
+    ("d", (("flexes", 1), ("nodes", 6), ("cusps", 8)), lambda d: -3 * d * (d - 2)),
+    ("m", (("d", 1), ("bitangents", 2), ("flexes", 3)), lambda m: -m * (m - 1)),
+    ("m", (("cusps", 1), ("bitangents", 6), ("flexes", 8)), lambda m: -3 * m * (m - 2)),
+    ("d", (("genus", 2), ("nodes", 2), ("cusps", 2)), lambda d: -(d - 1) * (d - 2)),
 )
 
 
 def plucker_solve(**given) -> dict:
     """Complete a partial set of Pluecker characters, given by name.
 
-    Returns all seven characters, in `CHARACTERS` order.  Each unset one is
-    an unknown.  A relation that comes out linear in exactly one unknown,
-    c*x + k == 0, is solved for it in place: x = -k/c, an int when integral,
-    as `linexpr.solve_linear` gives it.  This goes on until no relation gives
+    Returns all seven characters, in `CHARACTERS` order: the given ones as
+    Fractions, the solved ones as ints when integral.  A relation whose
+    quadratic character is known and that has exactly one unset character,
+    c*x + k == 0, is solved for it in place: x = -k/c, as
+    `linexpr.solve_linear` gives it.  This goes on until no relation gives
     anything new; a relation quadratic in an unset d or m is not used until
     that character is known, since a linear solve cannot pick a root.  Raises
     InconsistentSystem if a relation fails on known values, and
@@ -63,31 +56,35 @@ def plucker_solve(**given) -> dict:
     for name in given:
         if name not in CHARACTERS:
             raise ValueError(f"unknown Pluecker character {name!r}")
-    vals = {n: Fraction(given[n]) if n in given else LinExpr.unknown(n) for n in CHARACTERS}
+    given = {n: Fraction(v) for n, v in given.items()}
+    known = {n: v.numerator if v.denominator == 1 else v for n, v in given.items()}
     changed = True
     while changed:
         changed = False
-        for rel in _RELATIONS:
-            try:
-                r = collapse(rel(**vals))
-            except NonlinearError:
+        for q, linear, quadratic in _RELATIONS:
+            if q not in known:
                 continue
-            if isinstance(r, LinExpr):
-                coeffs = r.coeffs
-                if len(coeffs) == 1:  # c*x + const == 0, with c != 0
-                    (name, c), = coeffs.items()
-                    value = Fraction(-r.const) / c
-                    vals[name] = value.numerator if value.denominator == 1 else value
+            k, unset = quadratic(known[q]), None
+            for name, c in linear:
+                if name in known:
+                    k += c * known[name]
+                elif unset:
+                    break  # two unset characters
+                else:
+                    unset = name, c
+            else:
+                if unset:
+                    name, c = unset
+                    x = Fraction(-k, c)
+                    known[name] = x.numerator if x.denominator == 1 else x
                     changed = True
-            elif r != 0:
-                known = ", ".join(
-                    f"{n}={shown(v)}" for n, v in sorted(vals.items()) if not isinstance(v, LinExpr)
-                )
-                raise InconsistentSystem(f"relation violated on {known}")
-    unset = sorted(n for n, v in vals.items() if isinstance(v, LinExpr))
+                elif k:
+                    shown_known = ", ".join(f"{n}={shown(v)}" for n, v in sorted(known.items()))
+                    raise InconsistentSystem(f"relation violated on {shown_known}")
+    unset = sorted(n for n in CHARACTERS if n not in known)
     if unset:
         raise UnderdeterminedSystem(f"cannot determine: {', '.join(unset)}")
-    return vals
+    return {n: given[n] if n in given else known[n] for n in CHARACTERS}
 
 
 def hurwitz_ramification(g_source: int, g_target: int, n: int) -> Fraction:

@@ -31,6 +31,13 @@ already sticks out of the bound, so that branch is still pruned.  A strip
 of one cell, all of s[1]^N and the last strip of a staircase, is placed
 by a plain scan down the rows under the same rules.
 
+Emitting a state costs little too.  A next ceiling with no cell of the
+strip above its first capped row, every one when the next strip has one
+cell, is built once per strip and shared; a final state is keyed by its
+shape alone; and a product whose content has one term, s[1]^N included,
+takes its pass's terms as they come, since they are distinct, without
+summing them again.
+
 A product may make at most MAX_STATES strip states, counted over all its
 strips; past that it raises ValueError, about 1.3 s into the work, so a
 cheap product on a big Grassmannian still runs and an expensive one on
@@ -51,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linexpr import Combination, LinExpr, NonlinearError, shown
+from .linexpr import Combination, LinExpr, NonlinearError, collapse, shown
 from .partitions import complement_in_box, conjugate, fits_in_box, partition, weight
 
 
@@ -103,7 +110,7 @@ class SchubertElement(Combination):
 
     def _key(self, lam) -> tuple:
         lam, ctx = partition(lam), self.space
-        if not fits_in_box(lam, ctx.rows, ctx.cols):
+        if not fits_in_box(lam, ctx.k, ctx.n - ctx.k):  # fields, not properties: this runs per key
             raise ValueError(f"{lam} does not fit the {ctx.rows}x{ctx.cols} box")
         return lam
 
@@ -151,6 +158,12 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     - A strip of one cell is placed by a scan down the rows, under the
       walk's rules and in its order, with no walk built.
 
+    A next ceiling whose capped rows start at j and whose rows above j hold
+    no cell of the strip is (0,) * j + (cap,) * (rows - j); each strip builds
+    it once, on first use, from a dict of its own.  When the next strip has
+    one cell every next ceiling is of this kind.  A state of the last strip
+    is its shape alone, as are the seeds when `mu` is empty.
+
     The states made over all strips are checked against MAX_STATES once
     per input state, so the budget costs nothing per emitted state and
     fires at most one input state's output past it.
@@ -161,11 +174,13 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     start = (mu[0] if mu else 0,) * rows
     states = {}
     for lam, c in seeds.items():
-        states[lam + (0,) * (rows - len(lam)), start] = c
+        shape = lam + (0,) * (rows - len(lam))
+        states[(shape, start) if mu else shape] = c  # a final state is its shape
     budget = MAX_STATES  # states the strips still left may make
     for label, size in enumerate(mu, 1):
         final = label == len(mu)
         cap = 0 if final else mu[label]
+        nexts = {}  # j -> the next ceiling (0,) * j + (cap,) * (rows - j), built on first use
         merged = {}
         if size == 1:
             # the walk below for one cell: each row it can take, top row first
@@ -185,7 +200,13 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
                     if room:
                         new = list(shape)
                         new[r] += 1
-                        key = (tuple(new), None if final else (0,) * (r + 1) + (cap,) * (last - r))
+                        if final:
+                            key = tuple(new)
+                        else:
+                            nxt = nexts.get(r + 1)
+                            if nxt is None:
+                                nxt = nexts[r + 1] = (0,) * (r + 1) + (cap,) * (last - r)
+                            key = (tuple(new), nxt)
                         merged[key] = merged.get(key, 0) + count
         else:
 
@@ -206,10 +227,16 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
                 if high >= left:  # the strip can end in row r
                     new[r] = shape[r] + left
                     if final:
-                        key = (tuple(new), None)
+                        key = tuple(new)
                     else:  # the next ceiling: below[:r + 1] is sorted, rows j.. reach the cap
-                        j = bisect_left(below, cap, 0, r + 1)
-                        key = (tuple(new), tuple(below[:j]) + (cap,) * (rows - j))
+                        j = bisect_left(below, cap, 0, r + 1)  # j >= 1, as below[0] == 0 < cap
+                        if below[j - 1]:
+                            key = (tuple(new), tuple(below[:j]) + (cap,) * (rows - j))
+                        else:  # rows ..j-1 hold no cell of this strip, as always when cap == 1
+                            nxt = nexts.get(j)
+                            if nxt is None:
+                                nxt = nexts[j] = (0,) * j + (cap,) * (rows - j)
+                            key = (tuple(new), nxt)
                     merged[key] = merged.get(key, 0) + count
                     high = left - 1
                 if r < last:
@@ -236,7 +263,7 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
         budget -= len(merged)
         states = merged
     out = {}
-    for (shape, _), c in states.items():
+    for shape, c in states.items():
         n = rows
         while n and not shape[n - 1]:
             n -= 1
@@ -285,14 +312,23 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
             {lam: 1 for lam, c1 in seeds.items() if isinstance(c1, LinExpr)}, mu, cut
         ):
             raise NonlinearError("product of two expressions with unknowns is not linear")
-        for nu, m in _strip_product(seeds, mu, cut).items():
+        product = _strip_product(seeds, mu, cut)
+        if len(content) == 1:  # one pass: its nu are distinct, so nothing is summed
+            terms = {}
+            for nu, m in product.items():
+                m = collapse(m * c)
+                if m:
+                    terms[nu] = m
+            return SchubertElement._of(ctx, terms)
+        for nu, m in product.items():
             out.append((nu, m * c))
     return SchubertElement._make(ctx, out)
 
 
 def integrate(e: SchubertElement):
     """Point-class coefficient: a Fraction (0 if absent), or a LinExpr."""
-    c = e.terms.get(e.ctx.top_partition, 0)
+    ctx = e.space
+    c = e.terms.get((ctx.n - ctx.k,) * ctx.k, 0)  # ctx.top_partition, from the fields
     return c if isinstance(c, LinExpr) else Fraction(c)
 
 
@@ -314,13 +350,15 @@ def plucker_degree(e: SchubertElement, dim: int):
     of lam; the hook-length formula (Frame, Robinson and Thrall 1954)
     counts them in closed form.
     """
-    ctx, top = e.ctx, e.ctx.dimension
+    ctx = e.space
+    k, cols = ctx.k, ctx.n - ctx.k  # fields, not properties, read once per call
+    top = k * cols
     if e.terms and not 0 <= dim <= top:
-        raise ValueError(f"dimension {shown(dim)} is out of range 0..{top} for Gr({ctx.k}, {ctx.n})")
+        raise ValueError(f"dimension {shown(dim)} is out of range 0..{top} for Gr({k}, {ctx.n})")
     codim = top - dim
     if not e.is_pure(codim):
         raise ValueError(f"element is not pure of codimension {codim}")
+    box = (cols,) * k
     return integrate(SchubertElement._make(ctx, (
-        (ctx.top_partition, c * _standard_tableaux(complement_in_box(lam, ctx.rows, ctx.cols)))
-        for lam, c in e.terms.items()
+        (box, c * _standard_tableaux(complement_in_box(lam, k, cols))) for lam, c in e.terms.items()
     )))

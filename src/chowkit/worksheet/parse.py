@@ -112,6 +112,9 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# the `e3` of `4.e3` and the `e` of `4.e+3`: an exponent, not a field name
+_EXPONENT = re.compile(r"[eE][0-9]*")
+
 _new = tuple.__new__
 
 
@@ -470,9 +473,11 @@ class _Parser:
                 node = _new(Name, (text, t[2:]))
             else:
                 raise WorksheetSyntaxError(f"use of undeclared name {text!r}", t[2:])
-        if kind == "INT" and self.cur[0] == "." and self.tokens[self.i + 1][0] != "NAME":
-            # 4.0, 0.5 or 4.: a decimal, where a field name would be an error
-            raise WorksheetSyntaxError("numbers are exact, such as 4 or 9/2, and have no decimal point", t[2:])
+        if kind == "INT" and self.cur[0] == ".":
+            after = self.tokens[self.i + 1]
+            if after[0] != "NAME" or _EXPONENT.fullmatch(after[1]):
+                # 4.0, 0.5, 4. or 4.e3: a decimal, where a field name would be an error
+                raise WorksheetSyntaxError("numbers are exact, such as 4 or 9/2, and have no decimal point", t[2:])
         while self.cur[0] == ".":
             dot = self.advance()
             self.nest(dot)

@@ -8,7 +8,7 @@ from math import comb, prod
 from numbers import Rational
 from typing import NamedTuple
 
-from chowkit.curves import _RELATIONS, CHARACTERS, plucker_solve
+from chowkit.curves import CHARACTERS, plucker_solve
 from chowkit.grassmann import SchubertElement, integrate
 from chowkit.linexpr import (
     ONE,
@@ -345,6 +345,20 @@ def reference_tokenize(text: str) -> list:
             tokens.append(Token(kind, m.group(), pos))
     tokens.append(Token("EOF", "", (line, len(text) - line_start + 1)))
     return tokens
+
+
+# The five Pluecker relations as expressions in the characters, kept here apart
+# from the table `curves.plucker_solve` reads, so that this oracle shares none
+# of its arithmetic.
+_RELATIONS = (
+    lambda d, m, nodes, cusps, **_: m - d * (d - 1) + 2 * nodes + 3 * cusps,
+    lambda d, nodes, cusps, flexes, **_: flexes - 3 * d * (d - 2) + 6 * nodes + 8 * cusps,
+    lambda d, m, bitangents, flexes, **_: d - m * (m - 1) + 2 * bitangents + 3 * flexes,
+    lambda m, bitangents, flexes, cusps, **_: (
+        cusps - 3 * m * (m - 2) + 6 * bitangents + 8 * flexes
+    ),
+    lambda d, nodes, cusps, genus, **_: 2 * (genus + nodes + cusps) - (d - 1) * (d - 2),
+)
 
 
 def reference_plucker_solve(**given) -> dict:

@@ -311,7 +311,7 @@ def test_curve_prints_what_a_worksheet_binds(call, capsys):
         assert got == (0, report.bindings[0][1] + "\n", "")
 
 
-@pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000", "4."])
+@pytest.mark.parametrize("spelling", ["4.0", "1e3", "0.5", "1_000", "+3", "1e5000", "4.", "4.e3", "4.E3", "4.e+3"])
 def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
     for argv, column in [
         ([f"pluecker{{d={spelling}}}"], 12),

@@ -101,6 +101,9 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((2,), (1, 1), (2, 2)) == 0
     assert lr_coefficient((2,), (1, 1), (3, 1)) == 1
     assert lr_coefficient((2,), (1, 1), (2, 1, 1)) == 1
+    # the empty content runs no strip: each seed is its own final state
+    for lam in [(), (1,), (2, 1), (3, 3, 1)]:
+        assert lr_coefficient(lam, (), lam) == 1
 
 
 def test_duality_pairs_gr35():
@@ -345,6 +348,14 @@ def lr_cases(draw):
 @example(((2, 1), (2, 1), (3, 3, 3)))
 # s(2,2,1)^2 in Gr(3,5): every state dies at the first label
 @example(((2, 2, 1), (2, 2, 1), (2, 2, 2)))
+# the strip of 2s is followed by a one-cell strip: every next ceiling has
+# a zero prefix and is shared
+@example(((3, 2), (2, 1), (5, 4, 2)))
+# the strip of 3s under a cap of 2 can leave a nonzero prefix, which is
+# built afresh
+@example(((3, 2, 1), (3, 2), (6, 4, 3, 1)))
+# a one-cell strip that is not the last one shares its next ceiling
+@example(((2, 1), (1, 1), (3, 2, 1, 1)))
 def test_lr_product_matches_the_reference_kernel(case):
     lam, mu, outer = case
     if len(mu) > len(lam):  # the content has fewer rows, as lr_coefficient takes it
@@ -403,6 +414,11 @@ def factor_pairs(draw):
     SchubertElement(GrassmannContext(1, 4), {(): 2, (1,): -3, (2,): Fraction(1), (3,): B + 1}),
     SchubertElement(GrassmannContext(1, 4), {(3,): B + 1, (): Fraction(1), (1,): -3, (2,): B + 1}),
 ))
+# one content term: every term of the pass cancels, so the product is 0
+@example((SchubertElement(G24, {(2,): 1, (1, 1): -1}), sig(G24, 1)))
+# one content term: the unknowns cancel in the seeded count of s[2,1],
+# whose coefficient is the int 1
+@example((SchubertElement(G24, {(2,): A, (1, 1): 1 - A}), sig(G24, 1)))
 def test_multiply_matches_the_per_pair_sum(pair):
     e1, e2 = pair
     try:

@@ -1060,6 +1060,7 @@ def _expression(draw, names, depth, inside, atom=False):
         return f"-{gap()}" + sub(atom=True)
     if kind == "binop":
         return f"{sub()}{gap()}{draw(st.sampled_from('+-*/'))}{gap()}{sub()}"
+    # no e, E or e<digits>: after an integer, `.e3` is an exponent, not a field
     return f"{sub(atom=True)}{gap()}.{gap()}" + draw(st.sampled_from(["genus", "m"]))
 
 
