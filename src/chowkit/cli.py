@@ -9,17 +9,8 @@ where there is one: `-1/2`, `3*2`, `odd_theta(4)` and
 errors.  `eval` prints any value as a worksheet binds it, a record in braces;
 an EXPR that starts with `-` goes after `--`.
 
-`eval` replaces, as a contract change, the `schubert`, `chern` and `curve`
-commands, which now exit 2: `schubert pdeg --gr K,N EXPR DIM` is `eval --gr
-K,N "pdeg(EXPR, DIM)"`, `schubert mult --gr K,N EXPR` is `eval --gr K,N EXPR`
-(a value that is not a Schubert class is printed, not refused), `chern tau
-H2 HK K2 E` is `eval "tau(H2, HK, K2, E)"`, and `curve NAME V...` is `eval
-"NAME(V, ...)"` with `;` between argument groups, so `curve salmon_cayley 1
-6 18 0 0 36` is `eval "salmon_cayley(1, 6, 18; 0, 0, 36)"` and `curve
-pluecker d=6 nodes=6` is `eval "pluecker{d=6, nodes=6}"`, which prints
-`{d=6, m=18, ...}` where `curve` printed `d=6 m=18 ...`; an error starts
-with its place in EXPR, `error: line 1, column 1: odd_theta: ...`, where
-`curve` wrote `error: odd_theta: ...`.
+The removed `schubert`, `chern` and `curve` commands exit 2; README shows
+their `eval` forms.
 
 Exit codes: 0 success, 1 assertion failures under --strict, 2 bad arguments,
 parse or runtime errors.  All values print as exact integers or rationals.

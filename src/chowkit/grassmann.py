@@ -19,24 +19,10 @@ of two single classes is the pass it was before seeding.  A pair of
 coefficients with unknowns raises NonlinearError wherever their classes'
 product is not zero, even if the merged count cancels the unknowns.
 
-Five exact savings keep the pass short.  `multiply` cuts the box to
-len(lam) + len(mu) rows, the most any nu of the product has, so a small
-product on a big Grassmannian pays only for the rows it reaches.  A
-state's lattice ceiling is capped at the next strip's size, since that
-strip has no more cells in all, so states that differ only in ceilings
-that cannot bind merge.  Each strip starts at its first row with a
-positive ceiling, since a row with no (i-1) above it can take no i.  Rows
-with zero room are stepped over in a loop; negative room means the shape
-already sticks out of the bound, so that branch is still pruned.  A strip
-of one cell, all of s[1]^N and the last strip of a staircase, is placed
-by a plain scan down the rows under the same rules.
-
-Emitting a state costs little too.  A next ceiling with no cell of the
-strip above its first capped row, every one when the next strip has one
-cell, is built once per strip and shared; a final state is keyed by its
-shape alone; and a product whose content has one term, s[1]^N included,
-takes its pass's terms as they come, since they are distinct, without
-summing them again.
+`multiply` cuts the box to len(lam) + len(mu) rows, the most any nu of
+the product has, so a small product on a big Grassmannian pays only for
+the rows it reaches, and takes a one-term content's pass as it comes,
+without summing it again; `_strip_product` lists the savings in a pass.
 
 A product may make at most MAX_STATES strip states, counted over all its
 strips; past that it raises ValueError, about 1.3 s into the work, so a
@@ -111,7 +97,7 @@ class SchubertElement(Combination):
     def _key(self, lam) -> tuple:
         lam, ctx = partition(lam), self.space
         if not fits_in_box(lam, ctx.k, ctx.n - ctx.k):  # fields, not properties: this runs per key
-            raise ValueError(f"{lam} does not fit the {ctx.rows}x{ctx.cols} box")
+            raise ValueError(f"{self._label(lam)} does not fit the {ctx.rows}x{ctx.cols} box")
         return lam
 
     def _label(self, lam) -> str:

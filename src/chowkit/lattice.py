@@ -64,11 +64,17 @@ class IntersectionForm:
                 except KeyError:
                     raise ValueError(f"intersection number {a}.{b} was never declared")
                 c = ca * cb
+                if not c:  # adds nothing, and a Fraction 0 would make a later int a Fraction
+                    continue
                 if isinstance(c, LinExpr):  # NonlinearError if a.b holds unknowns too
                     c, entry = 1, c * entry
                 for key, x in entry.terms.items():
-                    terms[key] = terms[key] + c * x if key in terms else c * x
-        return LinExpr._of(None, {key: x for key, x in terms.items() if x})
+                    x = terms[key] + c * x if key in terms else c * x
+                    if x:
+                        terms[key] = x
+                    else:  # a sum that cancels is dropped, as `Combination._merge` does
+                        del terms[key]
+        return LinExpr._of(None, terms)
 
     def substitute(self, assignment: dict):
         """Resolve solved unknowns in place, rebuilding only the entries that

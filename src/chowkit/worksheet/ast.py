@@ -48,8 +48,9 @@ Name = _node("Name", "name")
 SchubertLit = _node("SchubertLit", "parts")
 BinOp = _node("BinOp", "op left right")  # op is one of + - * /
 Neg = _node("Neg", "operand")
-# args2 is the group after ';' or None; kwargs is ((name, expr), ...) for brace calls
-Call = _node("Call", "func args args2 kwargs")
+# groups holds the ';'-separated argument tuples, at most two and none empty;
+# kwargs is ((name, expr), ...) for brace calls
+Call = _node("Call", "func groups kwargs")
 FieldAccess = _node("FieldAccess", "base name")
 
 # --- statements ------------------------------------------------------------
@@ -95,9 +96,7 @@ def _fmt_expr(e, parent_prec=0, right_side=False):
         if e.kwargs:
             inner = ", ".join(f"{k}={_fmt_expr(v)}" for k, v in e.kwargs)
             return f"{e.func}{{{inner}}}"
-        inner = ", ".join(_fmt_expr(a) for a in e.args)
-        if e.args2 is not None:
-            inner += "; " + ", ".join(_fmt_expr(a) for a in e.args2)
+        inner = "; ".join(", ".join(map(_fmt_expr, g)) for g in e.groups)
         return f"{e.func}({inner})"
     if isinstance(e, BinOp):
         prec = _PREC[e.op]

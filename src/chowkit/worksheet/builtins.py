@@ -79,12 +79,11 @@ class Builtin(namedtuple("Builtin", "groups run named", defaults=((),))):
     def call(self, groups, named: dict):
         """Check and convert the arguments and call the function.
 
-        `groups` holds the values of each ';'-separated group; empty ones are dropped.
+        `groups` holds the values of each ';'-separated group.
         """
         for key in named:
             if key not in self.named:
                 raise ValueError(f"unknown argument {key!r}, expected {self.signature}")
-        groups = [g for g in groups if g]
         if len(groups) != len(self.groups) or any(
             len(values) != len(group) and not group[0][0].endswith("...")
             for values, group in zip(groups, self.groups)

@@ -279,7 +279,7 @@ class Evaluator:
     # -- builtin functions --------------------------------------------
 
     def call(self, e: Call):
-        groups = [[self.eval(a) for a in g] for g in (e.args, e.args2 or ())]
+        groups = [[self.eval(a) for a in g] for g in e.groups]
         kwargs = {k: self.eval(v) for k, v in e.kwargs}
         try:
             return BUILTINS[e.func].call(groups, kwargs)

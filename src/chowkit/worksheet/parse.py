@@ -55,21 +55,9 @@ from .ast import (
 )
 from .builtins import BUILTINS
 
-KEYWORDS = {
-    "let",
-    "input",
-    "from",
-    "assert",
-    "grassmannian",
-    "surface",
-    "lattice",
-    "solve",
-    "basis",
-    "unknown",
-    "class",
-    "canonical",
-    "euler",
-}
+# the words that start a statement, in the order the error message lists them
+STATEMENTS = ("let", "input", "assert", "grassmannian", "surface", "lattice", "solve", "unknown")
+KEYWORDS = {*STATEMENTS, "from", "basis", "class", "canonical", "euler"}
 
 # Nesting levels allowed in one expression, which parsing and evaluation recurse
 # through: each (sub-)expression, field access and chained operator is one.
@@ -181,7 +169,7 @@ class _Parser:
     def unexpected(self, what: str) -> WorksheetSyntaxError:
         """The error for `what` where the current token stands."""
         t = self.cur
-        got = "end of input" if t[0] == "EOF" else repr(t[1])
+        got = {"EOF": "end of input", "NEWLINE": "end of line"}.get(t[0]) or repr(t[1])
         return WorksheetSyntaxError(f"{what}, got {got}", t[2:])
 
     def expect(self, kind: str, hint: str | None = None) -> tuple:
@@ -228,47 +216,37 @@ class _Parser:
     def statement(self):
         t = self.cur
         pos = t[2:]
-        if self.at_keyword("let"):
-            self.advance()
+        word = t[1] if t[0] == "NAME" else ""
+        if word not in STATEMENTS:
+            raise self.unexpected(f"expected a statement ({', '.join(STATEMENTS)})")
+        self.advance()
+        if word == "let":
             return Let(*self.binding("binding name", pos), pos=pos)
-        if self.at_keyword("input"):
-            self.advance()
+        if word == "input":
             name, expr = self.binding("input name", pos)
             self.expect_keyword("from")
             cite = self.expect("STRING", "expected citation string")[1]
             return Input(name, expr, cite, pos=pos)
-        if self.at_keyword("assert"):
-            self.advance()
-            left = self.expr_required()
+        if word == "assert":
+            left = self.expr()
             self.expect("==", "expected '==' in assertion")
-            return Assert(left, self.expr_required(), pos=pos)
-        if self.at_keyword("grassmannian"):
-            self.advance()
+            return Assert(left, self.expr(), pos=pos)
+        if word == "grassmannian":
             self.expect("(", "expected '(k, n)' after 'grassmannian'")
             k = self.integer(self.expect("INT", "expected subspace dimension k"))
             self.expect(",")
             n = self.integer(self.expect("INT", "expected ambient dimension n"))
             self.expect(")")
             return GrassmannianDecl(k, n, pos=pos)
-        if self.at_keyword("unknown"):
-            self.advance()
-            names = self.declare(self.name_list("unknown name"), pos)
-            return UnknownDecl(names, pos=pos)
-        if self.at_keyword("surface"):
-            self.advance()
+        if word == "unknown":
+            return UnknownDecl(self.declare(self.name_list("unknown name"), pos), pos=pos)
+        if word == "surface":
             return self.surface_block(pos)
-        if self.at_keyword("lattice"):
-            self.advance()
+        if word == "lattice":
             name = self.ident("lattice name")
             self.declare([name], pos)
             return self.lattice_block(name, pos)
-        if self.at_keyword("solve"):
-            self.advance()
-            return self.solve_block(pos)
-        raise self.unexpected(
-            "expected a statement (let, input, assert, grassmannian, surface,"
-            " lattice, solve, unknown)"
-        )
+        return self.solve_block(pos)
 
     def ident(self, what: str) -> str:
         t = self.cur
@@ -289,7 +267,7 @@ class _Parser:
         """Read `NAME = EXPR`; NAME is in scope after EXPR, not inside it."""
         name = self.ident(what)
         self.expect("=", f"expected '=' after {what}")
-        expr = self.expr_required()
+        expr = self.expr()
         self.declare([name], pos)
         return name, expr
 
@@ -338,7 +316,7 @@ class _Parser:
                     raise WorksheetSyntaxError("euler declared twice", self.cur[2:])
                 self.advance()
                 self.expect("=", "expected '=' after 'euler'")
-                euler.append(self.expr_required())
+                euler.append(self.expr())
             else:
                 gram.extend(self.comma_list(lambda: self.gram_entry("divisor name"), True))
 
@@ -355,7 +333,7 @@ class _Parser:
         self.expect(".", "expected '.' in intersection entry")
         b = self.ident(what)
         self.expect("=", "expected '=' in intersection entry")
-        return GramEntry(a, b, self.expr_required(), pos=pos)
+        return GramEntry(a, b, self.expr(), pos=pos)
 
     def lattice_block(self, name: str, pos: tuple) -> LatticeDecl:
         items = []
@@ -376,7 +354,7 @@ class _Parser:
             elif self.at_keyword("canonical"):
                 self.advance()
                 self.expect("=", "expected '=' after 'canonical'")
-                items.append(CanonicalDecl(self.expr_required(), pos=at))
+                items.append(CanonicalDecl(self.expr(), pos=at))
                 self.declare(["K"], at)
             else:
                 items.extend(self.comma_list(lambda: self.gram_entry("class name"), True))
@@ -388,9 +366,9 @@ class _Parser:
         constraints = []
 
         def constraint():
-            left = self.expr_required()
+            left = self.expr()
             self.expect("==", "expected '==' in solve constraint")
-            constraints.append((left, self.expr_required()))
+            constraints.append((left, self.expr()))
 
         self.block("solve", lambda: self.comma_list(constraint, True))
         if not constraints:
@@ -398,11 +376,6 @@ class _Parser:
         return SolveBlock(tuple(constraints), pos=pos)
 
     # -- expressions --------------------------------------------------
-
-    def expr_required(self):
-        if self.cur[0] in ("NEWLINE", "EOF"):
-            raise WorksheetSyntaxError("missing expression", self.cur[2:])
-        return self.expr()
 
     def expr(self):
         depth = self.depth
@@ -445,12 +418,9 @@ class _Parser:
             node = self.expr()
             self.expect(")", "expected closing ')'")
         elif kind != "NAME":
-            raise WorksheetSyntaxError(
-                f"expected an expression, got {text!r}"
-                if kind != "EOF"
-                else "missing expression",
-                t[2:],
-            )
+            if kind == "NEWLINE" or kind == "EOF":
+                raise WorksheetSyntaxError("missing expression", t[2:])
+            raise self.unexpected("expected an expression")
         elif text == "s" and self.tokens[self.i + 1][0] == "[":
             self.advance()
             self.advance()
@@ -488,21 +458,16 @@ class _Parser:
         return self.integer(self.expect("INT", "expected partition part"))
 
     def call(self, fname: tuple) -> Call:
+        """`f(...)`: at most two `;`-separated groups, none empty."""
         self.expect("(")
-        args, args2 = [], None
+        groups = []
         if self.cur[0] != ")":
-            args = self.comma_list(self.expr)
+            groups.append(tuple(self.comma_list(self.expr)))
             if self.cur[0] == ";":
                 self.advance()
-                args2 = self.comma_list(self.expr)
+                groups.append(tuple(self.comma_list(self.expr)))
         self.expect(")", "expected ')' closing call")
-        return Call(
-            fname[1],
-            tuple(args),
-            tuple(args2) if args2 is not None else None,
-            (),
-            pos=fname[2:],
-        )
+        return Call(fname[1], tuple(groups), (), pos=fname[2:])
 
     def brace_call(self, fname: tuple) -> Call:
         self.expect("{")
@@ -518,7 +483,7 @@ class _Parser:
 
         self.comma_list(argument)
         self.expect("}", "expected '}' closing arguments")
-        return Call(fname[1], (), None, tuple(kwargs.items()), pos=fname[2:])
+        return Call(fname[1], (), tuple(kwargs.items()), pos=fname[2:])
 
 
 def parse(text: str) -> WorksheetProgram:
@@ -528,7 +493,7 @@ def parse(text: str) -> WorksheetProgram:
 def parse_expression(text: str):
     """Read one expression; only blank lines and comments may follow it."""
     parser = _Parser(tokenize(text))
-    expr = parser.expr_required()
+    expr = parser.expr()
     parser.skip_newlines()
     t = parser.cur
     if t[0] != "EOF":

@@ -486,6 +486,11 @@ def test_a_product_past_the_state_budget_is_refused_part_way(monkeypatch):
     assert 1000 < made <= 1100
     monkeypatch.setattr(grassmann, "MAX_STATES", 4519)
     assert len(multiply(sig(ctx, *STAIRCASE), sig(ctx, *STAIRCASE)).terms) == 1433
+    # a strip of one cell checks the budget too: eight classes times s[1]
+    monkeypatch.setattr(grassmann, "MAX_STATES", 5)
+    eight = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1)]
+    with pytest.raises(ValueError, match=r"strip states \(stopped at 7\)$"):
+        multiply(SchubertElement(G48, dict.fromkeys(eight, 1)), sig(G48, 1))
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython's GC")

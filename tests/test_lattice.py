@@ -21,7 +21,7 @@ from chowkit.lattice import (
     genus_additivity,
     intersect,
 )
-from chowkit.linexpr import LinExpr, SpaceMismatch, collapse, solve_linear
+from chowkit.linexpr import ONE, LinExpr, SpaceMismatch, collapse, solve_linear
 from chowkit.worksheet import parse
 from chowkit.worksheet.builtins import BUILTINS
 from chowkit.worksheet.evaluate import Evaluator
@@ -235,6 +235,33 @@ def test_pair_agrees_with_the_bilinear_sum(form, data):
         typed = [sorted((str(k), type(c), c) for k, c in e.terms.items())
                  for e in (ours[0], bilinear_sum(form, u, v))]
         assert typed[0] == typed[1]
+
+
+X = LinExpr.unknown("x")
+
+
+@pytest.mark.parametrize(
+    "gram, u, v, key",
+    [
+        # b.b times a Fraction 0 adds nothing, so the constant from b.a stays an int
+        ({("a", "a"): 0, ("a", "b"): 1, ("b", "b"): 3}, {"b": 1}, {"a": 1, "b": Fraction(0)}, ONE),
+        # x cancels after a.a and a.b, so the int 1 from c.b starts it afresh
+        (
+            {("a", "a"): X, ("a", "b"): X, ("a", "c"): 0, ("b", "c"): X},
+            {"a": 1, "c": 1},
+            {"a": Fraction(-1), "b": 1},
+            "x",
+        ),
+    ],
+    ids=["zero-product", "cancelled-sum"],
+)
+def test_pair_keeps_an_int_coefficient_an_int(gram, u, v, key):
+    form = IntersectionForm(sorted({a for entry in gram for a in entry}))
+    for (a, b), value in gram.items():
+        form.set_gram(a, b, value)
+    got = form.pair(u, v)
+    assert got == bilinear_sum(form, u, v)
+    assert type(got.terms[key]) is int and got.terms[key] == 1
 
 
 def genus_by_the_bilinear_sum(form, c: dict, k: dict | None):

@@ -100,8 +100,14 @@ def test_unit_schubert_class_reads_back():
         ("grassmannian (3, 5)", "s[1] - s[1]"),
         ("surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }", "2*H - H - H"),
         ("lattice L { basis l, F; l.l = 1, l.F = 1, F.F = 0 }", "l - l"),
+        # the solve sets C's coefficient of l to 0, which C then drops
+        (
+            "unknown a\nlattice L { basis l, F; l.l = 1, l.F = 1, F.F = 0; class C = a*l + F }\n"
+            "solve { a == 0 }",
+            "C - F",
+        ),
     ],
-    ids=["schubert", "surface", "lattice"],
+    ids=["schubert", "surface", "lattice", "lattice-solved-coefficient"],
 )
 def test_zero_class_equals_zero(space, zero):
     assert run(f"{space}\nassert {zero} == 0\n").all_passed
@@ -337,6 +343,10 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ("unknown", "line 1, column 8: expected unknown name, got end of input"),
         ("lattice L { basis", "line 1, column 18: expected class name, got end of input"),
         ('input x = 1', "line 1, column 12: expected keyword 'from', got end of input"),
+        ("let x = 1 +\n", "line 1, column 12: missing expression"),
+        ("let x\nlet y = 1\n", "line 1, column 6: expected '=' after binding name, got end of line"),
+        ("surface { H; H.H = 6 }\n", "line 1, column 1: surface block must declare euler = ..."),
+        ("solve { }\n", "line 1, column 1: empty solve block"),
     ],
     ids=[
         "undeclared",
@@ -375,6 +385,10 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "name-at-end-of-input",
         "class-name-at-end-of-input",
         "keyword-at-end-of-input",
+        "operand-at-end-of-line",
+        "name-at-end-of-line",
+        "surface-without-euler",
+        "empty-solve",
     ],
 )
 def test_error_message_and_position(text, message):
@@ -655,6 +669,25 @@ def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message)
             "lattice L { basis l; l.l = 1; canonical = l }\nlet g = genus(1/2*l)\n",
             "line 2, column 9: genus: C^2 + C.K = 3/4 is not an integer",
         ),
+        (
+            "unknown a\nlattice L { basis l; l.l = a; canonical = -2*l }\nlet g = genus(l)\n",
+            "line 3, column 9: genus: genus requires fully numeric intersection data",
+        ),
+        ("lattice L { basis l; l.l = 0; class C = 2 }\n", "line 1, column 31: class 'C' must be a lattice class"),
+        ("lattice L { basis l; l.l = 0; canonical = 2 }\n", "line 1, column 31: canonical class must be a lattice class"),
+        (
+            "surface { H; H.H = 6; euler = 24 }\nlet t = jet2_c2(H)\n",
+            "line 2, column 9: jet2_c2: surface must declare a canonical divisor named K",
+        ),
+        ("let x = odd_theta(4).genus\n", "line 1, column 21: cannot access field 'genus' on 120"),
+        (
+            "let x = pluecker{d=6, nodes=6}.foo\n",
+            "line 1, column 31: record has no field 'foo'"
+            " (has: d, m, nodes, cusps, bitangents, flexes, genus)",
+        ),
+        ("let x = degmult(-1)\n", "line 1, column 9: degmult: contact count must be non-negative"),
+        ("let x = secant_pluecker(5, -1)\n", "line 1, column 9: secant_pluecker: genus must be non-negative"),
+        ("grassmannian (2, 4)\nlet x = s[3]\n", "line 2, column 9: s[3] does not fit the 2x2 box"),
     ],
     ids=[
         "grassmannian-out-of-range",
@@ -679,6 +712,15 @@ def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message)
         "pdeg-dimension-above-range",
         "pdeg-dimension-below-range",
         "genus-not-an-integer",
+        "genus-of-an-unknown-intersection",
+        "class-not-a-lattice-class",
+        "canonical-not-a-lattice-class",
+        "jet2-c2-without-K",
+        "field-of-a-number",
+        "record-without-the-field",
+        "degmult-negative",
+        "secant-pluecker-negative-genus",
+        "schubert-class-outside-the-box",
     ],
 )
 def test_runtime_error_message_and_position(text, message):
