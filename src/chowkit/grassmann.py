@@ -19,10 +19,10 @@ of two single classes is the pass it was before seeding.  A pair of
 coefficients with unknowns raises NonlinearError wherever their classes'
 product is not zero, even if the merged count cancels the unknowns.
 
-`multiply` cuts the box to len(lam) + len(mu) rows, the most any nu of
-the product has, so a small product on a big Grassmannian pays only for
-the rows it reaches, and takes a one-term content's pass as it comes,
-without summing it again; `_strip_product` lists the savings in a pass.
+`multiply` builds only the first len(lam) + len(mu) rows of the box, the
+most any nu of the product has, so a small product on a big Grassmannian
+pays only for the rows it reaches.  It takes a one-term content's pass as
+it comes, without summing it again; `_strip_product` lists the savings.
 
 A product may make at most MAX_STATES strip states, counted over all its
 strips; past that it raises ValueError, about 1.3 s into the work, so a
@@ -31,9 +31,12 @@ any Grassmannian is refused.
 
 `lr_coefficient` reads one nu from the same strip product.  Pluecker
 degrees come in closed form from the hook-length formula, for a
-dimension in 0..k(n-k) unless the element is empty.  `pieri` is a
-test oracle in `tests/_oracles.py`, as are Giambelli products through it,
-the Pieri walk for degrees and the strip product before these savings.
+dimension in 0..k(n-k) unless the element is empty.  The formula walks
+dim cells per term; past MAX_CELLS cells in all it raises ValueError
+before any work.  `integrate` builds no k-long tuple unless a term has k
+rows.  `pieri` is a test oracle in `tests/_oracles.py`, as are Giambelli
+products through it, the Pieri walk for degrees and the strip product
+before these savings.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ class GrassmannContext(namedtuple("GrassmannContext", "k n")):
     def dimension(self) -> int:
         return self.k * (self.n - self.k)
 
-    @property
-    def top_partition(self) -> tuple:
-        return (self.cols,) * self.rows
-
 
 class SchubertElement(Combination):
     """Formal linear combination of box-bounded Schubert classes.
@@ -85,10 +84,6 @@ class SchubertElement(Combination):
 
     __slots__ = ()
     unit = ()
-
-    @property
-    def ctx(self) -> GrassmannContext:
-        return self.space
 
     @staticmethod
     def sigma(ctx: GrassmannContext, lam) -> "SchubertElement":
@@ -108,11 +103,9 @@ class SchubertElement(Combination):
             return multiply(self, other)
         return Combination.__mul__(self, other)
 
-    def is_pure(self, codim: int) -> bool:
-        return all(weight(lam) == codim for lam in self.terms)
-
 
 MAX_STATES = 100_000  # strip states one product may make: about 1.3 s on 2 vCPUs, CPython 3.11
+MAX_CELLS = 40_000  # cells one Pluecker degree's hook lengths may walk: 0.3-0.5 s, as above
 
 
 def _over_budget(made: int) -> ValueError:
@@ -277,12 +270,12 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     other factor, is scaled by that term's coefficient.
     """
     e1._check(e2)
-    ctx = e1.ctx
+    ctx = e1.space
     seeds, content = e1.terms, e2.terms
     # len(*terms) is the row count of a single class
     if len(seeds) < len(content) or len(seeds) == len(content) == 1 and len(*seeds) < len(*content):
         seeds, content = content, seeds
-    box = (ctx.n - ctx.k,) * ctx.k  # fields, not properties: this runs per call
+    k, cols = ctx.k, ctx.n - ctx.k  # fields, not properties: this runs per call
     deepest = 0  # rows of the longest seed; a loop costs less than max(map(...)) here
     for lam in seeds:
         if len(lam) > deepest:
@@ -290,8 +283,8 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     out = []
     for mu, c in content.items():
         # each column of nu/lam holds distinct labels 1..len(mu), so nu has at
-        # most len(lam) + len(mu) rows
-        cut = box[:deepest + len(mu)]
+        # most len(lam) + len(mu) rows; the box's other rows are never built
+        cut = (cols,) * min(k, deepest + len(mu))
         # a seed's unknowns times c's unknowns is not linear, even if the merged
         # count cancels them; LR counts are positive, so this pass finds such a pair
         if isinstance(c, LinExpr) and _strip_product(
@@ -314,7 +307,9 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
 def integrate(e: SchubertElement):
     """Point-class coefficient: a Fraction (0 if absent), or a LinExpr."""
     ctx = e.space
-    c = e.terms.get((ctx.n - ctx.k,) * ctx.k, 0)  # ctx.top_partition, from the fields
+    cols = ctx.n - ctx.k
+    # the point class (cols,) * k, found without building that k-long key
+    c = next((coef for lam, coef in e.terms.items() if len(lam) == ctx.k and lam[-1] == cols), 0)
     return c if isinstance(c, LinExpr) else Fraction(c)
 
 
@@ -334,7 +329,8 @@ def plucker_degree(e: SchubertElement, dim: int):
     The integral of s[lam] * s[1]^dim counts the standard tableaux of the
     skew shape box/lam, which turned by 180 degrees is the box complement
     of lam; the hook-length formula (Frame, Robinson and Thrall 1954)
-    counts them in closed form.
+    counts them in closed form, walking the dim cells of that complement.
+    Those cells, summed over the terms, may number at most MAX_CELLS.
     """
     ctx = e.space
     k, cols = ctx.k, ctx.n - ctx.k  # fields, not properties, read once per call
@@ -342,9 +338,12 @@ def plucker_degree(e: SchubertElement, dim: int):
     if e.terms and not 0 <= dim <= top:
         raise ValueError(f"dimension {shown(dim)} is out of range 0..{top} for Gr({k}, {ctx.n})")
     codim = top - dim
-    if not e.is_pure(codim):
+    if any(weight(lam) != codim for lam in e.terms):
         raise ValueError(f"element is not pure of codimension {codim}")
-    box = (cols,) * k
-    return integrate(SchubertElement._make(ctx, (
-        (box, c * _standard_tableaux(complement_in_box(lam, k, cols))) for lam, c in e.terms.items()
-    )))
+    cells = dim * len(e.terms)
+    if cells > MAX_CELLS:
+        raise ValueError(f"Pluecker degree needs {shown(cells)} hook-length cells, more than {MAX_CELLS}")
+    degree = collapse(sum(
+        c * _standard_tableaux(complement_in_box(lam, k, cols)) for lam, c in e.terms.items()
+    ))
+    return degree if isinstance(degree, LinExpr) else Fraction(degree)

@@ -167,7 +167,7 @@ def adjunction_genus(C: ClassExpr) -> int:
         raise ValueError("lattice has no canonical class")
     val = collapse(intersect(C, C) + intersect(C, K))
     if isinstance(val, LinExpr):
-        raise ValueError("genus requires fully numeric intersection data")
+        raise ValueError(f"C^2 + C.K = {shown(val)} holds unknowns")
     if val.denominator != 1:
         raise ValueError(f"C^2 + C.K = {shown(val)} is not an integer")
     if val % 2 != 0:

@@ -29,10 +29,11 @@ def fits_in_box(lam: tuple, rows: int, cols: int) -> bool:
 
 
 def conjugate(lam: tuple) -> tuple:
-    """Transpose the Young diagram."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > c) for c in range(lam[0]))
+    """Transpose the Young diagram, in time linear in its rows and columns."""
+    conj = []
+    for i in range(len(lam), 0, -1):  # i rows are at least lam[i - 1] long
+        conj += [i] * (lam[i - 1] - len(conj))
+    return tuple(conj)
 
 
 def complement_in_box(lam: tuple, rows: int, cols: int) -> tuple:

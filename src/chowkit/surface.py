@@ -126,22 +126,18 @@ class BundleSpec:
             return NotImplemented
         return (self.rank, self.c1, self.c2) == (other.rank, other.c1, other.c2)
 
-    @property
-    def ring(self) -> SurfaceRing:
-        return self.c1.space
-
     def __mul__(self, other: "BundleSpec") -> "BundleSpec":
         """The direct sum, whose total Chern class is the product
         (1 + c1 + c2)(1 + c1' + c2') truncated at degree two."""
         c1 = self.c1 + other.c1
-        cross = self.ring.pair(self.c1.c1, other.c1.c1)
+        cross = self.c1.space.pair(self.c1.c1, other.c1.c1)
         return BundleSpec(self.rank + other.rank, c1, self.c2 + other.c2 + cross)
 
 
 def tensor_line(E: BundleSpec, L: SurfaceClass) -> BundleSpec:
     """Twist a rank-r bundle by a line bundle."""
     r = E.rank
-    ring = E.ring
+    ring = E.c1.space
     ll = ring.pair(L.c1, L.c1)
     c1l = ring.pair(E.c1.c1, L.c1)
     c1 = E.c1 + r * L
@@ -162,7 +158,7 @@ def sym_power(E: BundleSpec, n: int) -> BundleSpec:
         raise ValueError("sym_power only supports rank-2 bundles")
     if n < 0:
         raise ValueError("negative symmetric power")
-    ring = E.ring
+    ring = E.c1.space
     if n == 0:
         return BundleSpec(1, SurfaceClass(ring), LinExpr(0))
     s1 = comb(n + 1, 2)
@@ -178,18 +174,14 @@ def jet_chern(L: SurfaceClass, n: int, omega: BundleSpec) -> BundleSpec:
     """Chern data of the n-th jet bundle of a line bundle L.
 
     The Whitney product (`*`) of the graded pieces of the jet filtration,
-    L (x) Sym^i(Omega) for i = 0..n; rank is C(n+2, 2).
+    L (x) Sym^i(Omega) for i = 0..n; rank is C(n+2, 2).  `omega` is the
+    cotangent bundle, `BundleSpec(2, K, euler)`: c1 = K, c2 = e times the point.
     """
     if omega.rank != 2:
         raise ValueError("cotangent bundle of a surface must have rank 2")
     if n < 0:
         raise ValueError("negative jet order")
     return reduce(mul, (tensor_line(sym_power(omega, i), L) for i in range(n + 1)))
-
-
-def cotangent_bundle(K: SurfaceClass, euler) -> BundleSpec:
-    """Omega with c1 = K and c2 = euler characteristic times the point."""
-    return BundleSpec(2, K, euler)
 
 
 def triple_point_count(H2, HK, K2, e):

@@ -15,7 +15,7 @@ from numbers import Rational
 
 from .. import curves, grassmann, lattice, surface
 from ..grassmann import SchubertElement
-from ..lattice import ClassExpr
+from ..lattice import ClassExpr, RuledLattice
 from ..linexpr import LinExpr, collapse, shown
 from ..surface import SurfaceClass
 
@@ -30,6 +30,21 @@ class Record(dict):
         return f"{{{inner}}}"
 
 
+KINDS = {  # a value's kind, as an operator's type error or an argument check names it
+    Rational: "a number",
+    LinExpr: "an expression with unknowns",
+    SchubertElement: "a Schubert class",
+    ClassExpr: "a lattice class",
+    SurfaceClass: "a surface class",
+    RuledLattice: "a lattice",
+    Record: "a record",
+}
+
+
+def kind_of(v) -> str:
+    return next(word for cls, word in KINDS.items() if isinstance(v, cls))
+
+
 # -- argument kinds: each checks a value and returns what the function takes
 
 
@@ -39,22 +54,22 @@ def integer(v) -> int:
     raise ValueError(f"expected an integer, got {shown(v)}")
 
 
-def _kind(what, test):
+def _kind(cls, what=None, test=None):
+    """The check that a value is a `cls` passing `test`; a refusal names `what`, or KINDS[cls]."""
+
     def kind(v):
-        if test(v):
+        if isinstance(v, cls) and (test is None or test(v)):
             return v
-        raise ValueError(f"expected {what}, got {shown(v)}")
+        raise ValueError(f"expected {what or KINDS[cls]}, got {shown(v)}")
 
     return kind
 
 
-number = _kind("a number", lambda v: isinstance(v, Rational))
-scalar = _kind("a scalar value", lambda v: isinstance(v, (Rational, LinExpr)))
-schubert_class = _kind("a Schubert class", lambda v: isinstance(v, SchubertElement))
-lattice_class = _kind("a lattice class", lambda v: isinstance(v, ClassExpr))
-divisor = _kind(
-    "a divisor class", lambda v: isinstance(v, SurfaceClass) and v.is_divisor
-)
+number = _kind(Rational)
+scalar = _kind((Rational, LinExpr), "a scalar value")
+schubert_class = _kind(SchubertElement)
+lattice_class = _kind(ClassExpr)
+divisor = _kind(SurfaceClass, "a divisor class", lambda v: v.is_divisor)
 
 
 def _args(kind, names: str):
@@ -102,7 +117,7 @@ def _jet2_c2(D):
     ring = D.space
     if "K" not in ring.basis:
         raise ValueError("surface must declare a canonical divisor named K")
-    omega = surface.cotangent_bundle(ring.divisor("K"), ring.euler)
+    omega = surface.BundleSpec(2, ring.divisor("K"), ring.euler)  # the cotangent bundle
     return collapse(surface.jet_chern(D, 2, omega).c2)
 
 

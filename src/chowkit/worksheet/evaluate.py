@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from numbers import Rational
 from operator import add, mul, sub, truediv
 
 from ..grassmann import GrassmannContext, SchubertElement
-from ..lattice import ClassExpr, IntersectionForm, RuledLattice
+from ..lattice import IntersectionForm, RuledLattice
 from ..linexpr import LinExpr, collapse, holds_unknown, printed, shown, solve_linear
-from ..surface import SurfaceClass, SurfaceRing
+from ..surface import SurfaceRing
 from .ast import (
     Assert,
     BasisDecl,
@@ -39,7 +38,7 @@ from .ast import (
     WorksheetProgram,
     _fmt_expr,
 )
-from .builtins import BUILTINS, Record
+from .builtins import BUILTINS, Record, kind_of, lattice_class, scalar
 
 
 class WorksheetRuntimeError(WorksheetError):
@@ -47,20 +46,6 @@ class WorksheetRuntimeError(WorksheetError):
 
 
 OPERATORS = {"+": add, "-": sub, "*": mul, "/": truediv}
-
-KINDS = (  # a value's kind, as a type error names it
-    (Rational, "a number"),
-    (LinExpr, "an expression with unknowns"),
-    (SchubertElement, "a Schubert class"),
-    (ClassExpr, "a lattice class"),
-    (SurfaceClass, "a surface class"),
-    (RuledLattice, "a lattice"),
-    (Record, "a record"),
-)
-
-
-def _kind(value) -> str:
-    return next(word for cls, word in KINDS if isinstance(value, cls))
 
 
 AssertionResult = namedtuple("AssertionResult", "expression expected actual passed")
@@ -156,7 +141,7 @@ class Evaluator:
 
     def set_gram(self, form: IntersectionForm, g: GramEntry):
         """Set the entry `g` on a surface or lattice; an error is reported at `g`."""
-        value = self.scalar(g.expr)
+        value = self.checked(g.expr, scalar)
         try:
             form.set_gram(g.a, g.b, value)
         except ValueError as exc:
@@ -167,7 +152,7 @@ class Evaluator:
         ring.basis = s.basis
         for g in s.gram:
             self.set_gram(ring, g)
-        ring.euler = self.scalar(s.euler)
+        ring.euler = self.checked(s.euler, scalar)
         ring.check_complete()
         if ring.is_open:
             self.spaces.append(ring)
@@ -187,20 +172,17 @@ class Evaluator:
                     self.bind(n, lat.add_unknown(n))
             elif isinstance(item, GramEntry):
                 self.set_gram(lat, item)
-            else:  # a ClassDecl, or the CanonicalDecl that binds K
-                value = self.eval(item.expr)
-                named = isinstance(item, ClassDecl)
-                if not isinstance(value, ClassExpr):
-                    what = f"class {item.name!r}" if named else "canonical class"
-                    raise WorksheetRuntimeError(f"{what} must be a lattice class", item.pos)
-                if not named:
-                    lat.canonical = value
-                self.bind(item.name if named else "K", value)
+            elif isinstance(item, ClassDecl):
+                self.bind(item.name, self.checked(item.expr, lattice_class))
+            else:  # the CanonicalDecl, which binds K
+                value = self.checked(item.expr, lattice_class)
+                lat.canonical = value
+                self.bind("K", value)
         if lat.is_open:
             self.spaces.append(lat)
 
     def solve_block(self, s: SolveBlock):
-        eqs = [self.scalar(left) - self.scalar(right) for left, right in s.constraints]
+        eqs = [self.checked(left, scalar) - self.checked(right, scalar) for left, right in s.constraints]
         assignment = solve_linear(eqs)
         for name in sorted(assignment):
             self.bind(name, assignment[name])
@@ -237,7 +219,7 @@ class Evaluator:
                 return -value
             except TypeError:
                 raise WorksheetRuntimeError(
-                    f"unsupported operand type for -: {_kind(value)}", e.pos
+                    f"unsupported operand type for -: {kind_of(value)}", e.pos
                 )
         if isinstance(e, FieldAccess):
             base = self.eval(e.base)
@@ -264,17 +246,19 @@ class Evaluator:
             return collapse(OPERATORS[op](a, b))
         except TypeError:
             raise WorksheetRuntimeError(
-                f"unsupported operand types for {op}: {_kind(a)} and {_kind(b)}", pos
+                f"unsupported operand types for {op}: {kind_of(a)} and {kind_of(b)}", pos
             )
         except (ValueError, ZeroDivisionError) as exc:
             raise WorksheetRuntimeError(str(exc), pos)
 
-    def scalar(self, e):
-        """Evaluate to an exact scalar or a linear expression in unknowns."""
-        v = self.eval(e)
-        if isinstance(v, (int, Fraction, LinExpr)):
-            return v
-        raise WorksheetRuntimeError(f"expected a scalar value, got {shown(v)}", e.pos)
+    def checked(self, e, kind):
+        """Evaluate `e` and check it with a builtin argument `kind`, such as
+        `scalar`; a refusal is reported at `e`."""
+        value = self.eval(e)
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise WorksheetRuntimeError(str(exc), e.pos)
 
     # -- builtin functions --------------------------------------------
 

@@ -177,13 +177,13 @@ class _Parser:
             raise self.unexpected(hint or f"expected {kind!r}")
         return self.advance()
 
-    def at_keyword(self, word: str) -> bool:
-        return self.cur[0] == "NAME" and self.cur[1] == word
-
-    def expect_keyword(self, word: str) -> tuple:
-        if not self.at_keyword(word):
-            raise self.unexpected(f"expected keyword {word!r}")
-        return self.advance()
+    def keyword(self, words: tuple) -> str:
+        """The current token's word, read, if it is one of `words`; else '', read nothing."""
+        t = self.cur
+        if t[0] == "NAME" and t[1] in words:
+            self.advance()
+            return t[1]
+        return ""
 
     def nest(self, t: tuple):
         self.depth += 1
@@ -214,17 +214,16 @@ class _Parser:
         return WorksheetProgram(tuple(stmts))
 
     def statement(self):
-        t = self.cur
-        pos = t[2:]
-        word = t[1] if t[0] == "NAME" else ""
-        if word not in STATEMENTS:
+        pos = self.cur[2:]
+        word = self.keyword(STATEMENTS)
+        if not word:
             raise self.unexpected(f"expected a statement ({', '.join(STATEMENTS)})")
-        self.advance()
         if word == "let":
             return Let(*self.binding("binding name", pos), pos=pos)
         if word == "input":
             name, expr = self.binding("input name", pos)
-            self.expect_keyword("from")
+            if not self.keyword(("from",)):
+                raise self.unexpected("expected keyword 'from'")
             cite = self.expect("STRING", "expected citation string")[1]
             return Input(name, expr, cite, pos=pos)
         if word == "assert":
@@ -307,14 +306,14 @@ class _Parser:
         basis, gram, euler = [], [], []
 
         def section():
-            if not basis:  # the first section names the divisors
-                if self.at_keyword("basis"):
-                    self.advance()
+            at = self.cur[2:]
+            # the first section names the divisors, after an optional `basis`
+            word = self.keyword(("euler",) if basis else ("basis",))
+            if not basis:
                 basis.extend(self.name_list("divisor name", True))
-            elif self.at_keyword("euler"):
+            elif word:
                 if euler:
-                    raise WorksheetSyntaxError("euler declared twice", self.cur[2:])
-                self.advance()
+                    raise WorksheetSyntaxError("euler declared twice", at)
                 self.expect("=", "expected '=' after 'euler'")
                 euler.append(self.expr())
             else:
@@ -340,19 +339,16 @@ class _Parser:
 
         def section():
             at = self.cur[2:]
-            if self.at_keyword("basis"):
-                self.advance()
+            word = self.keyword(("basis", "unknown", "class", "canonical"))
+            if word == "basis":
                 names = self.declare(self.name_list("class name", True), at)
                 items.append(BasisDecl(names, pos=at))
-            elif self.at_keyword("unknown"):
-                self.advance()
+            elif word == "unknown":
                 names = self.declare(self.name_list("unknown name", True), at)
                 items.append(UnknownDecl(names, pos=at))
-            elif self.at_keyword("class"):
-                self.advance()
+            elif word == "class":
                 items.append(ClassDecl(*self.binding("class name", at), pos=at))
-            elif self.at_keyword("canonical"):
-                self.advance()
+            elif word == "canonical":
                 self.expect("=", "expected '=' after 'canonical'")
                 items.append(CanonicalDecl(self.expr(), pos=at))
                 self.declare(["K"], at)
@@ -426,7 +422,7 @@ class _Parser:
             self.advance()
             parts = []
             if self.cur[0] != "]":  # s[] is the unit class
-                parts = self.comma_list(self.partition_part)
+                parts = self.comma_list(lambda: self.integer(self.expect("INT", "expected partition part")))
             self.expect("]", "expected ']' closing Schubert class")
             node = SchubertLit(tuple(parts), pos=t[2:])
         elif text in KEYWORDS:
@@ -453,9 +449,6 @@ class _Parser:
             self.nest(dot)
             node = FieldAccess(node, self.ident("field name"), pos=dot[2:])
         return node
-
-    def partition_part(self) -> int:
-        return self.integer(self.expect("INT", "expected partition part"))
 
     def call(self, fname: tuple) -> Call:
         """`f(...)`: at most two `;`-separated groups, none empty."""

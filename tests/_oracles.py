@@ -118,7 +118,7 @@ def pieri(e: SchubertElement, a: int) -> SchubertElement:
         raise ValueError("Pieri index must be non-negative")
     if a == 0:
         return e
-    ctx = e.ctx
+    ctx = e.space
     return SchubertElement._make(ctx, (
         (mu, c)
         for lam, c in e.terms.items()
@@ -155,8 +155,8 @@ def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int) -> list:
 def pieri_degree(e: SchubertElement, dim: int):
     """Degree in the Pluecker embedding by walking the box: integrate e after
     `dim` Pieri products with s[1]."""
-    codim = e.ctx.dimension - dim
-    if not e.is_pure(codim):
+    codim = e.space.dimension - dim
+    if any(weight(lam) != codim for lam in e.terms):
         raise ValueError(f"element is not pure of codimension {codim}")
     for _ in range(dim):
         e = pieri(e, 1)

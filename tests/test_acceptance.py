@@ -36,7 +36,6 @@ from chowkit.partitions import complement_in_box
 from chowkit.surface import (
     BundleSpec,
     SurfaceRing,
-    cotangent_bundle,
     jet_chern,
     sym_power,
     triple_point_count,
@@ -62,7 +61,7 @@ def test_criterion_01_jet_c2_symbolic_identity():
     H = ring.divisor("H")
     K = ring.divisor("K")
     e = LinExpr.unknown("e")
-    J = jet_chern(H, 2, cotangent_bundle(K, euler=e))
+    J = jet_chern(H, 2, BundleSpec(2, K, e))
     expected = (
         5 * LinExpr.unknown("K.K")
         + 20 * LinExpr.unknown("H.K")

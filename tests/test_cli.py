@@ -150,6 +150,64 @@ def test_a_cheap_product_on_a_big_grassmannian_runs_and_a_costly_one_exits_2(cap
     assert run_cli(capsys, "eval", "--gr", "10,20", "s[5,4,3,2,1]*s[5,4,3,2,1]") == (2, "", want)
 
 
+HUGE = ("100000000000000000000", "100000000000000000001")  # Gr(10^20, 10^20 + 1): one column
+
+
+@pytest.mark.parametrize(
+    "expr, value, message",
+    [
+        ("s[1]*s[1]", "s[1,1]", None),
+        ("integrate(s[1])", "0", None),
+        ("integrate(s[1]*s[1])", "0", None),
+        (
+            "pdeg(s[1], 99999999999999999999)",
+            None,
+            "pdeg: Pluecker degree needs 99999999999999999999 hook-length cells, more than 40000",
+        ),
+    ],
+    ids=["product", "integrate", "integrate-a-product", "pdeg-past-the-cell-cap"],
+)
+def test_a_huge_grassmannian_keeps_the_exit_code_contract(expr, value, message, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "eval", "--gr", ",".join(HUGE), expr)
+    if value is None:
+        assert (code, out, err) == (2, "", f"error: line 1, column 1: {message}\n")
+    else:
+        assert (code, out, err) == (0, value + "\n", "")
+    sheet = tmp_path / "huge.ws"
+    sheet.write_text(f"grassmannian ({HUGE[0]}, {HUGE[1]})\nlet x = {expr}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "worksheet", "run", "--json", str(sheet))
+    if value is None:
+        assert (code, out, err) == (2, "", f"{sheet}: error: line 2, column 9: {message}\n")
+    else:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bindings"] == [{"name": "x", "value": value}]
+
+
+@pytest.mark.parametrize(
+    "gr, dim, want",
+    [
+        ("1,40001", 40000, (0, "1\n", "")),
+        (
+            "1,40002",
+            40001,
+            (2, "", "error: line 1, column 1: pdeg: Pluecker degree needs 40001 hook-length cells, more than 40000\n"),
+        ),
+    ],
+    ids=["at-the-cap", "one-cell-past-the-cap"],
+)
+def test_pdeg_walks_at_most_max_cells(gr, dim, want, capsys):
+    assert run_cli(capsys, "eval", "--gr", gr, f"pdeg(s[], {dim})") == want
+
+
+def test_pdeg_counts_the_cells_of_every_term(capsys, monkeypatch):
+    argv = ("eval", "--gr", "3,5", "pdeg(120*s[1,1,1] + 16*s[2,1], 3)")  # two terms of 3 cells
+    monkeypatch.setattr(grassmann, "MAX_CELLS", 6)
+    assert run_cli(capsys, *argv) == (0, "152\n", "")
+    monkeypatch.setattr(grassmann, "MAX_CELLS", 5)
+    want = "error: line 1, column 1: pdeg: Pluecker degree needs 6 hook-length cells, more than 5\n"
+    assert run_cli(capsys, *argv) == (2, "", want)
+
+
 def test_schubert_bad_expression_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--gr", "3,5", "pdeg(s[2,1, 3)")
     assert code == 2
@@ -412,7 +470,7 @@ SCHUBERT_FRAGMENTS = [
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    gr=st.sampled_from([[], ["--gr", "3,5"]]),
+    gr=st.sampled_from([[], ["--gr", "3,5"], ["--gr", ",".join(HUGE)]]),
     expr=st.lists(st.sampled_from(SCHUBERT_FRAGMENTS), max_size=12).map("".join),
     dim=st.one_of(st.none(), st.integers(0, 6)),
 )

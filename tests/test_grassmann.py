@@ -67,7 +67,6 @@ def hook_count(lam):
 def test_context_basics():
     assert G35.rows == 3 and G35.cols == 2
     assert G35.dimension == 6
-    assert G35.top_partition == (2, 2, 2)
     assert G24.dimension == 4
 
 
@@ -366,8 +365,9 @@ def test_lr_product_matches_the_reference_kernel(case):
 
 def per_pair_product(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     """`multiply` as it was: one reference strip product per pair of terms."""
-    box = e1.ctx.top_partition
-    return SchubertElement._make(e1.ctx, (
+    ctx = e1.space
+    box = (ctx.cols,) * ctx.rows
+    return SchubertElement._make(ctx, (
         (nu, m * c1 * c2)
         for lam, c1 in e1.terms.items()
         for mu, c2 in e2.terms.items()

@@ -12,7 +12,6 @@ from chowkit.linexpr import LinExpr, SpaceMismatch, collapse
 from chowkit.surface import (
     BundleSpec,
     SurfaceRing,
-    cotangent_bundle,
     jet_chern,
     ring_product,
     sym_power,
@@ -89,7 +88,7 @@ def split_sym_oracle(E, n):
     choices of a.c1 and demand agreement; that certifies independence
     and gives the oracle value.
     """
-    ring = E.ring
+    ring = E.c1.space
     c1sq = collapse(ring.pair(E.c1.c1, E.c1.c1))
     c2 = collapse(E.c2)
     aa = LinExpr.unknown("aa")
@@ -157,7 +156,7 @@ def test_jet_bundle_second_order_on_k3():
     ring = k3_genus4_ring()
     H = ring.divisor("H")
     K = ring.divisor("K")
-    omega = cotangent_bundle(K, euler=24)
+    omega = BundleSpec(2, K, 24)
     J = jet_chern(H, 2, omega)
     assert J.rank == 6
     assert J.c2 == 210

@@ -347,6 +347,11 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ("let x\nlet y = 1\n", "line 1, column 6: expected '=' after binding name, got end of line"),
         ("surface { H; H.H = 6 }\n", "line 1, column 1: surface block must declare euler = ..."),
         ("solve { }\n", "line 1, column 1: empty solve block"),
+        ('input x = 1 form "c"\n', "line 1, column 13: expected keyword 'from', got 'form'"),
+        ("lattice L { basis l; l.l = 0; canonical 2 }\n", "line 1, column 41: expected '=' after 'canonical', got '2'"),
+        ("surface { basis; H.H = 1; euler = 1 }\n", "line 1, column 16: expected divisor name, got ';'"),
+        ("surface { H; basis K; euler = 1 }\n", "line 1, column 14: expected divisor name, got 'basis'"),
+        ("surface { euler = 1; H.H = 1 }\n", "line 1, column 11: expected divisor name, got 'euler'"),
     ],
     ids=[
         "undeclared",
@@ -389,6 +394,11 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "name-at-end-of-line",
         "surface-without-euler",
         "empty-solve",
+        "input-without-from",
+        "canonical-without-equals",
+        "surface-basis-keyword-without-names",
+        "surface-basis-keyword-past-the-first-section",
+        "surface-euler-in-the-first-section",
     ],
 )
 def test_error_message_and_position(text, message):
@@ -671,10 +681,10 @@ def test_a_number_too_long_to_print_shows_its_length_in_a_message(call, message)
         ),
         (
             "unknown a\nlattice L { basis l; l.l = a; canonical = -2*l }\nlet g = genus(l)\n",
-            "line 3, column 9: genus: genus requires fully numeric intersection data",
+            "line 3, column 9: genus: C^2 + C.K = -a holds unknowns",
         ),
-        ("lattice L { basis l; l.l = 0; class C = 2 }\n", "line 1, column 31: class 'C' must be a lattice class"),
-        ("lattice L { basis l; l.l = 0; canonical = 2 }\n", "line 1, column 31: canonical class must be a lattice class"),
+        ("lattice L { basis l; l.l = 0; class C = 2 }\n", "line 1, column 41: expected a lattice class, got 2"),
+        ("lattice L { basis l; l.l = 0; canonical = 2 }\n", "line 1, column 43: expected a lattice class, got 2"),
         (
             "surface { H; H.H = 6; euler = 24 }\nlet t = jet2_c2(H)\n",
             "line 2, column 9: jet2_c2: surface must declare a canonical divisor named K",
@@ -925,6 +935,11 @@ def test_evaluation_is_deterministic(path):
 )
 def test_a_comma_may_end_a_line_in_every_block(lines, one_line):
     assert parse(lines) == parse(one_line)
+
+
+def test_a_surface_may_name_its_divisors_after_basis():
+    surface = "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n"
+    assert parse(surface.replace("{ H", "{ basis H")) == parse(surface)
 
 
 names = st.sampled_from(["a", "b", "c", "d"])
