@@ -27,13 +27,16 @@ from .grassmann import GrassmannContext
 from .linexpr import printed
 from .worksheet import evaluate, parse
 from .worksheet.evaluate import Evaluator
-from .worksheet.parse import parse_expression
+from .worksheet.parse import max_digits, parse_expression
 
 
 def _parse_gr(spec: str) -> GrassmannContext:
     m = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", spec)  # as `grassmannian (K, N)` reads them
     if m is None:
         raise ValueError(f"bad --gr value {spec!r}: expected K,N, two integers such as 3,5")
+    for name, digits in zip("KN", m.groups()):  # capped as a worksheet literal is; 0 is no cap
+        if 0 < max_digits() < len(digits):
+            raise ValueError(f"bad --gr value: {name} is longer than {max_digits()} digits")
     return GrassmannContext(int(m[1]), int(m[2]))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linexpr import InconsistentSystem, UnderdeterminedSystem, shown
+from .linexpr import InconsistentSystem, UnderdeterminedSystem, _rational, shown
 
 # The largest exponent `odd_theta_count` and `degeneration_multiplicity` raise
 # 2 to.  It is checked before the power is taken, so a huge argument costs
@@ -43,21 +43,20 @@ _RELATIONS = (
 def plucker_solve(**given) -> dict:
     """Complete a partial set of Pluecker characters, given by name.
 
-    Returns all seven characters, in `CHARACTERS` order: the given ones as
-    Fractions, the solved ones as ints when integral.  A relation whose
-    quadratic character is known and that has exactly one unset character,
-    c*x + k == 0, is solved for it in place: x = -k/c, as
-    `linexpr.solve_linear` gives it.  This goes on until no relation gives
-    anything new; a relation quadratic in an unset d or m is not used until
-    that character is known, since a linear solve cannot pick a root.  Raises
-    InconsistentSystem if a relation fails on known values, and
-    UnderdeterminedSystem if a character is left unset.
+    Returns all seven characters, in `CHARACTERS` order: a given one as
+    `linexpr._rational` reads it (an int stays an int), a solved one an int
+    when integral.  A relation whose quadratic character is known and that
+    has exactly one unset character, c*x + k == 0, is solved for it in
+    place: x = -k/c, as `linexpr.solve_linear` gives it.  This goes on until
+    no relation gives anything new; a relation quadratic in an unset d or m
+    is not used until that character is known, since a linear solve cannot
+    pick a root.  Raises InconsistentSystem if a relation fails on known
+    values, and UnderdeterminedSystem if a character is left unset.
     """
     for name in given:
         if name not in CHARACTERS:
             raise ValueError(f"unknown Pluecker character {name!r}")
-    given = {n: Fraction(v) for n, v in given.items()}
-    known = {n: v.numerator if v.denominator == 1 else v for n, v in given.items()}
+    known = {n: _rational(v) for n, v in given.items()}
     changed = True
     while changed:
         changed = False
@@ -84,22 +83,22 @@ def plucker_solve(**given) -> dict:
     unset = sorted(n for n in CHARACTERS if n not in known)
     if unset:
         raise UnderdeterminedSystem(f"cannot determine: {', '.join(unset)}")
-    return {n: given[n] if n in given else known[n] for n in CHARACTERS}
+    return {n: known[n] for n in CHARACTERS}
 
 
-def hurwitz_ramification(g_source: int, g_target: int, n: int) -> Fraction:
+def hurwitz_ramification(g_source: int, g_target: int, n: int) -> int:
     """Total ramification of a degree-n cover: 2g' - 2 - n(2g - 2)."""
     if n < 1:
         raise ValueError("covering degree must be at least 1")
-    r = Fraction(2 * g_source - 2 - n * (2 * g_target - 2))
+    r = 2 * g_source - 2 - n * (2 * g_target - 2)
     if r < 0:
         raise ValueError(f"invalid cover data: ramification {shown(r)} < 0")
     return r
 
 
-def correspondence_coincidences(e, f) -> Fraction:
+def correspondence_coincidences(e, f):
     """Coincidence points of a correspondence of indices [e, f] on a line."""
-    e, f = Fraction(e), Fraction(f)
+    e, f = _rational(e), _rational(f)
     if e < 0 or f < 0:
         raise ValueError("correspondence indices must be non-negative")
     return e + f
@@ -124,10 +123,10 @@ def salmon_cayley(n1: int, n2: int, n3: int, i12: int = 0, i13: int = 0, i23: in
     m3 = n1 * n2 - i12
     if deg < 0 or min(m1, m2, m3) < 0:
         raise ValueError("scroll configuration has negative degree or multiplicity")
-    return Fraction(deg), Fraction(m1), Fraction(m2), Fraction(m3)
+    return deg, m1, m2, m3
 
 
-def secant_plucker_degree(d: int, g: int) -> Fraction:
+def secant_plucker_degree(d: int, g: int) -> int:
     """Degree of the secant variety of a space curve in the Pluecker
     embedding: secants through a general point plus secants in a general
     plane, C(d-1, 2) - g + C(d, 2)."""
@@ -138,30 +137,30 @@ def secant_plucker_degree(d: int, g: int) -> Fraction:
     through_point = comb(d - 1, 2) - g
     if through_point < 0:
         raise ValueError(f"a degree-{shown(d)} space curve cannot have genus {shown(g)}")
-    return Fraction(through_point + comb(d, 2))
+    return through_point + comb(d, 2)
 
 
-def odd_theta_count(g: int) -> Fraction:
+def odd_theta_count(g: int) -> int:
     """Number of odd theta-characteristics on a genus-g curve."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     if g > MAX_EXPONENT:
         raise ValueError(f"genus {shown(g)} is above the cap of {MAX_EXPONENT}")
-    return Fraction(2 ** (g - 1) * (2**g - 1))
+    return 2 ** (g - 1) * (2**g - 1)
 
 
-def degeneration_multiplicity(contacts: int) -> Fraction:
+def degeneration_multiplicity(contacts: int) -> int:
     """Multiplicity 2 per tangency trading for a double-curve passage."""
     if contacts < 0:
         raise ValueError("contact count must be non-negative")
     if contacts > MAX_EXPONENT:
         raise ValueError(f"contact count {shown(contacts)} is above the cap of {MAX_EXPONENT}")
-    return Fraction(2**contacts)
+    return 2**contacts
 
 
-def residual_degree(total, parts) -> Fraction:
+def residual_degree(total, parts):
     """Residual of a specialization ledger; must be non-negative."""
-    r = Fraction(total) - sum(Fraction(m) * Fraction(d) for m, d in parts)
+    r = _rational(total) - sum(_rational(m) * _rational(d) for m, d in parts)
     if r < 0:
         raise ValueError(f"ledger residual {shown(r)} is negative")
     return r

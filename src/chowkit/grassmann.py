@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -305,12 +304,11 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
 
 
 def integrate(e: SchubertElement):
-    """Point-class coefficient: a Fraction (0 if absent), or a LinExpr."""
+    """Point-class coefficient as it is, so an int for int coefficients; 0 if absent."""
     ctx = e.space
     cols = ctx.n - ctx.k
     # the point class (cols,) * k, found without building that k-long key
-    c = next((coef for lam, coef in e.terms.items() if len(lam) == ctx.k and lam[-1] == cols), 0)
-    return c if isinstance(c, LinExpr) else Fraction(c)
+    return next((c for lam, c in e.terms.items() if len(lam) == ctx.k and lam[-1] == cols), 0)
 
 
 def _standard_tableaux(lam: tuple) -> int:
@@ -330,7 +328,8 @@ def plucker_degree(e: SchubertElement, dim: int):
     skew shape box/lam, which turned by 180 degrees is the box complement
     of lam; the hook-length formula (Frame, Robinson and Thrall 1954)
     counts them in closed form, walking the dim cells of that complement.
-    Those cells, summed over the terms, may number at most MAX_CELLS.
+    Those cells, summed over the terms, may number at most MAX_CELLS.  An
+    int for int coefficients; a LinExpr while unknowns remain.
     """
     ctx = e.space
     k, cols = ctx.k, ctx.n - ctx.k  # fields, not properties, read once per call
@@ -343,7 +342,6 @@ def plucker_degree(e: SchubertElement, dim: int):
     cells = dim * len(e.terms)
     if cells > MAX_CELLS:
         raise ValueError(f"Pluecker degree needs {shown(cells)} hook-length cells, more than {MAX_CELLS}")
-    degree = collapse(sum(
+    return collapse(sum(
         c * _standard_tableaux(complement_in_box(lam, k, cols)) for lam, c in e.terms.items()
     ))
-    return degree if isinstance(degree, LinExpr) else Fraction(degree)

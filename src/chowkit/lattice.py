@@ -10,8 +10,6 @@ answers back, one solve at a time, as such computations are done by hand.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linexpr import (
     Combination,
     InconsistentSystem,
@@ -19,6 +17,7 @@ from .linexpr import (
     NonlinearError,
     SpaceMismatch,
     UnderdeterminedSystem,
+    _rational,
     collapse,
     holds_unknown,
     shown,
@@ -175,6 +174,6 @@ def adjunction_genus(C: ClassExpr) -> int:
     return 1 + val // 2
 
 
-def genus_additivity(p1, p2, inter) -> Fraction:
+def genus_additivity(p1, p2, inter):
     """Genus of a nodal union: p1 + p2 + (number of intersections) - 1."""
-    return Fraction(p1) + Fraction(p2) + Fraction(inter) - 1
+    return _rational(p1) + _rational(p2) + _rational(inter) - 1

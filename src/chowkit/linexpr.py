@@ -312,12 +312,11 @@ class LinExpr(Combination):
     __rmul__ = __mul__
 
 
-def solve_linear(equations, unknowns=None) -> dict:
-    """Solve ``expr == 0`` for each LinExpr in `equations`.
+def solve_linear(equations) -> dict:
+    """Solve ``expr == 0`` for each LinExpr in `equations`, in the unknowns they name.
 
     Returns a full assignment name -> int or Fraction.  Raises InconsistentSystem
-    if no solution exists, UnderdeterminedSystem if any unknown is free,
-    and ValueError if an equation mentions an unknown not in `unknowns`.
+    if no solution exists, and UnderdeterminedSystem if any unknown is free.
 
     The elimination is fraction-free (Bareiss 1968, "Sylvester's identity
     and multistep integer-preserving Gaussian elimination"): each augmented
@@ -328,15 +327,9 @@ def solve_linear(equations, unknowns=None) -> dict:
     Gauss-Jordan over Fractions; only a non-integral answer is a Fraction.
     """
     equations = [LinExpr.coerce(e) for e in equations]
-    if unknowns is None:
-        unknowns = sorted({n for e in equations for n in e.terms if n != ONE})
-    else:
-        unknowns = list(unknowns)
+    unknowns = sorted({n for e in equations for n in e.terms if n != ONE})
     rows = []
     for e in equations:
-        stray = e.terms.keys() - {ONE, *unknowns}
-        if stray:
-            raise ValueError(f"equation mentions undeclared unknowns: {sorted(stray)}")
         row = [e.terms.get(n, 0) for n in unknowns] + [-e.const]
         m = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (m // x.denominator) for x in row])

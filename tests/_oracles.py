@@ -367,7 +367,7 @@ def reference_plucker_solve(**given) -> dict:
     for name in given:
         if name not in CHARACTERS:
             raise ValueError(f"unknown Pluecker character {name!r}")
-    vals = {n: Fraction(given[n]) if n in given else LinExpr.unknown(n) for n in CHARACTERS}
+    vals = {n: given[n] if n in given else LinExpr.unknown(n) for n in CHARACTERS}
     changed = True
     while changed:
         changed = False

@@ -162,7 +162,7 @@ def test_criterion_08_theta_suite():
         and odd_theta_count(3) == 28
         and residual_degree(120, [(2, 28)]) == 64
     )
-    sol = solve_linear([LinExpr(64) + 28 * LinExpr.unknown("m") - 120], ["m"])
+    sol = solve_linear([LinExpr(64) + 28 * LinExpr.unknown("m") - 120])
     ok = ok and sol["m"] == 2
     verdict(8, "theta counts 120/28, residual 64, multiplicity solve m=2", ok)
 

@@ -539,11 +539,29 @@ def test_curve_named_value_may_have_blanks_around_its_name(nodes, capsys):
     assert (code, out, err) == (0, SEXTIC + "\n", "")
 
 
-@pytest.mark.parametrize("spec", ["3", "3,5,7", "a,b", "", "1_0,+20", "+3,5"])
-def test_bad_gr_names_the_k_n_form(spec, capsys):
+@pytest.mark.parametrize(
+    "spec, limit, want",
+    [
+        pytest.param(spec, None, f" {spec!r}: expected K,N, two integers such as 3,5", id=spec)
+        for spec in ("3", "3,5,7", "a,b", "", "1_0,+20", "+3,5")
+    ]
+    + [  # K and N are capped as `grassmannian (K, N)` caps them, by Python's int(str) limit
+        pytest.param("1, " + "1" * 4301, None, ": N is longer than 4300 digits", id="over-the-default-cap"),
+        pytest.param(
+            "7" * 641 + ",9", 640, ": K is longer than 640 digits", id="over-a-lowered-limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int(str) limit"
+            ),
+        ),
+    ],
+)
+def test_bad_gr_names_the_k_n_form(spec, limit, want, capsys, request):
+    if limit:
+        before = sys.get_int_max_str_digits()
+        request.addfinalizer(lambda: sys.set_int_max_str_digits(before))
+        sys.set_int_max_str_digits(limit)
     code, out, err = run_cli(capsys, "eval", "--gr", spec, "s[1]")
-    want = f"error: bad --gr value {spec!r}: expected K,N, two integers such as 3,5\n"
-    assert (code, out, err) == (2, "", want)
+    assert (code, out, err) == (2, "", f"error: bad --gr value{want}\n")
 
 
 def test_curve_missing_argument_exits_2(capsys):

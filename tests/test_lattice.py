@@ -139,8 +139,8 @@ def test_solver_error_taxonomy():
         solve_linear([intersect(l, l) - 1, intersect(l, l) - 2])
     lat2 = secant_scroll()
     l2 = lat2.generator("l")
-    with pytest.raises(UnderdeterminedSystem):
-        solve_linear([intersect(l2, l2) - 1], lat2.unknowns)
+    with pytest.raises(UnderdeterminedSystem, match="^system does not determine: x$"):
+        solve_linear([intersect(l2, l2 + lat2.canonical) - 1])  # -x + kc == 1
 
 
 def test_lattice_mismatch():

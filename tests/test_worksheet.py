@@ -127,6 +127,20 @@ def test_a_class_divides_by_a_number(space, cls, printed):
     assert report.all_passed and report.bindings[-1] == ("y", printed)
 
 
+@pytest.mark.parametrize(
+    "space, cls, printed",
+    [
+        ("grassmannian (2, 4)", "s[1]", "2*s[1]"),
+        ("surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }", "H", "2*H"),
+        ("lattice L { basis l, F; l.l = 1, l.F = 1, F.F = 0 }", "l", "2*l"),
+    ],
+    ids=["schubert", "surface", "lattice"],
+)
+def test_a_number_multiplies_a_class_on_either_side(space, cls, printed):
+    report = run(f"{space}\nlet y = {cls} * 2\nassert y == 2 * {cls}\n")
+    assert report.all_passed and report.bindings[-1] == ("y", printed)
+
+
 def test_surface_block_and_jets():
     text = (
         "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n"
