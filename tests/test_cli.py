@@ -146,7 +146,7 @@ def test_a_cheap_product_on_a_big_grassmannian_runs_and_a_costly_one_exits_2(cap
     assert run_cli(capsys, "eval", "--gr", "14,28", "s[1]*s[1]") == (0, "s[1,1] + s[2]\n", "")
     # s(5,4,3,2,1)^2 in Gr(10,20) makes 4,519 strip states
     monkeypatch.setattr(grassmann, "MAX_STATES", 1000)
-    want = "error: line 1, column 13: Schubert product needs more than 1000 strip states (stopped at 1002)\n"
+    want = "error: line 1, column 13: Schubert product needs more than 1000 strip states (stopped at 1001)\n"
     assert run_cli(capsys, "eval", "--gr", "10,20", "s[5,4,3,2,1]*s[5,4,3,2,1]") == (2, "", want)
 
 

@@ -357,6 +357,15 @@ def lr_cases(draw):
 @example(((3, 2, 1), (3, 2), (6, 4, 3, 1)))
 # a one-cell strip that is not the last one shares its next ceiling
 @example(((2, 1), (1, 1), (3, 2, 1, 1)))
+# the strip of 4s under a cap of 3 builds next ceilings with a nonzero
+# prefix, which the rows of its first three cells decide
+@example(((4, 2), (4, 3), (8, 6, 1)))
+# the strip of 1s puts two cells in row 0 and the third below row 1, which
+# has no room; the strip of 2s then meets a ceiling of 2 in row 2
+@example(((2, 2), (3, 3), (5, 4, 2, 1)))
+# the seed sticks out of outer in row 2 only, below every row the strip
+# reaches: its states are made, as the reference makes them
+@example(((3, 2, 2), (2,), (5, 3, 1)))
 def test_lr_product_matches_the_reference_kernel(case):
     lam, mu, outer = case
     if len(mu) > len(lam):  # the content has fewer rows, as lr_coefficient takes it
