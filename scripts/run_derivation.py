@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Run every shipped worksheet in derivation order and print a summary.
+"""Run every shipped worksheet in derivation order: `chowkit worksheet run --strict`.
 
 The worksheets build up the count of tritangent planes to a general
 genus-4 K3 surface in P^4: theta characteristics, the triple-point
 check, the two scroll computations, and the final assembly to 152.
+The exit code is the CLI's: 1 if an assertion fails, 2 on an error.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from chowkit.worksheet import evaluate, parse
+from chowkit.cli import main
 
 ORDER = [
     "g24_schubert.ws",
@@ -24,27 +26,5 @@ ORDER = [
     "final_degree.ws",
 ]
 
-
-def main() -> int:
-    root = pathlib.Path(__file__).resolve().parents[1] / "worksheets"
-    failures = 0
-    for name in ORDER:
-        path = root / name
-        report = evaluate(parse(path.read_text(encoding="utf-8")))
-        passed = sum(a.passed for a in report.assertions)
-        total = len(report.assertions)
-        status = "ok" if report.all_passed else "FAIL"
-        print(f"{name:24s} {passed:3d}/{total:<3d} assertions  [{status}]")
-        for a in report.assertions:
-            if not a.passed:
-                failures += 1
-                print(f"    FAIL {a.expression}  (actual {a.actual})")
-    if failures:
-        print(f"{failures} assertion(s) failed")
-        return 1
-    print("all worksheets passed; final degree 152 confirmed")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["worksheet", "run", *(str(ROOT / "worksheets" / name) for name in ORDER), "--strict"]))

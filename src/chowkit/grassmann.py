@@ -31,7 +31,8 @@ strips; past that it raises ValueError, about 0.8 s into the work, so a
 cheap product on a big Grassmannian still runs and an expensive one on
 any Grassmannian is refused.
 
-`lr_coefficient` reads one nu from the same strip product.  Pluecker
+`lr_coefficient` is 0 at once unless nu holds both factors, and else
+reads nu from the strip product in the len(nu) x nu[0] box.  Pluecker
 degrees come in closed form from the hook-length formula, for a
 dimension in 0..k(n-k) unless the element is empty.  The formula walks
 dim cells per term; past MAX_CELLS cells in all it raises ValueError
@@ -121,11 +122,11 @@ def _next_ceiling(rs: list, cap: int, rows: int) -> tuple:
     return out + (cap,) * (rows - t)
 
 
-def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
-    """{nu: sum of c * c^nu_{lam,mu} over the seeds {lam: c}}, nu inside `outer`.
+def _strip_product(seeds: dict, mu: tuple, rows: int, cols: int) -> dict:
+    """{nu: sum of c * c^nu_{lam,mu} over the seeds {lam: c}}, nu in the rows x cols box.
 
-    Each seed has at most len(outer) rows; shapes only grow, so pruning at
-    `outer` is exact.  Starting from every seed at once, with its
+    Each seed lies inside the box; shapes only grow, so pruning at the box
+    is exact.  Starting from every seed at once, with its
     coefficient as its count, strip i adds mu[i] cells labelled i as a
     horizontal strip.  The reading word (right to left, top to bottom)
     stays a lattice word iff, for every row r, the i's in rows <= r number
@@ -136,8 +137,8 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
 
     One loop places a strip's cells one at a time, in rows that never go
     up: an odometer over their rows rs, backtracking in place on one list
-    `new`.  Cell j may go in row r when new[r] < top, the lesser of
-    outer[r] and the old row above, and when ceiling[r] > j, as cells 0..j
+    `new`.  Cell j may go in row r when new[r] < top, the old row above
+    (cols in row 0), and when ceiling[r] > j, as cells 0..j
     all lie in rows <= r.  Four exact savings cut the work:
 
     - The ceiling is capped at the next strip's size.  That strip has no
@@ -147,8 +148,7 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
       with no (i-1) above it can hold no i.
     - Rows r.. hold at most top - shape[last] cells of the strip, so a
       cell is tried no lower once the cells left and those already in row
-      r outnumber that.  Only a row with no room is stepped over: a shape
-      that sticks out of `outer` stops the walk there.
+      r outnumber that.  Only a row with no room is stepped over.
     - The last cell is placed by a scan down the rows, each row that takes
       it giving a state, with no backtrack.
 
@@ -162,7 +162,6 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
     per input state, so the budget costs nothing per emitted state and
     fires at most one input state's output past it.
     """
-    rows = len(outer)
     last = rows - 1
     # the first strip's ceiling is its own size, which never binds
     start = (mu[0] if mu else 0,) * rows
@@ -189,9 +188,7 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
             r = ceiling.count(0)  # the ceiling never falls: zeros lead
             while True:
                 while r < rows:  # cell j goes in the first row >= r that takes it
-                    top = outer[r]
-                    if r and shape[r - 1] < top:
-                        top = shape[r - 1]
+                    top = shape[r - 1] if r else cols
                     here = new[r]
                     if here < top and ceiling[r] > j:
                         if j < end:
@@ -213,8 +210,8 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
                             key = (tuple(new), nxt)
                         merged[key] = merged.get(key, 0) + count
                         new[r] = here
-                    elif size - j + here - shape[r] > top - floor or shape[r] > top:
-                        break  # too many cells left for rows r.., or the shape sticks out
+                    elif size - j + here - shape[r] > top - floor:
+                        break  # too many cells left for rows r..
                     r += 1
                 if not j:
                     break
@@ -237,13 +234,15 @@ def _strip_product(seeds: dict, mu: tuple, outer: tuple) -> dict:
 
 @lru_cache(maxsize=None)
 def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """c^nu_{lam,mu}: the coefficient of s[nu] in s[lam]*s[mu]."""
+    """c^nu_{lam,mu}: the coefficient of s[nu] in s[lam]*s[mu], 0 before any walk unless nu holds
+    lam and mu; the walk, and its MAX_STATES budget, are the len(nu) x nu[0] box's, not nu's."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    if weight(nu) != weight(lam) + weight(mu) or max(len(lam), len(mu)) > len(nu):
+    outside = any(len(p) > len(nu) or any(a > b for a, b in zip(p, nu)) for p in (lam, mu))
+    if outside or weight(nu) != weight(lam) + weight(mu):
         return 0
     if len(mu) > len(lam):  # the factor with fewer rows is the content
         lam, mu = mu, lam
-    return _strip_product({lam: 1}, mu, nu).get(nu, 0)
+    return _strip_product({lam: 1}, mu, len(nu), nu[0] if nu else 0).get(nu, 0)
 
 
 def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
@@ -269,14 +268,14 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     for mu, c in content.items():
         # each column of nu/lam holds distinct labels 1..len(mu), so nu has at
         # most len(lam) + len(mu) rows; the box's other rows are never built
-        cut = (cols,) * min(k, deepest + len(mu))
+        rows = min(k, deepest + len(mu))
         # a seed's unknowns times c's unknowns is not linear, even if the merged
         # count cancels them; LR counts are positive, so this pass finds such a pair
         if isinstance(c, LinExpr) and _strip_product(
-            {lam: 1 for lam, c1 in seeds.items() if isinstance(c1, LinExpr)}, mu, cut
+            {lam: 1 for lam, c1 in seeds.items() if isinstance(c1, LinExpr)}, mu, rows, cols
         ):
             raise NonlinearError("product of two expressions with unknowns is not linear")
-        product = _strip_product(seeds, mu, cut)
+        product = _strip_product(seeds, mu, rows, cols)
         if len(content) == 1:  # one pass: its nu are distinct, so nothing is summed
             terms = {}
             for nu, m in product.items():

@@ -221,9 +221,9 @@ def reference_lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
     strip product as it was before it capped the ceiling, started each
     strip at its first allowed row and stepped over rows with no room.
 
-    `outer` lists the row lengths nu may not exceed: the k x (n-k) box for
-    a product, nu itself for one coefficient; lam and mu have at most
-    len(outer) rows.  Shapes only grow, so pruning at `outer` is exact.
+    `outer` lists the row lengths nu may not exceed, such as the k x (n-k)
+    box of a product; lam and mu have at most len(outer) rows.  Shapes
+    only grow, so pruning at `outer` is exact.
 
     The factor with fewer rows is the content: starting from the other
     one, strip i adds mu[i] cells labelled i as a horizontal strip.  The

@@ -297,6 +297,25 @@ def test_curve_salmon_cayley(capsys):
     assert out == "{degree=180, m1=72, m2=18, m3=6}\n"
 
 
+def test_the_derivation_script_reports_a_broken_worksheet_without_a_traceback(tmp_path):
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "run_derivation.py").write_bytes((ROOT / "scripts" / "run_derivation.py").read_bytes())
+    (tmp_path / "worksheets").mkdir()
+    for ws in (ROOT / "worksheets").glob("*.ws"):
+        (tmp_path / "worksheets" / ws.name).write_bytes(ws.read_bytes())
+    broken = tmp_path / "worksheets" / "tau_k3.ws"
+    lines = len(broken.read_text(encoding="utf-8").splitlines())
+    with broken.open("a", encoding="utf-8") as f:
+        f.write("let x =\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = tmp_path / "scripts" / "run_derivation.py"
+    out = subprocess.run([sys.executable, "-W", "error", str(script)], env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == f"{broken}: error: line {lines + 1}, column 8: missing expression\n"
+    assert "Traceback" not in out.stdout + out.stderr
+    assert "degXS = 152" in out.stdout  # the worksheets after it still run
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     code = "import sys, chowkit.cli; print('dataclasses' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
