@@ -126,20 +126,20 @@ def _strip_product(seeds: dict, mu: tuple, rows: int, cols: int) -> dict:
     """{nu: sum of c * c^nu_{lam,mu} over the seeds {lam: c}}, nu in the rows x cols box.
 
     Each seed lies inside the box; shapes only grow, so pruning at the box
-    is exact.  Starting from every seed at once, with its
-    coefficient as its count, strip i adds mu[i] cells labelled i as a
-    horizontal strip.  The reading word (right to left, top to bottom)
-    stays a lattice word iff, for every row r, the i's in rows <= r number
-    at most the (i-1)'s in rows < r, the state's ceiling at r.  A state is
-    the shape and that ceiling, and its future placements depend on
-    nothing else, so equal states merge by adding their counts, whichever
-    seed they came from: every nu of every seed comes out of one pass.
+    is exact.  Starting from every seed at once, with its coefficient as
+    its count, strip i adds mu[i] cells labelled i as a horizontal strip.
+    The reading word (right to left, top to bottom) stays a lattice word
+    iff, for every row r, the i's in rows <= r number at most the (i-1)'s
+    in rows < r, the state's ceiling at r.  A state is the shape and that
+    ceiling, and its future placements depend on nothing else, so equal
+    states merge by adding their counts, whichever seed they came from:
+    every nu of every seed comes out of one pass.
 
     One loop places a strip's cells one at a time, in rows that never go
     up: an odometer over their rows rs, backtracking in place on one list
     `new`.  Cell j may go in row r when new[r] < top, the old row above
-    (cols in row 0), and when ceiling[r] > j, as cells 0..j
-    all lie in rows <= r.  Four exact savings cut the work:
+    (cols in row 0), and when ceiling[r] > j, as cells 0..j all lie in
+    rows <= r.  Four exact savings cut the work:
 
     - The ceiling is capped at the next strip's size.  That strip has no
       more cells in all, so a higher ceiling never binds, and states that

@@ -312,9 +312,9 @@ def test_lr_coefficient_matches_multiply(seed):
         assert lr_coefficient(lam, mu, nu) == product.get(nu, 0)
 
 
-def partitions(rows, cols, min_rows=0):
-    """Partitions of min_rows to rows rows, each at most cols long."""
-    return st.lists(st.integers(1, cols), min_size=min_rows, max_size=rows).map(
+def partitions(rows, cols):
+    """Partitions of at most rows rows, each at most cols long."""
+    return st.lists(st.integers(1, cols), max_size=rows).map(
         lambda parts: tuple(sorted(parts, reverse=True))
     )
 
