@@ -26,20 +26,18 @@ most any nu of the product has, so a small product on a big Grassmannian
 pays only for the rows it reaches.  It takes a one-term content's pass as
 it comes, without summing it again; `_strip_product` lists the savings.
 
-A product may make at most MAX_STATES strip states, counted over all its
-strips; past that it raises ValueError, about 0.8 s into the work, so a
-cheap product on a big Grassmannian still runs and an expensive one on
-any Grassmannian is refused.
+A product may make at most MAX_STATES = 100,000 strip states, counted
+over all its strips; past that it raises ValueError (s(7,...,1)^2 on
+Gr(14,28) stops at 100,002), so a cheap product on a big Grassmannian
+still runs and an expensive one on any Grassmannian is refused.
 
 `lr_coefficient` is 0 at once unless nu holds both factors, and else
 reads nu from the strip product in the len(nu) x nu[0] box.  Pluecker
 degrees come in closed form from the hook-length formula, for a
 dimension in 0..k(n-k) unless the element is empty.  The formula walks
-dim cells per term; past MAX_CELLS cells in all it raises ValueError
-before any work.  `integrate` builds no k-long tuple unless a term has k
-rows.  `pieri` is a test oracle in `tests/_oracles.py`, as are Giambelli
-products through it, the Pieri walk for degrees and the strip product
-before these savings.
+dim cells per term; past MAX_CELLS = 40,000 cells in all it raises
+ValueError before any work.  `integrate` builds no k-long tuple unless a
+term has k rows.
 """
 
 from __future__ import annotations
@@ -105,8 +103,11 @@ class SchubertElement(Combination):
         return Combination.__mul__(self, other)
 
 
-MAX_STATES = 100_000  # strip states one product may make: about 0.8 s on 2 vCPUs, CPython 3.11
-MAX_CELLS = 40_000  # cells one Pluecker degree's hook lengths may walk: 0.3-0.5 s, as above
+# The work budgets.  In-process on a 2-vCPU Intel Xeon sandbox, CPython 3.11.7
+# (2026-10-21, 3 runs), refusing s(7,...,1)^2 on Gr(14,28) took 0.63-0.66 s and
+# a degree walking 40,000 cells 0.33-0.34 s.
+MAX_STATES = 100_000  # strip states one product may make
+MAX_CELLS = 40_000  # cells one Pluecker degree's hook lengths may walk
 
 
 def _over_budget(made: int) -> ValueError:

@@ -8,7 +8,6 @@ is a plain `(line, column)` tuple of ints, which the cyclic GC untracks.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 
 class WorksheetError(ValueError):
@@ -70,8 +69,7 @@ BasisDecl = _node("BasisDecl", "names")
 SolveBlock = _node("SolveBlock", "constraints")  # of (left, right) expression pairs
 
 
-class WorksheetProgram(NamedTuple):
-    statements: tuple
+WorksheetProgram = namedtuple("WorksheetProgram", "statements")
 
 
 # --- pretty printing -------------------------------------------------------

@@ -2,8 +2,10 @@
 
 The grammar is line oriented: one statement per line, `#` comments, and
 the brace blocks `surface`, `lattice` and `solve`, all read by `block`:
-`;` or a newline ends a section, and `,` separates the items of a section
-and may end a line.  A surface declares `euler` once.  See the README.
+`;` or a newline ends a section, and `,` separates the items of a section.
+A line end is a blank when it is inside `( )` or `[ ]`, at the start of
+the text, after another line end, or after a `,`; `tokenize` alone
+applies that rule.  A surface declares `euler` once.  See the README.
 
 `tokenize` is one `finditer` pass of one regular expression: each match
 is one token together with the blanks and comments before it, and the
@@ -126,7 +128,7 @@ def tokenize(text: str) -> list:
             p = m[kind]
             append((p, p, line, col))
         elif kind == "NEWLINE":
-            if depth == 0 and tokens and tokens[-1][0] != "NEWLINE":
+            if depth == 0 and tokens and tokens[-1][0] not in ("NEWLINE", ","):
                 append(("NEWLINE", "\n", line, col))
             line, line_start = line + 1, start + 1
         elif kind == "OPEN" or kind == "CLOSE":
@@ -190,10 +192,6 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise WorksheetSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", t[2:])
 
-    def skip_newlines(self):
-        while self.cur[0] == "NEWLINE":
-            self.advance()
-
     def integer(self, t: tuple) -> int:
         """The value of the INT token `t`, at most `max_digits()` digits long."""
         cap = self.max_digits
@@ -205,12 +203,10 @@ class _Parser:
 
     def program(self) -> WorksheetProgram:
         stmts = []
-        self.skip_newlines()
         while self.cur[0] != "EOF":
             stmts.append(self.statement())
             if self.cur[0] != "EOF":
                 self.expect("NEWLINE", "expected end of statement")
-                self.skip_newlines()
         return WorksheetProgram(tuple(stmts))
 
     def statement(self):
@@ -270,25 +266,22 @@ class _Parser:
         self.declare([name], pos)
         return name, expr
 
-    def comma_list(self, read, lines: bool = False) -> list:
-        """Read one or more items with `read`, separated by `,`; where `lines`,
-        as in a block, a `,` may end a line."""
+    def comma_list(self, read) -> list:
+        """Read one or more items with `read`, separated by `,`."""
         items = [read()]
         while self.cur[0] == ",":
             self.advance()
-            if lines and self.cur[0] == "NEWLINE":
-                self.advance()  # one token however many lines end here
             items.append(read())
         return items
 
-    def name_list(self, what: str, lines: bool = False) -> list:
-        return self.comma_list(lambda: self.ident(what), lines)
+    def name_list(self, what: str) -> list:
+        return self.comma_list(lambda: self.ident(what))
 
     # -- blocks -------------------------------------------------------
 
     def block(self, what: str, section):
         """Read `{ ... }`, calling `section` for each section: `;` or a newline
-        ends a section, and `,` separates its items (`comma_list` with `lines`)."""
+        ends a section, and `,` separates its items (`comma_list`)."""
         self.expect("{", f"expected '{{' opening {what} block")
         fresh = True  # after `{`, `;` or a newline, where a section may start
         while self.cur[0] != "}" and self.cur[0] != "EOF":
@@ -310,14 +303,14 @@ class _Parser:
             # the first section names the divisors, after an optional `basis`
             word = self.keyword(("euler",) if basis else ("basis",))
             if not basis:
-                basis.extend(self.name_list("divisor name", True))
+                basis.extend(self.name_list("divisor name"))
             elif word:
                 if euler:
                     raise WorksheetSyntaxError("euler declared twice", at)
                 self.expect("=", "expected '=' after 'euler'")
                 euler.append(self.expr())
             else:
-                gram.extend(self.comma_list(lambda: self.gram_entry("divisor name"), True))
+                gram.extend(self.comma_list(lambda: self.gram_entry("divisor name")))
 
         self.block("surface", section)
         if not euler:
@@ -341,10 +334,10 @@ class _Parser:
             at = self.cur[2:]
             word = self.keyword(("basis", "unknown", "class", "canonical"))
             if word == "basis":
-                names = self.declare(self.name_list("class name", True), at)
+                names = self.declare(self.name_list("class name"), at)
                 items.append(BasisDecl(names, pos=at))
             elif word == "unknown":
-                names = self.declare(self.name_list("unknown name", True), at)
+                names = self.declare(self.name_list("unknown name"), at)
                 items.append(UnknownDecl(names, pos=at))
             elif word == "class":
                 items.append(ClassDecl(*self.binding("class name", at), pos=at))
@@ -353,7 +346,7 @@ class _Parser:
                 items.append(CanonicalDecl(self.expr(), pos=at))
                 self.declare(["K"], at)
             else:
-                items.extend(self.comma_list(lambda: self.gram_entry("class name"), True))
+                items.extend(self.comma_list(lambda: self.gram_entry("class name")))
 
         self.block("lattice", section)
         return LatticeDecl(name, tuple(items), pos=pos)
@@ -366,7 +359,7 @@ class _Parser:
             self.expect("==", "expected '==' in solve constraint")
             constraints.append((left, self.expr()))
 
-        self.block("solve", lambda: self.comma_list(constraint, True))
+        self.block("solve", lambda: self.comma_list(constraint))
         if not constraints:
             raise WorksheetSyntaxError("empty solve block", pos)
         return SolveBlock(tuple(constraints), pos=pos)
@@ -487,7 +480,8 @@ def parse_expression(text: str):
     """Read one expression; only blank lines and comments may follow it."""
     parser = _Parser(tokenize(text))
     expr = parser.expr()
-    parser.skip_newlines()
+    if parser.cur[0] == "NEWLINE":
+        parser.advance()
     t = parser.cur
     if t[0] != "EOF":
         raise WorksheetSyntaxError(f"trailing input {t[1]!r}", t[2:])

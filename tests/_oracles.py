@@ -4,7 +4,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from numbers import Rational
 from typing import NamedTuple
 
@@ -287,6 +287,45 @@ def reference_lr_product(lam: tuple, mu: tuple, outer: tuple) -> dict:
     return out
 
 
+def skew_tableaux(alpha: tuple, beta: tuple) -> int:
+    """The standard tableaux of the skew shape alpha/beta, 0 unless beta fits
+    in alpha, by Aitken's determinant N! det[1/(alpha_i - beta_j - i + j)!]
+    with N = |alpha| - |beta| and 1/m! = 0 for m < 0 (Stanley, Enumerative
+    Combinatorics 2, Cor. 7.16.3), eliminated in `Fraction`s.
+
+    The integral of s[lam] * s[mu] * s[1]^d over a Grassmannian is the count
+    for mu's box complement over lam, so this checks Pluecker degrees of
+    products without forming the product.
+    """
+    alpha = [a for a in alpha if a]
+    beta = [b for b in beta if b]
+    n = len(alpha)
+    if len(beta) > n or any(b > a for a, b in zip(alpha, beta)):
+        return 0
+    beta += [0] * (n - len(beta))
+    m = [
+        [Fraction(1, factorial(alpha[i] - beta[j] - i + j)) if alpha[i] - beta[j] - i + j >= 0 else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    count = factorial(sum(alpha) - sum(beta)) * det
+    assert count.denominator == 1, count
+    return count.numerator
+
+
 _REFERENCE_TOKEN = re.compile(
     r"""
       [ \t\r]+
@@ -329,7 +368,9 @@ def reference_tokenize(text: str) -> list:
             continue
         pos = (line, start - line_start + 1)
         if kind == "NEWLINE":
-            if depth == 0 and tokens and tokens[-1].kind != "NEWLINE":
+            # a blank inside brackets, first, or after a line end or a comma
+            blank = depth > 0 or not tokens or tokens[-1].kind in {"NEWLINE", ","}
+            if not blank:
                 tokens.append(Token("NEWLINE", "\n", pos))
             line, line_start = line + 1, i
         elif kind == "STRING":

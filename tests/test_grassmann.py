@@ -11,7 +11,7 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chowkit.grassmann as grassmann
@@ -40,6 +40,7 @@ from _oracles import (
     pieri,
     pieri_degree,
     reference_lr_product,
+    skew_tableaux,
 )
 
 G24 = GrassmannContext(2, 4)
@@ -304,10 +305,12 @@ def test_truncated_staircase_square_is_the_restricted_square():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_lr_coefficient_matches_multiply(seed):
+    """`lr_coefficient` against the reference strip product, which shares
+    no code with the kernel's."""
     rng = random.Random(seed)
     lam = random_partition(G48, rng)
     mu = random_partition(G48, rng)
-    product = multiply(sig(G48, *lam), sig(G48, *mu)).terms
+    product = reference_lr_product(lam, mu, (4,) * 4)
     for nu in partitions_in_box(4, 4, weight(lam) + weight(mu)):
         assert lr_coefficient(lam, mu, nu) == product.get(nu, 0)
 
@@ -320,9 +323,9 @@ def partitions(rows, cols):
 
 
 @st.composite
-def lr_cases(draw):
-    """(lam, mu, rows, cols) with lam and mu in the rows x cols box, up to 7 x 7."""
-    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+def lr_cases(draw, size=7):
+    """(lam, mu, rows, cols) with lam and mu in the rows x cols box, up to size x size."""
+    rows, cols = draw(st.integers(1, size)), draw(st.integers(1, size))
     return draw(partitions(rows, cols)), draw(partitions(rows, cols)), rows, cols
 
 
@@ -364,6 +367,34 @@ def test_lr_coefficient_walks_no_strip_when_nu_does_not_hold_a_factor(monkeypatc
     # not the first row of (2, 2, 1), as either factor
     for lam, mu, nu in [((3, 2, 2), (2,), (5, 3, 1)), ((2,), (3,), (2, 2, 1))]:
         assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu) == 0
+
+
+def box_complement(mu: tuple, rows: int, cols: int) -> tuple:
+    """mu's complement in the rows x cols box, turned round."""
+    mu = tuple(mu) + (0,) * (rows - len(mu))
+    return tuple(cols - mu[rows - 1 - i] for i in range(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lr_cases(6))
+# s(2,1)^2 in Gr(3,6) is truncated at the 3 x 3 box
+@example(((2, 1), (2, 1), 3, 3))
+def test_degree_of_a_product_counts_skew_tableaux(case):
+    """The degree of s[lam] * s[mu], truncated products included, is the
+    number of standard tableaux of mu's box complement over lam."""
+    lam, mu, rows, cols = case
+    dim = rows * cols - weight(lam) - weight(mu)
+    assume(dim >= 0)
+    ctx = GrassmannContext(rows, rows + cols)
+    degree = plucker_degree(multiply(sig(ctx, *lam), sig(ctx, *mu)), dim)
+    assert degree == skew_tableaux(box_complement(mu, rows, cols), lam)
+
+
+def test_the_staircase_square_degree_on_gr_8_16_counts_skew_tableaux():
+    ctx = GrassmannContext(8, 16)
+    pinned = 3464933482334104704000
+    assert skew_tableaux(box_complement(STAIRCASE, 8, 8), STAIRCASE) == pinned
+    assert plucker_degree(multiply(sig(ctx, *STAIRCASE), sig(ctx, *STAIRCASE)), 34) == pinned
 
 
 def per_pair_product(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:

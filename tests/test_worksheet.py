@@ -359,6 +359,7 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         ('input x = 1', "line 1, column 12: expected keyword 'from', got end of input"),
         ("let x = 1 +\n", "line 1, column 12: missing expression"),
         ("let x\nlet y = 1\n", "line 1, column 6: expected '=' after binding name, got end of line"),
+        ("unknown a,\nlet x = 1\n", "line 2, column 1: expected unknown name, got 'let'"),
         ("surface { H; H.H = 6 }\n", "line 1, column 1: surface block must declare euler = ..."),
         ("solve { }\n", "line 1, column 1: empty solve block"),
         ('input x = 1 form "c"\n', "line 1, column 13: expected keyword 'from', got 'form'"),
@@ -406,6 +407,7 @@ LATTICE = "lattice L { basis l, F; l.l = 0, l.F = 1, F.F = 0; "
         "keyword-at-end-of-input",
         "operand-at-end-of-line",
         "name-at-end-of-line",
+        "name-after-a-line-final-comma",
         "surface-without-euler",
         "empty-solve",
         "input-without-from",
@@ -944,11 +946,16 @@ def test_evaluation_is_deterministic(path):
             "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24 }\n",
         ),
         ("unknown a, b\nsolve {\n a == 1,\n b == 2\n}\n", "unknown a, b\nsolve { a == 1, b == 2 }\n"),
+        ("let P = pluecker{d=6,\n nodes=6}\n", "let P = pluecker{d=6, nodes=6}\n"),
+        ("unknown a,\n b\n", "unknown a, b\n"),
     ],
-    ids=["lattice", "surface", "solve"],
+    ids=["lattice", "surface", "solve", "brace-call", "unknown"],
 )
 def test_a_comma_may_end_a_line_in_every_block(lines, one_line):
-    assert parse(lines) == parse(one_line)
+    """In every block, and in a brace call and an `unknown` list as well."""
+    program = parse(lines)
+    assert program == parse(one_line)
+    assert parse(pretty_print(program)) == program
 
 
 def test_a_surface_may_name_its_divisors_after_basis():
@@ -1243,6 +1250,21 @@ def test_tokenize_matches_the_reference_lexer(text):
 def test_tokenize_matches_the_reference_lexer_on_the_shipped_worksheets(path):
     text = path.read_text(encoding="utf-8")
     assert repr(tokenize(text)) == repr(_reference(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["\n", "\n\n", ",", " ", "# note", "(", ")", "[", "]", "{", "}", ";", "x", "1"]),
+        max_size=30,
+    ).map("".join)
+)
+def test_no_newline_token_starts_the_text_repeats_or_follows_a_comma(text):
+    """The layout rule lives in `tokenize`, so the parser never skips line ends."""
+    kinds = [t[0] for t in tokenize(text)]
+    assert kinds[0] != "NEWLINE"
+    for before, kind in zip(kinds, kinds[1:]):
+        assert kind != "NEWLINE" or before not in ("NEWLINE", ","), kinds
 
 
 SHIPPED_TOKENS = [
