@@ -103,9 +103,9 @@ class SchubertElement(Combination):
         return Combination.__mul__(self, other)
 
 
-# The work budgets.  In-process on a 2-vCPU Intel Xeon sandbox, CPython 3.11.7
-# (2026-10-21, 3 runs), refusing s(7,...,1)^2 on Gr(14,28) took 0.63-0.66 s and
-# a degree walking 40,000 cells 0.33-0.34 s.
+# The work budgets.  In-process on a shared 2-vCPU Intel Xeon machine, CPython
+# 3.11.7 (2026-10-21, 3 runs), refusing s(7,...,1)^2 on Gr(14,28) took
+# 0.63-0.66 s and a degree walking 40,000 cells 0.33-0.34 s.
 MAX_STATES = 100_000  # strip states one product may make
 MAX_CELLS = 40_000  # cells one Pluecker degree's hook lengths may walk
 

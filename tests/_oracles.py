@@ -303,11 +303,11 @@ def skew_tableaux(alpha: tuple, beta: tuple) -> int:
     if len(beta) > n or any(b > a for a, b in zip(alpha, beta)):
         return 0
     beta += [0] * (n - len(beta))
-    m = [
-        [Fraction(1, factorial(alpha[i] - beta[j] - i + j)) if alpha[i] - beta[j] - i + j >= 0 else Fraction(0)
-         for j in range(n)]
-        for i in range(n)
-    ]
+
+    def inverse_factorial(k):
+        return Fraction(1, factorial(k)) if k >= 0 else Fraction(0)
+
+    m = [[inverse_factorial(alpha[i] - beta[j] - i + j) for j in range(n)] for i in range(n)]
     det = Fraction(1)
     for c in range(n):
         pivot = next((r for r in range(c, n) if m[r][c]), None)
