@@ -8,8 +8,11 @@ formulas, and a small worksheet language tying them together.
 from .grassmann import (
     GrassmannContext,
     SchubertElement,
+    complement_in_box,
+    conjugate,
     integrate,
     multiply,
+    partition,
     plucker_degree,
 )
 from .linexpr import (
@@ -18,7 +21,6 @@ from .linexpr import (
     NonlinearError,
     UnderdeterminedSystem,
 )
-from .partitions import complement_in_box, conjugate, partition
 
 __all__ = [
     "GrassmannContext",

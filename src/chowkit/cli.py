@@ -9,9 +9,6 @@ where there is one: `-1/2`, `3*2`, `odd_theta(4)` and
 errors.  `eval` prints any value as a worksheet binds it, a record in braces;
 an EXPR that starts with `-` goes after `--`.
 
-The removed `schubert`, `chern` and `curve` commands exit 2; README shows
-their `eval` forms.
-
 Exit codes: 0 success, 1 assertion failures under --strict, 2 bad arguments,
 parse or runtime errors.  All values print as exact integers or rationals.
 """

@@ -5,39 +5,14 @@ n-dimensional vector space; the class s[lam] has codimension |lam| and
 lam lives in the k x (n-k) box.  Partitions leaving the box multiply to
 zero silently (ring truncation).
 
-Products use the Littlewood-Richardson rule in one pass per term of the
-content factor: the content's rows are added as horizontal strips under
-the lattice-word condition, with equal intermediate states merged, so
-every nu comes out at once and nothing leaves the box.  One loop places
-each strip cell by cell, in rows that never go up, with no recursion; it
-places the last cell by a scan down the rows.  The pass starts from every
-term of the other factor at once, each seed counted with its coefficient.
-Merging states of different seeds is exact, because a state's future
-placements depend only on its shape and lattice ceiling: the merged count
-is the sum of c_lam times the paths from each lam.  The content is the
-factor with fewer terms, and between two single classes the one with
-fewer rows, so s[1]^N is one pass per factor and a product of two single
-classes is the pass it was before seeding.  A pair of coefficients with
-unknowns raises NonlinearError wherever their classes' product is not
-zero, even if the merged count cancels the unknowns.
+Partitions are plain tuples of weakly decreasing positive integers;
+trailing zeros are trimmed on construction so equality is structural.
 
-`multiply` builds only the first len(lam) + len(mu) rows of the box, the
-most any nu of the product has, so a small product on a big Grassmannian
-pays only for the rows it reaches.  It takes a one-term content's pass as
-it comes, without summing it again; `_strip_product` lists the savings.
-
-A product may make at most MAX_STATES = 100,000 strip states, counted
-over all its strips; past that it raises ValueError (s(7,...,1)^2 on
-Gr(14,28) stops at 100,002), so a cheap product on a big Grassmannian
-still runs and an expensive one on any Grassmannian is refused.
-
-`lr_coefficient` is 0 at once unless nu holds both factors, and else
-reads nu from the strip product in the len(nu) x nu[0] box.  Pluecker
-degrees come in closed form from the hook-length formula, for a
-dimension in 0..k(n-k) unless the element is empty.  The formula walks
-dim cells per term; past MAX_CELLS = 40,000 cells in all it raises
-ValueError before any work.  `integrate` builds no k-long tuple unless a
-term has k rows.
+`multiply` is the Littlewood-Richardson product: its docstring says which
+factor is the content and which rows a product builds, and that of
+`_strip_product` describes the strip walk, its savings and its MAX_STATES
+budget.  `plucker_degree` gives degrees in closed form by the hook-length
+formula, within the MAX_CELLS budget.
 """
 
 from __future__ import annotations
@@ -47,7 +22,39 @@ from functools import lru_cache
 from math import factorial
 
 from .linexpr import Combination, LinExpr, NonlinearError, collapse, shown
-from .partitions import complement_in_box, conjugate, fits_in_box, partition, weight
+
+
+def partition(parts) -> tuple:
+    """Normalize an iterable of parts into a valid partition tuple."""
+    p = tuple(int(x) for x in parts)
+    while p and p[-1] == 0:
+        p = p[:-1]
+    for i, x in enumerate(p):
+        if x < 0:
+            raise ValueError(f"negative part {x} in partition {p}")
+        if i + 1 < len(p) and p[i + 1] > x:
+            raise ValueError(f"parts not weakly decreasing: {p}")
+    return p
+
+
+def fits_in_box(lam: tuple, rows: int, cols: int) -> bool:
+    return len(lam) <= rows and (not lam or lam[0] <= cols)
+
+
+def conjugate(lam: tuple) -> tuple:
+    """Transpose the Young diagram, in time linear in its rows and columns."""
+    conj = []
+    for i in range(len(lam), 0, -1):  # i rows are at least lam[i - 1] long
+        conj += [i] * (lam[i - 1] - len(conj))
+    return tuple(conj)
+
+
+def complement_in_box(lam: tuple, rows: int, cols: int) -> tuple:
+    """Reversed box complement: mu[i] = cols - lam[rows - 1 - i]."""
+    if not fits_in_box(lam, rows, cols):
+        raise ValueError(f"partition {lam} does not fit in a {rows}x{cols} box")
+    padded = tuple(lam) + (0,) * (rows - len(lam))
+    return partition(cols - padded[rows - 1 - i] for i in range(rows))
 
 
 class GrassmannContext(namedtuple("GrassmannContext", "k n")):
@@ -235,15 +242,16 @@ def _strip_product(seeds: dict, mu: tuple, rows: int, cols: int) -> dict:
 
 @lru_cache(maxsize=None)
 def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """c^nu_{lam,mu}: the coefficient of s[nu] in s[lam]*s[mu], 0 before any walk unless nu holds
-    lam and mu; the walk, and its MAX_STATES budget, are the len(nu) x nu[0] box's, not nu's."""
+    """c^nu_{lam,mu}: the coefficient of s[nu] in s[lam]*s[mu].  It is 0 unless nu holds lam
+    and mu and |nu| = |lam| + |mu|; else `multiply` reads it on Gr(len(nu), len(nu) + nu[0])."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     outside = any(len(p) > len(nu) or any(a > b for a, b in zip(p, nu)) for p in (lam, mu))
-    if outside or weight(nu) != weight(lam) + weight(mu):
+    if outside or sum(nu) != sum(lam) + sum(mu):
         return 0
-    if len(mu) > len(lam):  # the factor with fewer rows is the content
-        lam, mu = mu, lam
-    return _strip_product({lam: 1}, mu, len(nu), nu[0] if nu else 0).get(nu, 0)
+    if not nu:
+        return 1
+    ctx = GrassmannContext(len(nu), len(nu) + nu[0])
+    return multiply(SchubertElement.sigma(ctx, lam), SchubertElement.sigma(ctx, mu)).terms.get(nu, 0)
 
 
 def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
@@ -252,7 +260,10 @@ def multiply(e1: SchubertElement, e2: SchubertElement) -> SchubertElement:
     The content is the factor with fewer terms; between two single
     classes it is the one with fewer rows, and otherwise on a tie `e2`.
     One strip product per content term, seeded with every term of the
-    other factor, is scaled by that term's coefficient.
+    other factor, is scaled by that term's coefficient.  Each pass builds
+    only the box's first len(lam) + len(mu) rows, the most any nu has.  A
+    seed and a content term that both hold unknowns raise NonlinearError
+    wherever their classes' product is not zero.
     """
     e1._check(e2)
     ctx = e1.space
@@ -304,7 +315,7 @@ def _standard_tableaux(lam: tuple) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
-    return factorial(weight(lam)) // hooks
+    return factorial(sum(lam)) // hooks
 
 
 def plucker_degree(e: SchubertElement, dim: int):
@@ -323,7 +334,7 @@ def plucker_degree(e: SchubertElement, dim: int):
     if e.terms and not 0 <= dim <= top:
         raise ValueError(f"dimension {shown(dim)} is out of range 0..{top} for Gr({k}, {ctx.n})")
     codim = top - dim
-    if any(weight(lam) != codim for lam in e.terms):
+    if any(sum(lam) != codim for lam in e.terms):
         raise ValueError(f"element is not pure of codimension {codim}")
     cells = dim * len(e.terms)
     if cells > MAX_CELLS:

@@ -20,6 +20,7 @@ from chowkit.curves import (
 from chowkit.grassmann import (
     GrassmannContext,
     SchubertElement,
+    complement_in_box,
     integrate,
     multiply,
     plucker_degree,
@@ -32,7 +33,6 @@ from chowkit.lattice import (
     intersect,
 )
 from chowkit.linexpr import LinExpr, collapse, solve_linear
-from chowkit.partitions import complement_in_box
 from chowkit.surface import (
     BundleSpec,
     SurfaceRing,

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -11,11 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chowkit.curves as curves
 import chowkit.grassmann as grassmann
 from chowkit.cli import main
+from chowkit.linexpr import LinExpr, collapse
 from chowkit.worksheet import evaluate, parse
 from chowkit.worksheet.builtins import BUILTINS, integer, number, scalar
 from chowkit.worksheet.evaluate import WorksheetRuntimeError
+
+from _oracles import localized_integral, odd_refinements, per_pair_product
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
@@ -610,6 +615,49 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "worksheet", "run", f"worksheets/{stem}.ws", "--json")
     assert code == 0
     assert out.encode("utf-8") == (REFERENCES / f"{stem}.json").read_bytes()
+
+
+# The builtins the shipped worksheets call that stay on the kernels when the
+# oracles below stand in for Schubert products, `integrate`, `pdeg` and
+# `odd_theta`.
+KERNEL_BUILTINS = {
+    "coincidences", "degmult", "genus", "hurwitz", "jet2_c2",
+    "pluecker", "residual", "salmon_cayley", "secant_pluecker", "tau",
+}
+
+
+def _localized_degree(e, dim):
+    """The integral of e * s[1]^dim, one term at a time, by torus localization at seed 1."""
+    total = sum(c * localized_integral(e.space, [lam], dim, seed=1) for lam, c in e.terms.items())
+    return collapse(LinExpr.coerce(total))
+
+
+def test_worksheets_match_the_references_under_the_oracles(capsys, monkeypatch):
+    """The derivation a second time: with Schubert products, integrals, Pluecker
+    degrees and odd theta counts from the oracles, which share no algorithm
+    with `grassmann` or `curves`, every worksheet prints its reference byte for byte."""
+    calls = dict.fromkeys(["multiply", "integrate", "plucker_degree", "odd_theta_count"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(grassmann, "multiply", counted("multiply", per_pair_product))
+    monkeypatch.setattr(grassmann, "integrate", counted("integrate", lambda e: _localized_degree(e, 0)))
+    monkeypatch.setattr(grassmann, "plucker_degree", counted("plucker_degree", _localized_degree))
+    monkeypatch.setattr(curves, "odd_theta_count", counted("odd_theta_count", odd_refinements))
+    called = set()
+    for path in sorted((ROOT / "worksheets").glob("*.ws")):
+        text = re.sub(r"#.*", "", path.read_text(encoding="utf-8"))
+        called |= set(re.findall(r"(\w+)[({]", text)) & set(BUILTINS)
+        code, out, _ = run_cli(capsys, "worksheet", "run", f"worksheets/{path.name}", "--json", "--strict")
+        assert code == 0, path.name
+        assert out.encode("utf-8") == (REFERENCES / path.name).with_suffix(".json").read_bytes()
+    assert all(calls.values()), calls
+    assert called - {"integrate", "pdeg", "odd_theta"} == KERNEL_BUILTINS
 
 
 @pytest.mark.parametrize(

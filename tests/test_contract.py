@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from chowkit.curves import correspondence_coincidences, plucker_solve, residual_degree
-from chowkit.grassmann import GrassmannContext, SchubertElement
+from chowkit.grassmann import GrassmannContext, SchubertElement, complement_in_box
 from chowkit.lattice import ClassExpr, RuledLattice, genus_additivity
 from chowkit.linexpr import LinExpr
-from chowkit.partitions import complement_in_box
 from chowkit.surface import BundleSpec, SurfaceClass, SurfaceRing, jet_chern, sym_power
 from chowkit.worksheet.builtins import BUILTINS
 

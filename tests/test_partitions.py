@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chowkit.partitions import (
+from chowkit.grassmann import (
     complement_in_box,
     conjugate,
     fits_in_box,
     partition,
-    weight,
 )
 
 from _oracles import partitions_in_box
@@ -41,7 +40,7 @@ def test_partition_rejects_increasing():
 
 
 def test_weight_and_box():
-    assert weight((3, 2, 1)) == 6
+    assert sum((3, 2, 1)) == 6
     assert fits_in_box((2, 2), 2, 2)
     assert not fits_in_box((3,), 2, 2)
     assert not fits_in_box((1, 1, 1), 2, 2)
@@ -72,7 +71,7 @@ def test_complement_involution(item):
     mu = complement_in_box(lam, rows, cols)
     assert fits_in_box(mu, rows, cols)
     assert complement_in_box(mu, rows, cols) == lam
-    assert weight(lam) + weight(mu) == rows * cols
+    assert sum(lam) + sum(mu) == rows * cols
 
 
 def test_partitions_in_box_counts():
@@ -85,5 +84,5 @@ def test_partitions_in_box_counts():
 
 def test_partitions_in_box_are_sorted_by_weight_within_degree():
     for lam in partitions_in_box(3, 4, total=5):
-        assert weight(lam) == 5
+        assert sum(lam) == 5
         assert fits_in_box(lam, 3, 4)
