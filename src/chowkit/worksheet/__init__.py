@@ -1,6 +1,5 @@
-from .ast import WorksheetError, WorksheetProgram, pretty_print
 from .evaluate import EvaluationReport, WorksheetRuntimeError, evaluate
-from .parse import WorksheetSyntaxError, parse
+from .parse import WorksheetError, WorksheetProgram, WorksheetSyntaxError, parse, pretty_print
 
 __all__ = [
     "WorksheetError",

@@ -15,7 +15,8 @@ from ..grassmann import GrassmannContext, SchubertElement
 from ..lattice import IntersectionForm, RuledLattice
 from ..linexpr import LinExpr, collapse, holds_unknown, printed, shown, solve_linear
 from ..surface import SurfaceRing
-from .ast import (
+from .builtins import BUILTINS, Record, kind_of, lattice_class, scalar
+from .parse import (
     Assert,
     BasisDecl,
     BinOp,
@@ -38,7 +39,6 @@ from .ast import (
     WorksheetProgram,
     _fmt_expr,
 )
-from .builtins import BUILTINS, Record, kind_of, lattice_class, scalar
 
 
 class WorksheetRuntimeError(WorksheetError):

@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for `.ws` worksheet files.
+"""The syntax of `.ws` worksheet files: tokens, nodes, parser and printer.
 
 The grammar is line oriented: one statement per line, `#` comments, and
 the brace blocks `surface`, `lattice` and `solve`, all read by `block`:
@@ -12,11 +12,15 @@ is one token together with the blanks and comments before it, and the
 last alternatives are the end of the text and any character no token
 starts with, which is reported.  A token is a plain tuple `(kind, text,
 line, col)`, where `kind` is NAME, INT, STRING, NEWLINE, EOF or the
-punctuation itself.  It holds only `str` and `int`, so the cyclic GC
-untracks it.
+punctuation itself, and a node's or an error's position is its token's
+`(line, col)` slice, `t[2:]`.  Both hold only `str` and `int`, so the
+cyclic GC untracks them.
 
-The parser keeps the token it is at in `cur`.  A node's or an error's
-position is its token's `(line, col)` slice, `t[2:]`.  The nodes it builds
+A node is a named tuple of its fields followed by `pos`.  Node equality
+is structural and ignores `pos`, so `parse(pretty_print(p)) == p` is a
+meaningful round-trip law.
+
+The parser keeps the token it is at in `cur`.  The nodes it builds
 most (`IntLit`, `Name`, `BinOp`, `Neg`) are made positionally with
 `tuple.__new__`, which skips the named tuples' Python-level `__new__`.
 It checks scope as it reads: every name is bound once (by `let`, `input`,
@@ -30,32 +34,72 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 
-from .ast import (
-    Assert,
-    BasisDecl,
-    BinOp,
-    Call,
-    CanonicalDecl,
-    ClassDecl,
-    FieldAccess,
-    GramEntry,
-    GrassmannianDecl,
-    Input,
-    IntLit,
-    Let,
-    LatticeDecl,
-    Name,
-    Neg,
-    SchubertLit,
-    SolveBlock,
-    SurfaceDecl,
-    UnknownDecl,
-    WorksheetError,
-    WorksheetProgram,
-    pretty_print,
-)
 from .builtins import BUILTINS
+
+
+class WorksheetError(ValueError):
+    """An error in a worksheet, tagged with the source position it concerns."""
+
+    def __init__(self, message: str, pos: tuple):
+        super().__init__(f"line {pos[0]}, column {pos[1]}: {message}")
+        self.message = message
+        self.pos = pos
+
+
+class _Node(tuple):
+    """Equal to a node of the same class with equal fields; `pos` is not compared."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), self[:-1]))
+
+
+def _node(name: str, fields: str) -> type:
+    """A node class: a named tuple of `fields` followed by `pos`."""
+    base = namedtuple(name, f"{fields} pos")
+    return type(name, (base, _Node), {"__slots__": (), "__module__": __name__})
+
+
+# --- expressions -----------------------------------------------------------
+
+IntLit = _node("IntLit", "value")
+Name = _node("Name", "name")
+SchubertLit = _node("SchubertLit", "parts")
+BinOp = _node("BinOp", "op left right")  # op is one of + - * /
+Neg = _node("Neg", "operand")
+# groups holds the ';'-separated argument tuples, at most two and none empty;
+# kwargs is ((name, expr), ...) for brace calls
+Call = _node("Call", "func groups kwargs")
+FieldAccess = _node("FieldAccess", "base name")
+
+# --- statements ------------------------------------------------------------
+
+Let = _node("Let", "name expr")
+Input = _node("Input", "name expr citation")
+Assert = _node("Assert", "left right")
+GrassmannianDecl = _node("GrassmannianDecl", "k n")
+UnknownDecl = _node("UnknownDecl", "names")
+GramEntry = _node("GramEntry", "a b expr")
+SurfaceDecl = _node("SurfaceDecl", "basis gram euler")  # gram is a tuple of GramEntry
+ClassDecl = _node("ClassDecl", "name expr")
+CanonicalDecl = _node("CanonicalDecl", "expr")
+# items are BasisDecl, UnknownDecl, GramEntry, ClassDecl and CanonicalDecl nodes
+LatticeDecl = _node("LatticeDecl", "name items")
+BasisDecl = _node("BasisDecl", "names")
+SolveBlock = _node("SolveBlock", "constraints")  # of (left, right) expression pairs
+
+
+WorksheetProgram = namedtuple("WorksheetProgram", "statements")
+
 
 # the words that start a statement, in the order the error message lists them
 STATEMENTS = ("let", "input", "assert", "grassmannian", "surface", "lattice", "solve", "unknown")
@@ -486,6 +530,76 @@ def parse_expression(text: str):
     if t[0] != "EOF":
         raise WorksheetSyntaxError(f"trailing input {t[1]!r}", t[2:])
     return expr
+
+
+# --- pretty printing -------------------------------------------------------
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _fmt_expr(e, parent_prec=0, right_side=False):
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, Name):
+        return e.name
+    if isinstance(e, SchubertLit):
+        return f"s[{','.join(map(str, e.parts))}]"
+    if isinstance(e, FieldAccess):
+        return f"{_fmt_expr(e.base, 3)}.{e.name}"
+    if isinstance(e, Neg):
+        inner = _fmt_expr(e.operand, 3)
+        out = f"-{inner}"
+        return f"({out})" if parent_prec >= 2 or right_side else out
+    if isinstance(e, Call):
+        if e.kwargs:
+            inner = ", ".join(f"{k}={_fmt_expr(v)}" for k, v in e.kwargs)
+            return f"{e.func}{{{inner}}}"
+        inner = "; ".join(", ".join(map(_fmt_expr, g)) for g in e.groups)
+        return f"{e.func}({inner})"
+    if isinstance(e, BinOp):
+        prec = _PREC[e.op]
+        left = _fmt_expr(e.left, prec, right_side=False)
+        right = _fmt_expr(e.right, prec, right_side=True)
+        out = f"{left} {e.op} {right}"
+        if prec < parent_prec or (prec == parent_prec and right_side):
+            out = f"({out})"
+        return out
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fmt_stmt(s):
+    """A statement, or an item of a surface or lattice block."""
+    if isinstance(s, Let):
+        return f"let {s.name} = {_fmt_expr(s.expr)}"
+    if isinstance(s, Input):
+        return f'input {s.name} = {_fmt_expr(s.expr)} from "{s.citation}"'
+    if isinstance(s, Assert):
+        return f"assert {_fmt_expr(s.left)} == {_fmt_expr(s.right)}"
+    if isinstance(s, GrassmannianDecl):
+        return f"grassmannian ({s.k}, {s.n})"
+    if isinstance(s, UnknownDecl):
+        return f"unknown {', '.join(s.names)}"
+    if isinstance(s, BasisDecl):
+        return f"basis {', '.join(s.names)}"
+    if isinstance(s, GramEntry):
+        return f"{s.a}.{s.b} = {_fmt_expr(s.expr)}"
+    if isinstance(s, ClassDecl):
+        return f"class {s.name} = {_fmt_expr(s.expr)}"
+    if isinstance(s, CanonicalDecl):
+        return f"canonical = {_fmt_expr(s.expr)}"
+    if isinstance(s, SurfaceDecl):
+        gram = ", ".join(map(_fmt_stmt, s.gram))
+        return f"surface {{ {', '.join(s.basis)}; {gram}; euler = {_fmt_expr(s.euler)} }}"
+    if isinstance(s, LatticeDecl):
+        return f"lattice {s.name} {{ {'; '.join(map(_fmt_stmt, s.items))} }}"
+    if isinstance(s, SolveBlock):
+        cs = "; ".join(f"{_fmt_expr(a)} == {_fmt_expr(b)}" for a, b in s.constraints)
+        return f"solve {{ {cs} }}"
+    raise TypeError(f"not a statement node: {s!r}")
+
+
+def pretty_print(p: WorksheetProgram) -> str:
+    return "\n".join(_fmt_stmt(s) for s in p.statements) + "\n"
 
 
 __all__ = ["parse", "parse_expression", "pretty_print", "tokenize", "WorksheetSyntaxError"]

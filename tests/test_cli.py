@@ -14,13 +14,21 @@ from hypothesis import strategies as st
 
 import chowkit.curves as curves
 import chowkit.grassmann as grassmann
+import chowkit.lattice as lattice
 from chowkit.cli import main
 from chowkit.linexpr import LinExpr, collapse
 from chowkit.worksheet import evaluate, parse
 from chowkit.worksheet.builtins import BUILTINS, integer, number, scalar
 from chowkit.worksheet.evaluate import WorksheetRuntimeError
 
-from _oracles import localized_integral, odd_refinements, per_pair_product
+from _oracles import (
+    genus_by_the_bilinear_sum,
+    localized_integral,
+    odd_refinements,
+    per_pair_product,
+    reference_plucker_solve,
+    secants_by_projection,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
@@ -617,38 +625,58 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     assert out.encode("utf-8") == (REFERENCES / f"{stem}.json").read_bytes()
 
 
-# The builtins the shipped worksheets call that stay on the kernels when the
-# oracles below stand in for Schubert products, `integrate`, `pdeg` and
-# `odd_theta`.
-KERNEL_BUILTINS = {
-    "coincidences", "degmult", "genus", "hurwitz", "jet2_c2",
-    "pluecker", "residual", "salmon_cayley", "secant_pluecker", "tau",
-}
-
-
 def _localized_degree(e, dim):
     """The integral of e * s[1]^dim, one term at a time, by torus localization at seed 1."""
     total = sum(c * localized_integral(e.space, [lam], dim, seed=1) for lam, c in e.terms.items())
     return collapse(LinExpr.coerce(total))
 
 
+def _genus_by_the_bilinear_sum(C):
+    K = C.space.canonical
+    return genus_by_the_bilinear_sum(C.space, C.terms, None if K is None else K.terms)
+
+
+# Each kernel an oracle stands in for, under the builtin that calls it (`*`
+# for Schubert products): its module, its name and the oracle.
+ORACLES = {
+    "*": (grassmann, "multiply", per_pair_product),
+    "integrate": (grassmann, "integrate", lambda e: _localized_degree(e, 0)),
+    "pdeg": (grassmann, "plucker_degree", _localized_degree),
+    "odd_theta": (curves, "odd_theta_count", odd_refinements),
+    "pluecker": (curves, "plucker_solve", reference_plucker_solve),
+    "secant_pluecker": (curves, "secant_plucker_degree", secants_by_projection),
+    "genus": (lattice, "adjunction_genus", _genus_by_the_bilinear_sum),
+}
+
+# The builtins the shipped worksheets call that stay on the kernels when the
+# oracles above stand in for theirs.
+KERNEL_BUILTINS = {
+    "coincidences", "degmult", "hurwitz", "jet2_c2", "residual", "salmon_cayley", "tau",
+}
+
+
+def on_the_oracles(monkeypatch, builtins) -> dict:
+    """Put the kernels of `builtins` on their oracles; the dict counts each one's calls."""
+    calls = dict.fromkeys(builtins, 0)
+    for builtin in builtins:
+        module, name, oracle = ORACLES[builtin]
+
+        def counted(*args, builtin=builtin, oracle=oracle, **kwargs):
+            calls[builtin] += 1
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_worksheets_match_the_references_under_the_oracles(capsys, monkeypatch):
     """The derivation a second time: with Schubert products, integrals, Pluecker
-    degrees and odd theta counts from the oracles, which share no algorithm
-    with `grassmann` or `curves`, every worksheet prints its reference byte for byte."""
-    calls = dict.fromkeys(["multiply", "integrate", "plucker_degree", "odd_theta_count"], 0)
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
+    degrees, odd theta counts, Pluecker characters, secant degrees and genera
+    from the oracles, every worksheet prints its reference byte for byte.  The
+    oracles share no algorithm with the kernels they replace; the secant
+    degree goes through `curves.plucker_solve`, by way of a plane projection."""
     monkeypatch.chdir(ROOT)
-    monkeypatch.setattr(grassmann, "multiply", counted("multiply", per_pair_product))
-    monkeypatch.setattr(grassmann, "integrate", counted("integrate", lambda e: _localized_degree(e, 0)))
-    monkeypatch.setattr(grassmann, "plucker_degree", counted("plucker_degree", _localized_degree))
-    monkeypatch.setattr(curves, "odd_theta_count", counted("odd_theta_count", odd_refinements))
+    calls = on_the_oracles(monkeypatch, ORACLES)
     called = set()
     for path in sorted((ROOT / "worksheets").glob("*.ws")):
         text = re.sub(r"#.*", "", path.read_text(encoding="utf-8"))
@@ -657,7 +685,28 @@ def test_worksheets_match_the_references_under_the_oracles(capsys, monkeypatch):
         assert code == 0, path.name
         assert out.encode("utf-8") == (REFERENCES / path.name).with_suffix(".json").read_bytes()
     assert all(calls.values()), calls
-    assert called - {"integrate", "pdeg", "odd_theta"} == KERNEL_BUILTINS
+    assert called - set(ORACLES) == KERNEL_BUILTINS
+
+
+def test_the_bulk_suite_reports_the_same_under_the_oracles(monkeypatch):
+    """perfbench's seed-1 worksheet-bulk suite, at full size, reports the same
+    with its products, integrals, Pluecker degrees and characters, secant
+    degrees and genera from the oracles as from the kernels.  `odd_theta`
+    stays on the kernel: `odd_refinements(g)` takes 16^g steps, 4^g vectors for
+    each of 4^g refinements, and the suite asks for g up to 8."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import bulkgen
+    import workloads
+
+    suite = bulkgen.generate_suite(1, workloads.PROFILES["worksheet-bulk"]["full"]["suite"])
+
+    def reports():
+        return [json.dumps(evaluate(parse(sheet.text)).as_dict()) for sheet in suite]
+
+    on_the_kernels = reports()
+    calls = on_the_oracles(monkeypatch, set(ORACLES) - {"odd_theta"})
+    assert reports() == on_the_kernels
+    assert all(calls.values()), calls
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bilinear_sum
+from _oracles import bilinear_sum, genus_by_the_bilinear_sum
 from chowkit.lattice import (
     ClassExpr,
     InconsistentSystem,
@@ -262,16 +262,6 @@ def test_pair_keeps_an_int_coefficient_an_int(gram, u, v, key):
     got = form.pair(u, v)
     assert got == bilinear_sum(form, u, v)
     assert type(got.terms[key]) is int and got.terms[key] == 1
-
-
-def genus_by_the_bilinear_sum(form, c: dict, k: dict | None):
-    """1 + (C.C + C.K)/2 through the public LinExpr arithmetic, or the error."""
-    if k is None:
-        raise ValueError("lattice has no canonical class")
-    twice = collapse(bilinear_sum(form, c, c) + bilinear_sum(form, c, k)) - 2
-    if twice % 2:
-        raise ValueError(f"C^2 + C.K = {twice + 2} is odd")
-    return twice // 2 + 2
 
 
 @settings(max_examples=200, deadline=None)

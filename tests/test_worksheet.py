@@ -22,11 +22,12 @@ from chowkit.worksheet import (
     parse,
     pretty_print,
 )
-from chowkit.worksheet import ast
-from chowkit.worksheet.ast import ClassDecl, IntLit, Let
 from chowkit.worksheet.builtins import BUILTINS
 from chowkit.worksheet.evaluate import Evaluator
-from chowkit.worksheet.parse import tokenize
+from chowkit.worksheet.parse import ClassDecl, IntLit, Let, tokenize
+
+# the syntax module: the package's own `parse` attribute is the function
+ast = importlib.import_module("chowkit.worksheet.parse")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKSHEETS = sorted((ROOT / "worksheets").glob("*.ws"))
