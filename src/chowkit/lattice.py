@@ -5,7 +5,8 @@ class names and a symmetric Gram matrix whose entries may hold named
 unknowns; ruled-surface lattices and `surface.SurfaceRing` are both one.
 Intersection numbers expand bilinearly to linear expressions in the
 unknowns; `linexpr.solve_linear` pins them and `substitute` puts the
-answers back, one solve at a time, as such computations are done by hand.
+answers back, one solve at a time, as such computations are done by hand,
+and reports whether any unknown remains.
 """
 
 from __future__ import annotations
@@ -75,17 +76,16 @@ class IntersectionForm:
                         del terms[key]
         return LinExpr._of(None, terms)
 
-    def substitute(self, assignment: dict):
+    def substitute(self, assignment: dict) -> bool:
         """Resolve solved unknowns in place, rebuilding only the entries that
-        hold any (also a top-level `unknown a` in `l.l = a`)."""
+        hold any (also a top-level `unknown a` in `l.l = a`).  Returns whether
+        an entry still holds an unknown, so a later solve can change it."""
+        left_open = False
         for key, v in self.gram.items():
             if not v.is_constant:
-                self.gram[key] = v.substitute(assignment)
-
-    @property
-    def is_open(self) -> bool:
-        """Whether an entry still holds an unknown, so a solve can change it."""
-        return not all(v.is_constant for v in self.gram.values())
+                v = self.gram[key] = v.substitute(assignment)
+                left_open = left_open or not v.is_constant
+        return left_open
 
 
 class RuledLattice(IntersectionForm):
@@ -113,15 +113,14 @@ class RuledLattice(IntersectionForm):
     def generator(self, name: str) -> "ClassExpr":
         return ClassExpr(self, {name: 1})
 
-    def substitute(self, assignment: dict):
-        super().substitute(assignment)
-        if self.canonical is not None:
-            self.canonical = self.canonical.substitute(assignment)
+    def substitute(self, assignment: dict) -> bool:
+        """Also in K, and drops the solved names from `unknowns`; whether anything is still open."""
+        left_open = super().substitute(assignment)
+        K = self.canonical
+        if K is not None:
+            K = self.canonical = K.substitute(assignment)
         self.unknowns = [u for u in self.unknowns if u not in assignment]
-
-    @property
-    def is_open(self) -> bool:
-        return bool(self.unknowns) or super().is_open or holds_unknown(self.canonical)
+        return left_open or bool(self.unknowns) or holds_unknown(K)
 
     def __str__(self):
         head = f"lattice({', '.join(self.basis)}"

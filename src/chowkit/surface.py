@@ -44,14 +44,12 @@ class SurfaceRing(IntersectionForm):
     def divisor(self, name: str) -> "SurfaceClass":
         return SurfaceClass(self, {name: 1})
 
-    def substitute(self, assignment: dict):
-        super().substitute(assignment)
+    def substitute(self, assignment: dict) -> bool:
+        """Also in `euler`; whether it or a Gram entry still holds an unknown."""
+        left_open = super().substitute(assignment)
         if isinstance(self.euler, LinExpr):
             self.euler = collapse(self.euler.substitute(assignment))
-
-    @property
-    def is_open(self) -> bool:
-        return holds_unknown(self.euler) or super().is_open
+        return left_open or holds_unknown(self.euler)
 
 
 class SurfaceClass(Combination):

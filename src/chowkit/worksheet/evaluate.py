@@ -83,7 +83,7 @@ class Evaluator:
     def __init__(self):
         self.env: dict = {}
         self.grassmann: GrassmannContext | None = None
-        self.spaces: list[IntersectionForm] = []  # those a `solve` can change
+        self.spaces: list[IntersectionForm] = []  # all but those a `solve` left closed
         self.open: set = set()  # the names in `env` whose value holds an unknown
         self.report = EvaluationReport([], [], [])
 
@@ -134,7 +134,6 @@ class Evaluator:
 
     def bind(self, name: str, value):
         self.env[name] = value
-        self.open.discard(name)
         if holds_unknown(value):
             self.open.add(name)
         self.report.bindings.append((name, printed(value, name)))
@@ -154,8 +153,7 @@ class Evaluator:
             self.set_gram(ring, g)
         ring.euler = self.checked(s.euler, scalar)
         ring.check_complete()
-        if ring.is_open:
-            self.spaces.append(ring)
+        self.spaces.append(ring)
         for name in s.basis:
             self.bind(name, ring.divisor(name))
 
@@ -178,20 +176,17 @@ class Evaluator:
                 value = self.checked(item.expr, lattice_class)
                 lat.canonical = value
                 self.bind("K", value)
-        if lat.is_open:
-            self.spaces.append(lat)
+        self.spaces.append(lat)
 
     def solve_block(self, s: SolveBlock):
         eqs = [self.checked(left, scalar) - self.checked(right, scalar) for left, right in s.constraints]
         assignment = solve_linear(eqs)
+        self.substitute_everywhere(assignment)  # which closes each solved unknown's own binding
         for name in sorted(assignment):
             self.bind(name, assignment[name])
-        self.substitute_everywhere(assignment)
 
     def substitute_everywhere(self, assignment: dict):
-        for space in self.spaces:
-            space.substitute(assignment)
-        self.spaces = [space for space in self.spaces if space.is_open]
+        self.spaces = [space for space in self.spaces if space.substitute(assignment)]
         for name in self.open:
             self.env[name] = collapse(self.env[name].substitute(assignment))
         self.open = {name for name in self.open if holds_unknown(self.env[name])}

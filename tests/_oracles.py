@@ -9,7 +9,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from chowkit.curves import CHARACTERS, plucker_solve
-from chowkit.grassmann import SchubertElement, complement_in_box, integrate, partition
+from chowkit.grassmann import SchubertElement, complement_in_box, partition
 from chowkit.linexpr import (
     ONE,
     InconsistentSystem,
@@ -162,14 +162,15 @@ def _horizontal_strips(lam: tuple, a: int, rows: int, cols: int) -> list:
 
 
 def pieri_degree(e: SchubertElement, dim: int):
-    """Degree in the Pluecker embedding by walking the box: integrate e after
-    `dim` Pieri products with s[1]."""
-    codim = e.space.dimension - dim
+    """Degree in the Pluecker embedding by walking the box: the point-class
+    coefficient of e after `dim` Pieri products with s[1]."""
+    ctx = e.space
+    codim = ctx.dimension - dim
     if any(sum(lam) != codim for lam in e.terms):
         raise ValueError(f"element is not pure of codimension {codim}")
     for _ in range(dim):
         e = pieri(e, 1)
-    return integrate(e)
+    return e.terms.get((ctx.cols,) * ctx.rows, 0)
 
 
 def duality_pair(lam, mu, ctx) -> int:

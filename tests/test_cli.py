@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON schema, value agreement."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chowkit
 import chowkit.curves as curves
 import chowkit.grassmann as grassmann
 import chowkit.lattice as lattice
@@ -26,11 +28,13 @@ from _oracles import (
     localized_integral,
     odd_refinements,
     per_pair_product,
+    pieri_degree,
     reference_plucker_solve,
     secants_by_projection,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_ROOT = pathlib.Path(chowkit.__file__).resolve().parents[1]  # the package under test, installed or not
 FINAL = str(ROOT / "worksheets" / "final_degree.ws")
 # the record `pluecker{d=6, nodes=6}` prints: the nodal sextic
 SEXTIC = "{d=6, m=18, nodes=6, cusps=0, bitangents=96, flexes=36, genus=4}"
@@ -148,11 +152,32 @@ HYPERPLANE_POWER = "*".join(["s[1]"] * 25)
             ["--gr", "3,6", "(s[1] + 1/2*s[2]) * (s[1] - s[1,1])"],
             "s[1,1] - s[1,1,1] + s[2] - 1/2*s[2,1] - 1/2*s[2,1,1] + 1/2*s[3] - 1/2*s[3,1]",
         ),
+        # s[2] * s[1] and s[1,1] * s[1] both give s[2,1] on Gr(2,4), and nothing else fits
+        (["--gr", "2,4", "(s[2] - s[1,1]) * s[1]"], "0"),
     ],
-    ids=["hyperplane-power", "two-term-factors"],
+    ids=["hyperplane-power", "two-term-factors", "terms-that-cancel"],
 )
 def test_schubert_multi_term_products(argv, value, capsys):
     assert run_cli(capsys, "eval", *argv) == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "rows, code, digest, err",
+    [
+        # printed in full: 1,433 and 10,873 terms, pinned by the SHA-256 of stdout
+        (5, 0, "eb93e7f18754427b5a6f75c8ebe20d6edaa659b6f065923e0428df9f93a8d260", ""),
+        (6, 0, "b8449ec803e06b23d948be2d624d529f01037424a792d43ddd4ebbd951272949", ""),
+        # refused at the real MAX_STATES, with nothing on stdout
+        (7, 2, hashlib.sha256(b"").hexdigest(),
+         "error: line 1, column 17: Schubert product needs more than 100000 strip states (stopped at 100002)\n"),
+    ],
+    ids=["gr-10-20", "gr-12-24", "gr-14-28-refused"],
+)
+def test_staircase_squares(rows, code, digest, err, capsys):
+    """s[rows,...,1]^2 on Gr(2 rows, 4 rows), whose box it fills."""
+    square = f"s[{','.join(str(i) for i in range(rows, 0, -1))}]"
+    got, out, got_err = run_cli(capsys, "eval", "--gr", f"{2 * rows},{4 * rows}", f"{square}*{square}")
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest(), got_err) == (code, digest, err)
 
 
 def test_a_cheap_product_on_a_big_grassmannian_runs_and_a_costly_one_exits_2(capsys, monkeypatch):
@@ -320,7 +345,7 @@ def test_the_derivation_script_reports_a_broken_worksheet_without_a_traceback(tm
     lines = len(broken.read_text(encoding="utf-8").splitlines())
     with broken.open("a", encoding="utf-8") as f:
         f.write("let x =\n")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
     script = tmp_path / "scripts" / "run_derivation.py"
     out = subprocess.run([sys.executable, "-W", "error", str(script)], env=env, capture_output=True, text=True)
     assert out.returncode == 2
@@ -331,7 +356,7 @@ def test_the_derivation_script_reports_a_broken_worksheet_without_a_traceback(tm
 
 def test_importing_the_cli_loads_no_dataclasses():
     code = "import sys, chowkit.cli; print('dataclasses' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -625,9 +650,9 @@ def test_worksheet_json_matches_reference(stem, capsys, monkeypatch):
     assert out.encode("utf-8") == (REFERENCES / f"{stem}.json").read_bytes()
 
 
-def _localized_degree(e, dim):
-    """The integral of e * s[1]^dim, one term at a time, by torus localization at seed 1."""
-    total = sum(c * localized_integral(e.space, [lam], dim, seed=1) for lam, c in e.terms.items())
+def _localized_integral(e):
+    """The integral of e, one term at a time, by torus localization at seed 1."""
+    total = sum(c * localized_integral(e.space, [lam], 0, seed=1) for lam, c in e.terms.items())
     return collapse(LinExpr.coerce(total))
 
 
@@ -640,8 +665,8 @@ def _genus_by_the_bilinear_sum(C):
 # for Schubert products): its module, its name and the oracle.
 ORACLES = {
     "*": (grassmann, "multiply", per_pair_product),
-    "integrate": (grassmann, "integrate", lambda e: _localized_degree(e, 0)),
-    "pdeg": (grassmann, "plucker_degree", _localized_degree),
+    "integrate": (grassmann, "integrate", _localized_integral),
+    "pdeg": (grassmann, "plucker_degree", pieri_degree),
     "odd_theta": (curves, "odd_theta_count", odd_refinements),
     "pluecker": (curves, "plucker_solve", reference_plucker_solve),
     "secant_pluecker": (curves, "secant_plucker_degree", secants_by_projection),

@@ -72,6 +72,25 @@ def test_triangular_solve_reproduces_scroll_chain():
     assert intersect(A, G) == 108
 
 
+@pytest.mark.parametrize("where", ["gram-entry", "canonical", "unknown-list"])
+def test_substitute_reports_an_unknown_until_the_last_is_solved(where):
+    """a and b sit in one place only; the lattice is open until both are solved."""
+    lat = RuledLattice(("l", "F"))
+    a, b = LinExpr.unknown("a"), LinExpr.unknown("b")
+    lat.set_gram("l", "l", a + b if where == "gram-entry" else 1)
+    lat.set_gram("l", "F", 1)
+    lat.set_gram("F", "F", 0)
+    if where == "canonical":
+        lat.canonical = ClassExpr(lat, {"l": a, "F": b})
+    if where == "unknown-list":
+        lat.add_unknown("a")
+        lat.add_unknown("b")
+    assert lat.substitute({"c": Fraction(5)})
+    assert lat.substitute({"a": Fraction(1)})
+    assert not lat.substitute({"b": Fraction(2)})
+    assert not lat.substitute({})
+
+
 def test_adjunction_genus_values():
     lat = secant_scroll()
     lat.substitute({"x": Fraction(-9), "kc": Fraction(33)})

@@ -39,6 +39,14 @@ def test_k3_ring_pairing():
     assert ring_product(H, K).c2 == 0
 
 
+def test_substitute_reports_an_unknown_in_euler_until_it_is_solved():
+    a, b = LinExpr.unknown("a"), LinExpr.unknown("b")
+    ring = SurfaceRing(["H"], {("H", "H"): 6}, euler=a + b)
+    assert ring.substitute({"a": Fraction(20)})
+    assert not ring.substitute({"b": Fraction(4)})
+    assert ring.euler == 24
+
+
 def test_ring_mismatch_rejected():
     r1 = k3_genus4_ring()
     r2 = k3_genus4_ring()

@@ -869,10 +869,10 @@ def test_a_space_stays_open_until_nothing_in_it_holds_an_unknown():
     assert open_after == [
         [],
         ["lattice(l, F; unknown u)"],  # only its `unknown u` holds one
-        ["lattice(l, F; unknown u)"],  # N holds none
-        ["lattice(l, F; unknown u)", "lattice(q)"],
-        ["lattice(l, F; unknown u)", "lattice(q)", ("H",)],
-        ["lattice(l, F; unknown u)", "lattice(q)", ("H",)],
+        ["lattice(l, F; unknown u)", "lattice(p)"],  # N holds none, and the next solve drops it
+        ["lattice(l, F; unknown u)", "lattice(p)", "lattice(q)"],
+        ["lattice(l, F; unknown u)", "lattice(p)", "lattice(q)", ("H",)],
+        ["lattice(l, F; unknown u)", "lattice(p)", "lattice(q)", ("H",), ("E",)],
         ["lattice(l, F; unknown u)", "lattice(q)"],  # only Q's canonical holds one
         ["lattice(l, F; unknown u)", "lattice(q)"],
         ["lattice(l, F; unknown u)"],
