@@ -99,14 +99,32 @@ def test_failing_assertion_exit_codes(tmp_path, capsys):
     assert "FAIL" in out
     code, _, _ = run_cli(capsys, "worksheet", "run", str(ws), "--strict")
     assert code == 1
+    # blocks laid out over several lines, whose assertions pass
+    for name, text in [
+        ("lines.ws", "lattice L {\n  basis l, F\n  l.l = 0,\n  l.F = 1, F.F = 0\n}\nassert l * F == 1\n"),
+        ("commas.ws", "unknown a,\n  b\nlet P = pluecker{d=4,\n  nodes=0, cusps=0}\n"
+         "solve { a == P.m,\n  b == P.bitangents }\nassert a + b == 40\n"),
+    ]:
+        ws = tmp_path / name
+        ws.write_text(text)
+        code, out, err = run_cli(capsys, "worksheet", "run", str(ws), "--strict")
+        assert (code, err) == (0, "")
+        assert "1/1 assertions passed" in out
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
-    ws = tmp_path / "bad.ws"
-    ws.write_text("let x = \n")
-    code, _, err = run_cli(capsys, "worksheet", "run", str(ws))
-    assert code == 2
-    assert "missing expression" in err
+    cases = [
+        ("bad.ws", "let x = \n", "line 1, column 9: missing expression"),
+        ("operand.ws", "let x = 1 +\n", "line 1, column 12: missing expression"),
+        ("long_literal.ws", "let x = " + "1" * 5000 + "\n",
+         "line 1, column 9: integer literal longer than 4300 digits"),
+        ("twice.ws", "surface { H, K; H.H = 6, H.K = 0, K.K = 0; euler = 24; euler = 0 }\n",
+         "line 1, column 56: euler declared twice"),
+    ]
+    for name, text, message in cases:
+        ws = tmp_path / name
+        ws.write_text(text)
+        assert run_cli(capsys, "worksheet", "run", str(ws)) == (2, "", f"{ws}: error: {message}\n")
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -154,8 +172,9 @@ HYPERPLANE_POWER = "*".join(["s[1]"] * 25)
         ),
         # s[2] * s[1] and s[1,1] * s[1] both give s[2,1] on Gr(2,4), and nothing else fits
         (["--gr", "2,4", "(s[2] - s[1,1]) * s[1]"], "0"),
+        (["--gr", "8,16", "pdeg(s[5,4,3,2,1]*s[5,4,3,2,1], 34)"], "3464933482334104704000"),
     ],
-    ids=["hyperplane-power", "two-term-factors", "terms-that-cancel"],
+    ids=["hyperplane-power", "two-term-factors", "terms-that-cancel", "staircase-square-degree"],
 )
 def test_schubert_multi_term_products(argv, value, capsys):
     assert run_cli(capsys, "eval", *argv) == (0, value + "\n", "")
@@ -377,6 +396,8 @@ def test_curve_pluecker_matches_worksheet(capsys):
     for field in out[1:-2].split(", "):  # each field reads as the record prints it
         key, value = field.split("=")
         assert run_cli(capsys, "eval", f"pluecker{{d=6, nodes=6}}.{key}") == (0, value + "\n", "")
+    want = "error: line 1, column 23: record has no field 'foo' (has: d, m, nodes, cusps, bitangents, flexes, genus)\n"
+    assert run_cli(capsys, "eval", "pluecker{d=6, nodes=6}.foo") == (2, "", want)
 
 
 # The builtins that take numbers only, which a worksheet calls without a context.
@@ -431,6 +452,7 @@ def test_python_number_spellings_are_positioned_syntax_errors(spelling, capsys):
     for argv, column in [
         ([f"pluecker{{d={spelling}}}"], 12),
         ([f"tau(0, 0, 0, {spelling})"], 14),
+        ([f"odd_theta({spelling})"], 11),
         (["--gr", "3,5", f"pdeg(s[1], {spelling})"], 12),
     ]:
         code, out, err = run_cli(capsys, "eval", *argv)

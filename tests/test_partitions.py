@@ -1,7 +1,5 @@
 """Partition helpers and exact scalar sanity checks."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +10,7 @@ from chowkit.grassmann import (
     fits_in_box,
     partition,
 )
+from chowkit.linexpr import LinExpr, collapse
 
 from _oracles import partitions_in_box
 
@@ -20,10 +19,12 @@ fractions = st.fractions(max_denominator=1000)
 
 @given(fractions, fractions, fractions)
 def test_fraction_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
+    """The field laws on LinExpr constants, read back through `collapse`."""
+    x, y, z = LinExpr(a), LinExpr(b), LinExpr(c)
+    assert collapse((x + y) + z) == collapse(x + (y + z)) == a + b + c
+    assert collapse(x * (y + z)) == collapse(x * y + x * z) == a * (b + c)
     if a != 0:
-        assert a * (1 / a) == 1
+        assert collapse(x * (LinExpr(1) / x)) == 1
 
 
 def test_partition_normalizes():
@@ -40,7 +41,10 @@ def test_partition_rejects_increasing():
 
 
 def test_weight_and_box():
-    assert sum((3, 2, 1)) == 6
+    assert fits_in_box((), 0, 0)
+    assert fits_in_box((2,), 1, 2)
+    assert not fits_in_box((3,), 1, 2)
+    assert not fits_in_box((1, 1), 1, 5)
     assert fits_in_box((2, 2), 2, 2)
     assert not fits_in_box((3,), 2, 2)
     assert not fits_in_box((1, 1, 1), 2, 2)
