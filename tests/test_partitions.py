@@ -19,7 +19,6 @@ fractions = st.fractions(max_denominator=1000)
 
 @given(fractions, fractions, fractions)
 def test_fraction_field_axioms(a, b, c):
-    """The field laws on LinExpr constants, read back through `collapse`."""
     x, y, z = LinExpr(a), LinExpr(b), LinExpr(c)
     assert collapse((x + y) + z) == collapse(x + (y + z)) == a + b + c
     assert collapse(x * (y + z)) == collapse(x * y + x * z) == a * (b + c)
